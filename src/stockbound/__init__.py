@@ -51,7 +51,6 @@ from .policy import (
 )
 from .rates import (
     RateResult,
-    SolverConfig,
     UnreachableRateError,
     chernoff_bound,
     invert_rate,
@@ -78,7 +77,6 @@ __all__ = [
     "ProposedStock",
     "RateResult",
     "SeriesDivergenceError",
-    "SolverConfig",
     "TailQuery",
     "UnreachableRateError",
     "WeibullModel",

@@ -262,8 +262,8 @@ def empirical_cgf(
 
     Centering subtracts ``u`` times the grand per-period sample mean so the
     evaluator has the canonical shape used by rate maximization.  Outside
-    the window the value is reported as infinite, which ascent routines
-    treat as a domain violation.
+    the window the value is reported as infinite, which the rate solver
+    treats as a domain violation.
     """
     if data.n_replicates < 2:
         raise ValueError("empirical CGF estimation requires at least 2 replicates")

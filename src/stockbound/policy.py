@@ -45,7 +45,7 @@ from .oracle import (
     normal_upper_tail,
     normal_upper_tail_inverse,
 )
-from .rates import SolverConfig, invert_rate
+from .rates import invert_rate
 
 __all__ = [
     "PolicyOutput",
@@ -118,7 +118,6 @@ def ss_proposed(
     delta: float,
     allocation: str = "symmetric",
     delta_split: tuple[float, float] | None = None,
-    config: SolverConfig | None = None,
 ) -> ProposedStock:
     """Certified safety stock from the large-deviations bound.
 
@@ -160,7 +159,7 @@ def ss_proposed(
             return ProposedStock(np.array([ss_x, ss_y]), delta, (dx, dy))
         raise ValueError(f"unknown allocation {allocation!r}")
     if isinstance(model, CgfEvaluator):
-        return ProposedStock(np.array([invert_rate(model, delta, lead, config)]), delta, None)
+        return ProposedStock(np.array([invert_rate(model, delta, lead)]), delta, None)
     evaluators = list(model)
     if not all(isinstance(e, CgfEvaluator) for e in evaluators):
         raise TypeError("expected a Gaussian model or CGF evaluator(s)")
@@ -174,7 +173,7 @@ def ss_proposed(
     else:
         split = (delta ** (1.0 / n),) * n
     # Per-commodity inversion certifies the product rate for independent demand.
-    ss = np.array([invert_rate(e, d, lead, config) for e, d in zip(evaluators, split)])
+    ss = np.array([invert_rate(e, d, lead) for e, d in zip(evaluators, split)])
     return ProposedStock(ss, delta, split)
 
 

@@ -10,28 +10,29 @@ and the probability that demand summed over ``L`` periods exceeds its mean by
 returned here are always per degree (per period and per commodity); bounds
 multiply the ``L * N`` factor back in.
 
-Any feasible ``u`` certifies a valid bound, so an ascent stopped early still
+Any feasible ``u`` certifies a valid bound, so a solve stopped early still
 yields a conservative probability, only a looser one.  The numeric maximizer
-is fixed-step projected gradient ascent with an additive update, projection
-onto the sign cone, and a step that is halved when it would leave the CGF's
-effective domain or decrease the objective.
+is the bound-constrained quasi-Newton method L-BFGS-B (Byrd, Lu, Nocedal and
+Zhu 1995), started at the origin and kept inside the box formed by the sign
+cone and the CGF's effective domain, so every point it returns is feasible.
+It is judged converged when the projected gradient (the KKT residual) at the
+returned point is small relative to the margin.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 from . import events
-from .cgf import CgfEvaluator, gaussian_cgf
+from .cgf import CgfEvaluator, SeriesDivergenceError, gaussian_cgf
 from .demand import GaussianModel, validate_lead_time
 
 __all__ = [
     "RateResult",
-    "SolverConfig",
     "UnreachableRateError",
     "chernoff_bound",
     "invert_rate",
@@ -39,33 +40,19 @@ __all__ = [
     "rate_numeric",
 ]
 
+# Stopping rule of rate_numeric: the largest projected-gradient entry, relative
+# to the largest margin.  Rounding in the objective stalls line searches near
+# 1e-8, so the threshold sits above that floor; the rate error it leaves is
+# second order in the residual (below 1e-11 relative on the tested Gaussians).
+RATE_GTOL = 1e-6
+# Iteration cap of rate_numeric; well-posed problems converge in a few dozen.
+RATE_MAX_ITER = 200
+# Relative distance kept from an open domain edge where the CGF has a pole.
+_POLE_GAP = 1e-12
+
 
 class UnreachableRateError(ValueError):
     """No safety margin can push the bound down to the requested rate."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Projected-gradient settings.
-
-    ``step`` is the fixed ascent step, ``tol`` the stopping threshold on the
-    l1 change of the argument between iterations, ``max_iter`` the iteration
-    cap, and ``u0`` an optional starting point (defaults to all ones, pulled
-    inside the effective domain when needed).
-    """
-
-    step: float = 1e-3
-    tol: float = 1e-6
-    max_iter: int = 1_000_000
-    u0: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not (self.step > 0.0 and math.isfinite(self.step)):
-            raise ValueError("step must be positive")
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -73,26 +60,24 @@ class RateResult:
     """Outcome of a rate maximization.
 
     ``rate`` is per degree: multiply by lead time and commodity count to get
-    the exponent of the probability bound.  ``u_star`` is the maximizer that
-    achieved it (None when the rate is infinite), ``iterations`` counts
-    accepted ascent steps, and ``converged`` records whether the stopping
-    rule fired before the iteration cap.
+    the exponent of the probability bound.  ``u_star`` is the point that
+    achieved it, always inside the sign cone and the CGF's domain.
+    ``iterations`` counts solver iterations (0 for a closed form), and
+    ``converged`` records whether the KKT residual at ``u_star`` met the
+    stopping rule.
     """
 
     epsilon: np.ndarray
     rate: float
-    u_star: np.ndarray | None
+    u_star: np.ndarray
     iterations: int
     converged: bool
 
     def __post_init__(self):
-        eps = np.asarray(self.epsilon, dtype=float).reshape(-1).copy()
-        eps.setflags(write=False)
-        object.__setattr__(self, "epsilon", eps)
-        if self.u_star is not None:
-            u = np.asarray(self.u_star, dtype=float).reshape(-1).copy()
-            u.setflags(write=False)
-            object.__setattr__(self, "u_star", u)
+        for name in ("epsilon", "u_star"):
+            arr = np.asarray(getattr(self, name), dtype=float).reshape(-1).copy()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -103,108 +88,100 @@ class RateResult:
         return validate_lead_time(lead_time) * self.dim * self.rate
 
 
-def _start_point(cfg: SolverConfig, cgf: CgfEvaluator, signs: np.ndarray) -> np.ndarray:
-    if cfg.u0 is not None:
-        v = signs * np.asarray(cfg.u0, dtype=float).reshape(-1)
-        if v.shape[0] != cgf.dim:
-            raise ValueError("u0 has the wrong number of coordinates")
-        return np.maximum(v, 0.0)
-    v = np.ones(cgf.dim)
-    if cgf.domain is not None:
-        for i, (lo, hi) in enumerate(cgf.domain):
-            upper = hi if signs[i] > 0 else -lo
-            if upper <= 0.0:
-                v[i] = 0.0
-            elif math.isfinite(upper):
-                v[i] = min(1.0, 0.5 * upper)
-    return v
+def _cone_box(cgf: CgfEvaluator, signs: np.ndarray) -> list[tuple[float, float]]:
+    """Bounds on ``v = signs * u``: nonnegative and inside the CGF's domain.
+
+    Where the CGF is infinite at a domain edge (a pole), the bound stays just
+    inside it; a closed edge is used as it is.
+    """
+    if cgf.domain is None:
+        return [(0.0, math.inf)] * cgf.dim
+    box = []
+    for i, (lo, hi) in enumerate(cgf.domain):
+        edge = max(hi if signs[i] > 0 else -lo, 0.0)
+        if 0.0 < edge < math.inf:
+            point = np.zeros(cgf.dim)
+            point[i] = signs[i] * edge
+            if not math.isfinite(cgf.value(point)):
+                edge *= 1.0 - _POLE_GAP
+        box.append((0.0, edge))
+    return box
 
 
-def rate_numeric(
-    cgf: CgfEvaluator,
-    epsilon,
-    config: SolverConfig | None = None,
-    signs=None,
-) -> RateResult:
-    """Maximize ``u . eps - phi(u)`` over a sign cone by projected ascent.
+def rate_numeric(cgf: CgfEvaluator, epsilon, signs=None) -> RateResult:
+    """Maximize ``u . eps - phi(u)`` over a sign cone by L-BFGS-B.
 
     With no ``signs`` the cone is the nonnegative orthant, matching the
     event that every commodity exceeds its margin.  A +1/-1 sign vector
     instead constrains each coordinate of ``u`` to that sign, matching mixed
-    exceed/stay-below events.  The update is
+    exceed/stay-below events.  The solver minimizes ``phi(s*v) - v . (s*eps)``
+    over the box ``v >= 0`` intersected with the domain, from ``v = 0``.
 
-        u <- project( u + step * (eps - grad phi(u)) ),
-
-    stopped when the l1 change drops below ``tol``.  The step is halved when
-    a move would exit the effective domain or lower the objective; it is
-    never enlarged.
+    ``converged`` is true when the projected gradient at the returned point
+    is at most ``RATE_GTOL`` times the largest margin; the solver's own exit
+    status is not used, since it can report a failed line search at the
+    optimum.  Without convergence (for instance an unbounded rate that ends
+    at the ``RATE_MAX_ITER`` cap) the returned point is still feasible and
+    its rate still certifies a bound.
     """
-    cfg = config if config is not None else SolverConfig()
     eps = np.asarray(epsilon, dtype=float).reshape(-1)
     if eps.shape[0] != cgf.dim:
         raise ValueError(f"margin has {eps.shape[0]} coordinates, expected {cgf.dim}")
     if not np.all(np.isfinite(eps)):
         raise ValueError("margins must be finite")
     s = events.check_pattern(events.ORTHANT, cgf.dim, signs) if signs is not None else np.ones(cgf.dim)
-
-    # Work on v = s * u >= 0 so the projection is a plain clamp at zero.
-    def value_and_grad(v: np.ndarray):
-        val, grad = cgf.value_and_gradient(s * v)
-        return val, s * grad
-
     eps_v = s * eps
-    v = _start_point(cfg, cgf, s)
-    val, grad = value_and_grad(v)
-    if not math.isfinite(val):
-        v = np.zeros_like(v)
-        val, grad = value_and_grad(v)
-    obj = float(v @ eps_v) - val
-    step = cfg.step
-    floor = cfg.step * 2.0**-200
+
+    def objective(v: np.ndarray):
+        try:
+            val, grad = cgf.value_and_gradient(s * v)
+        except SeriesDivergenceError:
+            val = math.inf
+        if not math.isfinite(val):
+            return math.inf, np.full(cgf.dim, math.inf)
+        return val - float(v @ eps_v), s * grad - eps_v
+
+    box = _cone_box(cgf, s)
+    lo, hi = np.array(box).T
+    gtol = RATE_GTOL * float(np.abs(eps).max())
+    v = np.zeros(cgf.dim)
     iterations = 0
-    converged = False
-    for _ in range(cfg.max_iter):
-        v_new = np.maximum(v + step * (eps_v - grad), 0.0)
-        val_new, grad_new = value_and_grad(v_new)
-        if not math.isfinite(val_new):
-            step *= 0.5
-            if step < floor:
-                raise RuntimeError(
-                    "step size underflowed while avoiding the CGF domain boundary"
-                )
-            continue
-        obj_new = float(v_new @ eps_v) - val_new
-        if obj_new < obj - 1e-12 * (1.0 + abs(obj)):
-            step *= 0.5
-            if step < floor:
-                break
-            continue
-        delta = float(np.abs(v_new - v).sum())
-        v, val, grad, obj = v_new, val_new, grad_new, obj_new
-        iterations += 1
-        if delta < cfg.tol:
-            converged = True
+    # The line search ends the solve at a trial point where the objective is
+    # infinite (such as the Weibull series past its term cap) instead of
+    # stepping back, so the solve resumes from the last finite point while
+    # it makes progress.  ftol=0 leaves the projected gradient as the only
+    # stopping rule.
+    while True:
+        res = minimize(
+            objective,
+            v,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=box,
+            options={"maxiter": RATE_MAX_ITER - iterations, "gtol": gtol, "ftol": 0.0},
+        )
+        v, iterations = res.x, iterations + int(res.nit)
+        residual = float(np.abs(v - np.clip(v - res.jac, lo, hi)).max())
+        if residual <= gtol or res.nit == 0 or iterations >= RATE_MAX_ITER:
             break
     return RateResult(
         epsilon=eps,
-        rate=max(obj, 0.0) / cgf.dim,
+        rate=max(-float(res.fun), 0.0) / cgf.dim,
         u_star=s * v,
         iterations=iterations,
-        converged=converged,
+        converged=residual <= gtol,
     )
 
 
-def rate_gaussian_closed(
-    model: GaussianModel, epsilon, config: SolverConfig | None = None
-) -> RateResult:
+def rate_gaussian_closed(model: GaussianModel, epsilon) -> RateResult:
     """Gaussian rate in closed form where the orthant constraint is slack.
 
     The unconstrained maximizer is ``u* = Sigma^{-1} eps`` with per-degree
-    rate ``eps . u* / (2 N)``.  When ``u*`` has a negative coordinate the
-    constrained optimum sits on the boundary and the numeric solver takes
-    over.  For singular covariance the pseudoinverse solution is used; a
-    margin outside the covariance's range makes the unconstrained form
-    unbounded and is reported as an infinite rate.
+    rate ``eps . u* / (2 N)``; for singular covariance the pseudoinverse
+    solution is used.  When ``u*`` has a negative coordinate, or the margin
+    lies outside the covariance's range (the unconstrained rate is then
+    infinite, but the orthant-constrained one need not be), ``rate_numeric``
+    solves the constrained problem instead.
     """
     eps = np.asarray(epsilon, dtype=float).reshape(-1)
     n = model.dim
@@ -215,10 +192,9 @@ def rate_gaussian_closed(
     live = eigvals > cutoff
     coeff = eigvecs.T @ eps
     null_part = np.where(live, 0.0, coeff)
-    if np.any(np.abs(null_part) > 1e-9 * max(1.0, float(np.abs(eps).max(initial=0.0)))):
-        return RateResult(epsilon=eps, rate=math.inf, u_star=None, iterations=0, converged=True)
+    in_range = np.all(np.abs(null_part) <= 1e-9 * max(1.0, float(np.abs(eps).max(initial=0.0))))
     u = eigvecs @ np.where(live, coeff / np.where(live, eigvals, 1.0), 0.0)
-    if np.all(u >= -1e-12):
+    if in_range and np.all(u >= -1e-12):
         u = np.maximum(u, 0.0)
         return RateResult(
             epsilon=eps,
@@ -227,14 +203,14 @@ def rate_gaussian_closed(
             iterations=0,
             converged=True,
         )
-    return rate_numeric(gaussian_cgf(model), eps, config)
+    return rate_numeric(gaussian_cgf(model), eps)
 
 
 def _scalar_rate(cgf: CgfEvaluator, eps: float) -> tuple[float, float]:
     """Exact 1-d rate ``max_{u>=0} (u*eps - phi(u))`` for a scalar CGF.
 
     Solves ``phi'(u) = eps`` by bracketed root finding, which is sharp enough
-    for tight inversion tolerances where fixed-step ascent is not.
+    for tight inversion tolerances.
     """
     if eps <= 0.0:
         return 0.0, 0.0
@@ -301,9 +277,7 @@ def _pooled_evaluator(cgf: CgfEvaluator) -> CgfEvaluator:
     )
 
 
-def invert_rate(
-    cgf: CgfEvaluator, delta: float, lead_time: int, config: SolverConfig | None = None
-) -> float:
+def invert_rate(cgf: CgfEvaluator, delta: float, lead_time: int) -> float:
     """Smallest lead-time safety stock whose bound meets a stockout rate.
 
     Finds the margin ``eps >= 0`` with ``R(eps) = -log(delta) / L`` by
@@ -346,7 +320,6 @@ def chernoff_bound(
     lead_time: int,
     pattern: str = events.ALL_EXCEED,
     signs=None,
-    config: SolverConfig | None = None,
 ) -> float:
     """Upper bound on the probability of a stockout pattern.
 
@@ -371,13 +344,13 @@ def chernoff_bound(
     eps = np.asarray(epsilon, dtype=float).reshape(-1)
     events.check_pattern(pattern, cgf.dim, signs)
     if pattern == events.ALL_EXCEED:
-        result = rate_numeric(cgf, eps, config)
+        result = rate_numeric(cgf, eps)
         return min(1.0, math.exp(-result.exponent(lead)))
     if pattern == events.ORTHANT:
-        result = rate_numeric(cgf, eps, config, signs=signs)
+        result = rate_numeric(cgf, eps, signs=signs)
         return min(1.0, math.exp(-result.exponent(lead)))
     if pattern == events.UNION:
         first_rate, _ = _scalar_rate(_marginal_evaluator(cgf, 0), eps[0])
-        mixed = rate_numeric(cgf, eps, config, signs=np.array([-1.0, 1.0]))
+        mixed = rate_numeric(cgf, eps, signs=np.array([-1.0, 1.0]))
         return min(1.0, math.exp(-lead * first_rate) + math.exp(-mixed.exponent(lead)))
     raise ValueError(f"unknown stockout pattern {pattern!r}")

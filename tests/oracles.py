@@ -5,6 +5,7 @@ avoiding the code paths under test, so module results are checked against a
 second route rather than against themselves.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -59,6 +60,29 @@ def exact_scalar_rate(gradient, epsilon: float, hi: float = 1.0) -> float:
             raise RuntimeError("no bracket")
     u = brentq(lambda v: gradient(v)[0] - epsilon, lo, hi, xtol=1e-15)
     return u * epsilon - gradient(u)[1]
+
+
+def gaussian_cone_rate(cov, eps, signs=None) -> float:
+    """Exact per-degree Gaussian rate ``max_{s*u >= 0} [u.eps - u'cov u / 2] / N``.
+
+    Enumerates active sets: with ``v = s * u``, the stationary point on each
+    free set solves a small linear system, and the optimum is the best
+    candidate with every free coordinate nonnegative (the rest sit at zero).
+    Exponential in N, so meant for two or three commodities with positive
+    definite covariance.
+    """
+    cov = np.asarray(cov, dtype=float)
+    n = cov.shape[0]
+    s = np.ones(n) if signs is None else np.asarray(signs, dtype=float)
+    q = cov * np.outer(s, s)
+    c = s * np.asarray(eps, dtype=float).reshape(-1)
+    best = 0.0
+    for size in range(1, n + 1):
+        for free in map(list, itertools.combinations(range(n), size)):
+            v = np.linalg.solve(q[np.ix_(free, free)], c[free])
+            if np.all(v >= 0.0):
+                best = max(best, 0.5 * float(c[free] @ v))
+    return best / n
 
 
 def sample_bivariate_exceed(a: float, b: float, rho: float, trials: int, seed: int) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stockbound
 from stockbound import GaussianModel, WeibullModel, compare_policies, weibull_log_mgf
 from stockbound.cli import main
 
@@ -35,13 +37,21 @@ def declared_entry_point():
         return tomllib.load(fh)["project"]["scripts"]["stockbound"]
 
 
+def run_fresh(*args):
+    """Run a fresh interpreter that imports the ``stockbound`` under test.
+
+    The package's parent directory goes first on ``PYTHONPATH``, so the
+    child needs no install even when the suite is run without one.
+    """
+    env = dict(os.environ)
+    root = str(Path(stockbound.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, timeout=120, env=env)
+
+
 def run_declared_script(*argv):
     """Run the declared ``stockbound`` entry point in a fresh interpreter."""
-    return subprocess.run(
-        [sys.executable, "-c", SCRIPT_LAUNCHER, declared_entry_point(), *argv],
-        capture_output=True,
-        timeout=120,
-    )
+    return run_fresh("-c", SCRIPT_LAUNCHER, declared_entry_point(), *argv)
 
 
 def run_cli(capsys, *argv):
@@ -385,3 +395,14 @@ class TestConsoleScript:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert proc.stderr.startswith(b"usage: stockbound")
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        proc = run_fresh("-m", "stockbound.cli", "compute", "--delta", "0.05")
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.startswith(b"delta,ss_pre,ss_pro,ss_rig")
+        assert main(["compute", "--delta", "0.05"]) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
+        usage = run_fresh("-m", "stockbound.cli")
+        assert usage.returncode == 2
+        assert usage.stdout == b""
+        assert b"usage:" in usage.stderr

@@ -12,7 +12,6 @@ from stockbound import (
     UNION,
     CgfEvaluator,
     GaussianModel,
-    SolverConfig,
     TailQuery,
     UnreachableRateError,
     WeibullModel,
@@ -25,23 +24,14 @@ from stockbound import (
     weibull_cgf,
 )
 
-from oracles import exact_scalar_rate, quad_weibull_log_mgf
+from stockbound.rates import RATE_MAX_ITER
 
-
-class TestSolverConfig:
-    def test_defaults(self):
-        cfg = SolverConfig()
-        assert cfg.step == 1e-3
-        assert cfg.tol == 1e-6
-        assert cfg.max_iter == 1_000_000
-        assert cfg.u0 is None
-
-    @pytest.mark.parametrize(
-        "kwargs", [{"step": 0.0}, {"step": -1.0}, {"tol": 0.0}, {"max_iter": 0}]
-    )
-    def test_invalid_settings(self, kwargs):
-        with pytest.raises(ValueError):
-            SolverConfig(**kwargs)
+from oracles import (
+    exact_scalar_rate,
+    gaussian_cone_rate,
+    quad_normal_upper_tail,
+    quad_weibull_log_mgf,
+)
 
 
 class TestRateNumeric:
@@ -109,6 +99,70 @@ class TestRateNumeric:
         assert result.rate == pytest.approx(3.0 - math.log(4.0), abs=1e-5)
         assert result.u_star[0] == pytest.approx(0.75, abs=5e-3)
 
+    def test_resumes_after_overshooting_the_weibull_series_range(self):
+        # The maximizer u* ~ 1.58 is inside the range where the moment series
+        # settles within its term cap, but a quasi-Newton step from u = 1
+        # lands past it; the solve must step back rather than fail.
+        shape = 1.2
+        cgf = weibull_cgf(WeibullModel(shape, 1.0))
+        result = rate_numeric(cgf, [5.0])
+
+        def grad(v: float):
+            h = 1e-6
+            lo = quad_weibull_log_mgf(shape, 1.0, v - h, centered=True)
+            hi = quad_weibull_log_mgf(shape, 1.0, v + h, centered=True)
+            return (hi - lo) / (2.0 * h), quad_weibull_log_mgf(shape, 1.0, v, centered=True)
+
+        assert result.converged
+        assert result.rate == pytest.approx(exact_scalar_rate(grad, 5.0), rel=1e-8)
+
+    # At every rho, [1, 1] leaves the cone constraint slack for the orthant
+    # and binding for signs [-1, 1], and [-1, 1] does the opposite; [0.2, 1]
+    # and [-1.5, 1] switch between the two as rho varies.
+    @pytest.mark.parametrize("rho", [-0.99, -0.9, 0.0, 0.9, 0.99])
+    @pytest.mark.parametrize("signs", [None, [-1.0, 1.0]])
+    @pytest.mark.parametrize("eps", [[1.0, 1.0], [-1.0, 1.0], [0.2, 1.0], [-1.5, 1.0]])
+    def test_matches_active_set_reference(self, rho, signs, eps):
+        model = GaussianModel.bivariate(1.0, 1.0, rho)
+        result = rate_numeric(gaussian_cgf(model), eps, signs=signs)
+        expected = gaussian_cone_rate(model.covariance, eps, signs)
+        assert result.converged
+        assert result.rate == pytest.approx(expected, rel=1e-9)
+        cone = np.ones(2) if signs is None else np.asarray(signs)
+        assert np.all(cone * result.u_star >= 0.0)
+
+    def test_three_commodities_match_active_set_reference(self):
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            basis, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            cov = basis @ np.diag(rng.uniform(0.05, 2.0, size=3)) @ basis.T
+            cov = 0.5 * (cov + cov.T)
+            cgf = gaussian_cgf(GaussianModel(np.zeros(3), cov))
+            for _ in range(3):
+                eps = rng.uniform(-0.5, 1.5, size=3)
+                result = rate_numeric(cgf, eps)
+                assert result.converged
+                assert result.rate == pytest.approx(gaussian_cone_rate(cov, eps), rel=1e-9)
+                assert np.all(result.u_star >= 0.0)
+
+    def test_near_singular_anticorrelation_converges_quickly(self):
+        # Condition number 199: the solver must not slow down with it.
+        cgf = gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, -0.99))
+        result = rate_numeric(cgf, [1.0, 1.0])
+        assert result.converged
+        assert result.iterations <= 50
+        assert result.rate == pytest.approx(50.0, rel=1e-9)
+
+    def test_unbounded_rate_stops_at_iteration_cap(self):
+        # Perfect anticorrelation: both commodities never exceed together, so
+        # the rate is infinite and no finite point is optimal.
+        cgf = gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, -1.0))
+        result = rate_numeric(cgf, [1.0, 1.0])
+        assert not result.converged
+        assert 0 < result.iterations <= RATE_MAX_ITER
+        assert np.all(result.u_star >= 0.0)
+        assert result.rate > 0.0
+
 
 class TestRateGaussianClosed:
     def test_independent_pair(self):
@@ -142,11 +196,16 @@ class TestRateGaussianClosed:
         assert result.u_star == pytest.approx([0.5, 0.5], rel=1e-12)
 
     def test_singular_covariance_out_of_range(self):
+        # The margin is outside the covariance's range, so the unconstrained
+        # rate is infinite, but the orthant-constrained one is 1: all weight
+        # goes on the larger margin.  Lead-time demand over 4 periods is
+        # (2Z, 2Z), so the exact tail is P(Z >= 4).
         model = GaussianModel.bivariate(1.0, 1.0, 1.0)
         result = rate_gaussian_closed(model, [1.0, 2.0])
-        assert result.rate == math.inf
-        assert result.u_star is None
-        assert result.exponent(4) == math.inf
+        assert result.converged
+        assert result.rate == pytest.approx(1.0, rel=1e-9)
+        assert result.u_star == pytest.approx([0.0, 2.0], abs=1e-8)
+        assert math.exp(-result.exponent(4)) >= quad_normal_upper_tail(4.0)
 
     def test_margin_dimension_checked(self):
         with pytest.raises(ValueError, match="expected 2"):
