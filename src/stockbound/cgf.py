@@ -76,28 +76,23 @@ class CgfEvaluator:
     dim: int
     domain: tuple[tuple[float, float], ...] | None
     model: object = field(repr=False, default=None)
-    _value: Callable = field(repr=False, default=None)
-    _grad: Callable = field(repr=False, default=None)
     _value_and_grad: Callable = field(repr=False, default=None)
 
-    def _coerce(self, u) -> np.ndarray:
+    def _evaluate(self, u) -> tuple[float, np.ndarray]:
         arr = np.asarray(u, dtype=float).reshape(-1)
         if arr.shape[0] != self.dim:
             raise ValueError(f"argument has {arr.shape[0]} coordinates, expected {self.dim}")
-        return arr
+        val, grad = self._value_and_grad(arr)
+        return float(val), np.asarray(grad, dtype=float).reshape(self.dim)
 
     def value(self, u) -> float:
-        return float(self._value(self._coerce(u)))
+        return self._evaluate(u)[0]
 
     def gradient(self, u) -> np.ndarray:
-        return np.asarray(self._grad(self._coerce(u)), dtype=float).reshape(self.dim)
+        return self._evaluate(u)[1]
 
     def value_and_gradient(self, u) -> tuple[float, np.ndarray]:
-        arr = self._coerce(u)
-        if self._value_and_grad is not None:
-            val, grad = self._value_and_grad(arr)
-            return float(val), np.asarray(grad, dtype=float).reshape(self.dim)
-        return float(self._value(arr)), np.asarray(self._grad(arr), dtype=float).reshape(self.dim)
+        return self._evaluate(u)
 
     __call__ = value
 
@@ -110,14 +105,7 @@ def gaussian_cgf(model: GaussianModel) -> CgfEvaluator:
         s = cov @ u
         return 0.5 * float(u @ s), s
 
-    return CgfEvaluator(
-        dim=model.dim,
-        domain=None,
-        model=model,
-        _value=lambda u: 0.5 * float(u @ (cov @ u)),
-        _grad=lambda u: cov @ u,
-        _value_and_grad=both,
-    )
+    return CgfEvaluator(dim=model.dim, domain=None, model=model, _value_and_grad=both)
 
 
 def _weibull_series(shape: float, scale: float, u: float, tol: float):
@@ -203,34 +191,19 @@ def weibull_cgf(model: WeibullModel, tol: float = 1e-12) -> CgfEvaluator:
             log_m, dlog, _ = _weibull_series(model.shape, model.scale, float(u[0]), tol)
             return log_m - u[0] * mean, np.array([dlog - mean])
 
-        return CgfEvaluator(
-            dim=1,
-            domain=None,
-            model=model,
-            _value=lambda u: both(u)[0],
-            _grad=lambda u: both(u)[1],
-            _value_and_grad=both,
-        )
+        return CgfEvaluator(dim=1, domain=None, model=model, _value_and_grad=both)
     if model.shape == 1.0:
         edge = 1.0 / model.scale
 
-        def value(u):
+        def both(u):
             if u[0] >= edge:
-                return math.inf
-            return -math.log1p(-u[0] * model.scale) - u[0] * mean
+                return math.inf, np.array([math.inf])
+            return (
+                -math.log1p(-u[0] * model.scale) - u[0] * mean,
+                np.array([model.scale / (1.0 - u[0] * model.scale) - mean]),
+            )
 
-        def grad(u):
-            if u[0] >= edge:
-                return np.array([math.inf])
-            return np.array([model.scale / (1.0 - u[0] * model.scale) - mean])
-
-        return CgfEvaluator(
-            dim=1,
-            domain=((-math.inf, edge),),
-            model=model,
-            _value=value,
-            _grad=grad,
-        )
+        return CgfEvaluator(dim=1, domain=((-math.inf, edge),), model=model, _value_and_grad=both)
     raise CgfDomainError("MGF series not certified convergent for shape <= 1")
 
 
@@ -282,14 +255,7 @@ def empirical_cgf(
         grad = float(w @ sums) / total / periods - mean
         return value, np.array([grad])
 
-    return CgfEvaluator(
-        dim=1,
-        domain=((-u_window, u_window),),
-        model=data,
-        _value=lambda u: both(u)[0],
-        _grad=lambda u: both(u)[1],
-        _value_and_grad=both,
-    )
+    return CgfEvaluator(dim=1, domain=((-u_window, u_window),), model=data, _value_and_grad=both)
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,10 @@ def ss_proposed(
     then commodity two with the conditional rule, splitting ``delta`` as
     ``sqrt(delta)`` each unless an explicit ``delta_split`` is given.  A
     single scalar CGF evaluator (or a sequence of them, one per independent
-    commodity) is sized by numeric rate inversion instead.
+    commodity) is sized by numeric rate inversion instead.  A stock sized
+    from ``empirical_cgf`` is certified only for the plug-in estimate of the
+    CGF: the estimation error is not covered, and ``estimation_certificate``
+    does not enter the stock.
     """
     lead = validate_lead_time(lead_time)
     delta = _check_delta(delta)

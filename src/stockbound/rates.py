@@ -206,85 +206,97 @@ def rate_gaussian_closed(model: GaussianModel, epsilon) -> RateResult:
     return rate_numeric(gaussian_cgf(model), eps)
 
 
-def _scalar_rate(cgf: CgfEvaluator, eps: float) -> tuple[float, float]:
-    """Exact 1-d rate ``max_{u>=0} (u*eps - phi(u))`` for a scalar CGF.
+def _increasing_root(cgf: CgfEvaluator, f) -> float:
+    """Root in ``u >= 0`` of ``f(u, phi(u), phi'(u))``, increasing in ``u``, for a scalar CGF.
 
-    Solves ``phi'(u) = eps`` by bracketed root finding, which is sharp enough
-    for tight inversion tolerances.
+    ``f`` must be negative at ``u = 0``.  The bracket stays inside the CGF's
+    domain in one of three ways:
+
+    - no edge: it doubles upward from ``u = 1``;
+    - an open edge where the CGF has a pole: it approaches the edge;
+    - a closed edge (the empirical window): when ``f`` is still negative
+      there, the edge itself is returned, as the constrained solution.
+
+    A trial point where the moment series diverges is treated as overshoot:
+    later trials halve back toward the last good point, and the divergence is
+    raised again only when that gap collapses.  A domain with no positive
+    part returns 0.  ``UnreachableRateError`` is raised when ``f`` stays
+    negative all the way out to the edge.
+    """
+    edge = math.inf if cgf.domain is None else float(cgf.domain[0][1])
+    if edge <= 0.0:
+        return 0.0
+
+    def g(v: float) -> float:
+        value, grad = cgf.value_and_gradient([v])
+        return f(v, value, float(grad[0]))
+
+    if math.isfinite(edge) and math.isfinite(cgf.value([edge])):
+        if g(edge) < 0.0:
+            return edge
+        lo, hi = 0.0, edge
+    else:
+        lo, hi, cap = 0.0, (0.5 * edge if math.isfinite(edge) else 1.0), edge
+        diverged = None
+        while True:
+            try:
+                if g(hi) >= 0.0:
+                    break
+                lo = hi
+            except SeriesDivergenceError as exc:
+                cap, diverged = hi, exc
+            hi = 2.0 * hi if cap == math.inf else 0.5 * (lo + cap)
+            if not lo < hi < cap:
+                if diverged is not None:
+                    raise diverged
+                raise UnreachableRateError("unreachable stockout rate for this demand model")
+    return brentq(g, lo, hi, xtol=1e-15, maxiter=300)
+
+
+def _scalar_rate(cgf: CgfEvaluator, eps: float) -> tuple[float, float]:
+    """Exact 1-d rate ``max_{u>=0} (u*eps - phi(u))`` and its maximizer, for a scalar CGF.
+
+    The maximizer is the root of ``phi'(u) = eps``, or the closed domain edge
+    when the slope stays below ``eps`` up to it.
     """
     if eps <= 0.0:
         return 0.0, 0.0
-
-    def slope(v: float) -> float:
-        return float(cgf.gradient(np.array([v]))[0])
-
-    edge = math.inf if cgf.domain is None else cgf.domain[0][1]
-    if math.isfinite(edge):
-        if edge <= 0.0:
-            return 0.0, 0.0
-        if math.isfinite(cgf.value(np.array([edge]))):
-            # Closed edge: the maximizer may sit on the boundary.
-            if slope(edge) < eps:
-                return edge * eps - cgf.value(np.array([edge])), edge
-            lo, hi = 0.0, edge
-        else:
-            # Open edge with a pole: the slope blows up before it.
-            lo, hi = 0.0, edge * 0.5
-            while slope(hi) < eps:
-                lo, hi = hi, edge - 0.5 * (edge - hi)
-                if edge - hi <= 1e-15 * edge:
-                    raise RuntimeError("could not bracket the rate maximizer")
-    else:
-        lo, hi = 0.0, 1.0
-        while slope(hi) < eps:
-            lo, hi = hi, 2.0 * hi
-            if hi > 2.0**200:
-                raise RuntimeError("could not bracket the rate maximizer")
-    u_star = brentq(lambda v: slope(v) - eps, lo, hi, xtol=1e-15, maxiter=300)
-    value = cgf.value(np.array([u_star]))
-    return max(u_star * eps - value, 0.0), u_star
+    u_star = _increasing_root(cgf, lambda u, value, slope: slope - eps)
+    return max(u_star * eps - cgf.value([u_star]), 0.0), u_star
 
 
-def _marginal_evaluator(cgf: CgfEvaluator, index: int) -> CgfEvaluator:
-    """Restriction of a joint CGF to one coordinate, others held at zero."""
-    basis = np.zeros(cgf.dim)
-    basis[index] = 1.0
-    domain = None if cgf.domain is None else (cgf.domain[index],)
-    return CgfEvaluator(
-        dim=1,
-        domain=domain,
-        model=cgf.model,
-        _value=lambda u: cgf.value(basis * u[0]),
-        _grad=lambda u: np.array([cgf.gradient(basis * u[0])[index]]),
-    )
+def _along(cgf: CgfEvaluator, direction: np.ndarray) -> CgfEvaluator:
+    """Scalar CGF ``t -> phi(t * direction)`` along a nonnegative direction."""
+    domain = None
+    if cgf.domain is not None:
+        scaled = [(lo / d, hi / d) for (lo, hi), d in zip(cgf.domain, direction) if d > 0.0]
+        domain = ((max(lo for lo, _ in scaled), min(hi for _, hi in scaled)),)
 
+    def both(t):
+        value, grad = cgf.value_and_gradient(direction * t[0])
+        return value, np.array([float(direction @ grad)])
 
-def _pooled_evaluator(cgf: CgfEvaluator) -> CgfEvaluator:
-    """CGF of the summed (fungible) demand: ``phi_sum(v) = phi(v * ones)``."""
-    ones = np.ones(cgf.dim)
-    if cgf.domain is None:
-        domain = None
-    else:
-        lo = max(interval[0] for interval in cgf.domain)
-        hi = min(interval[1] for interval in cgf.domain)
-        domain = ((lo, hi),)
-    return CgfEvaluator(
-        dim=1,
-        domain=domain,
-        model=cgf.model,
-        _value=lambda u: cgf.value(ones * u[0]),
-        _grad=lambda u: np.array([float(cgf.gradient(ones * u[0]).sum())]),
-    )
+    return CgfEvaluator(dim=1, domain=domain, model=cgf.model, _value_and_grad=both)
 
 
 def invert_rate(cgf: CgfEvaluator, delta: float, lead_time: int) -> float:
     """Smallest lead-time safety stock whose bound meets a stockout rate.
 
-    Finds the margin ``eps >= 0`` with ``R(eps) = -log(delta) / L`` by
-    bisection (the rate is nondecreasing in the margin) and returns
-    ``L * eps``.  The bracket doubles upward from 1; if the target rate is
-    still out of reach at a margin of 2**60 the demand cannot be certified
-    at that rate and an error is raised.
+    The per-period margin whose rate ``R(eps)`` equals ``r = -log(delta) / L``
+    is ``eps = min_{u > 0} (r + phi(u)) / u``, since ``R(eps) >= r`` exactly
+    when some ``u > 0`` has ``u * eps - phi(u) >= r``.  The minimizer is the
+    one root of the increasing ``u * phi'(u) - phi(u) - r``, where
+    ``eps = phi'(u)``; past a closed domain edge the rate is linear in the
+    margin and the minimizer is the edge.  Any ``u`` gives a margin at least
+    the exact one, so the stock ``L * eps`` errs on the safe side, by an
+    amount second order in the root's error.
+
+    A stock sized from ``empirical_cgf`` is certified only for the plug-in
+    estimate of the CGF: the estimation error is not covered, and
+    ``estimation_certificate`` does not enter the stock.
+
+    Raises ``UnreachableRateError`` when no margin reaches the rate, for
+    instance when the CGF is infinite for every positive argument.
     """
     lead = validate_lead_time(lead_time)
     if cgf.dim != 1:
@@ -292,26 +304,10 @@ def invert_rate(cgf: CgfEvaluator, delta: float, lead_time: int) -> float:
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
     target = -math.log(delta) / lead
-    if target == 0.0:
-        return 0.0
-    hi = 1.0
-    while _scalar_rate(cgf, hi)[0] < target:
-        hi *= 2.0
-        if hi > 2.0**60:
-            raise UnreachableRateError("unreachable stockout rate for this demand model")
-    lo = 0.0
-    residual = math.inf
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        rate = _scalar_rate(cgf, mid)[0]
-        residual = abs(rate - target)
-        if residual < 1e-10:
-            return lead * mid
-        if rate < target:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError(f"rate inversion stalled; residual {residual:.3e}")
+    u_star = _increasing_root(cgf, lambda u, value, slope: u * slope - value - target)
+    if u_star == 0.0:
+        raise UnreachableRateError("unreachable stockout rate for this demand model")
+    return lead * (target + cgf.value([u_star])) / u_star
 
 
 def chernoff_bound(
@@ -339,7 +335,7 @@ def chernoff_bound(
     lead = validate_lead_time(lead_time)
     if pattern == events.FUNGIBLE:
         eps = float(np.asarray(epsilon, dtype=float).reshape(()))
-        rate, _ = _scalar_rate(_pooled_evaluator(cgf), eps)
+        rate, _ = _scalar_rate(_along(cgf, np.ones(cgf.dim)), eps)
         return min(1.0, math.exp(-lead * rate))
     eps = np.asarray(epsilon, dtype=float).reshape(-1)
     events.check_pattern(pattern, cgf.dim, signs)
@@ -350,7 +346,7 @@ def chernoff_bound(
         result = rate_numeric(cgf, eps, signs=signs)
         return min(1.0, math.exp(-result.exponent(lead)))
     if pattern == events.UNION:
-        first_rate, _ = _scalar_rate(_marginal_evaluator(cgf, 0), eps[0])
+        first_rate, _ = _scalar_rate(_along(cgf, np.eye(cgf.dim)[0]), eps[0])
         mixed = rate_numeric(cgf, eps, signs=np.array([-1.0, 1.0]))
         return min(1.0, math.exp(-lead * first_rate) + math.exp(-mixed.exponent(lead)))
     raise ValueError(f"unknown stockout pattern {pattern!r}")

@@ -11,12 +11,14 @@ from stockbound import (
     ORTHANT,
     UNION,
     CgfEvaluator,
+    EmpiricalDemand,
     GaussianModel,
     TailQuery,
     UnreachableRateError,
     WeibullModel,
     bivariate_joint_tail,
     chernoff_bound,
+    empirical_cgf,
     gaussian_cgf,
     invert_rate,
     rate_gaussian_closed,
@@ -224,7 +226,7 @@ class TestInvertRate:
         lead = 5
         cgf = gaussian_cgf(GaussianModel.univariate(var))
         ss = invert_rate(cgf, delta, lead)
-        assert ss == pytest.approx(math.sqrt(2.0 * lead * var * math.log(1.0 / delta)), rel=1e-8)
+        assert ss == pytest.approx(math.sqrt(2.0 * lead * var * math.log(1.0 / delta)), rel=1e-12)
 
     def test_rate_target_near_zero(self):
         cgf = gaussian_cgf(GaussianModel.univariate(2.5))
@@ -275,13 +277,42 @@ class TestInvertRate:
         rate = float(np.mean(totals > lead * model.mean + ss))
         assert rate <= 0.05
 
+    @pytest.mark.parametrize("shape, delta", [(2.0, 1e-50), (1.2, 1e-8)])
+    def test_weibull_bracket_steps_back_from_series_overflow(self, shape, delta):
+        # The maximizer sits inside the moment series' range, but a doubling
+        # bracket overshoots past it; the overshoot must not end the solve.
+        cgf = weibull_cgf(WeibullModel(shape, 1.0))
+        ss = invert_rate(cgf, delta, 1)
+        result = rate_numeric(cgf, [ss])
+        assert result.converged
+        assert result.rate == pytest.approx(-math.log(delta), rel=1e-9)
+
+    def test_empirical_window_edge_in_closed_form(self):
+        # Past the window edge the rate is linear in the margin, so the stock
+        # solves edge * eps - phi(edge) = -log(delta) / L directly.
+        data = EmpiricalDemand(np.random.default_rng(5).standard_normal((200, 10)))
+        cgf = empirical_cgf(data, u_window=0.3)
+        lead, delta = 10, 1e-6
+        ss = invert_rate(cgf, delta, lead)
+        target = -math.log(delta) / lead
+        assert cgf.gradient([0.3])[0] < ss / lead
+        assert ss == pytest.approx(lead * (target + cgf.value([0.3])) / 0.3, rel=1e-12)
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-12])
+    def test_exponential_pole_edge_exact(self, delta):
+        # Exponential demand with scale s has rate x - log(1 + x) at the
+        # margin eps = s * x, and its CGF has a pole at u = 1 / s.
+        scale, lead = 1.7, 5
+        ss = invert_rate(weibull_cgf(WeibullModel(1.0, scale)), delta, lead)
+        x = ss / (lead * scale)
+        assert x - math.log1p(x) == pytest.approx(-math.log(delta) / lead, rel=1e-12)
+
     def test_heavy_tail_unreachable(self):
         # Positive transform arguments blow up: no margin reaches the rate.
         heavy = CgfEvaluator(
             dim=1,
             domain=((-math.inf, 0.0),),
-            _value=lambda u: 0.5 * float(u[0]) ** 2,
-            _grad=lambda u: np.array([float(u[0])]),
+            _value_and_grad=lambda u: (0.5 * float(u[0]) ** 2, np.array([float(u[0])])),
         )
         with pytest.raises(UnreachableRateError, match="unreachable"):
             invert_rate(heavy, 0.05, 10)
