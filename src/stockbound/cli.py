@@ -6,7 +6,9 @@ Four commands, all emitting CSV or a small text report:
 - ``figure {fig1,fig2,figest}``: the three reference experiment curves
   (stock ratios, realized rates, estimation error),
 - ``validate``: Monte Carlo check that the certified stock really holds
-  the stockout rate,
+  the stockout rate; it draws the lead-time deviation from the mean in one
+  shot through ``oracle.joint_tail_monte_carlo`` and counts a stockout when
+  every deviation is at least its stock,
 - ``estimate-cgf``: empirical CGF of scalar demand with a concentration
   half-width.
 
@@ -21,6 +23,7 @@ validation run exceeds its limit, 2 for usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -38,6 +41,7 @@ from .demand import (
     sample_correlated,
     validate_lead_time,
 )
+from .oracle import joint_tail_monte_carlo
 from .policy import compare_policies, ss_proposed
 
 __all__ = ["main", "entrypoint"]
@@ -50,7 +54,6 @@ DEFAULT_GRID = (1e-3, 0.5, 40)
 ESTIMATE_M_VALUES = (100, 1_000, 10_000, 100_000)
 ESTIMATE_SUBSEEDS = 5
 CONFIDENCE_MULTIPLIER = 3.0
-_CHUNK = 200_000
 
 
 class UsageError(Exception):
@@ -279,18 +282,8 @@ def cmd_validate(opts: _Options) -> int:
     else:
         stock = np.full(model.dim, float(forced))
 
-    hits = 0
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        count = min(_CHUNK, trials - done)
-        paths = sample_correlated(model, lead, count, seed=[seed, chunk_index])
-        totals = paths.sum(axis=1)
-        hits += int(np.all(totals > stock, axis=1).sum())
-        done += count
-        chunk_index += 1
-
-    rate = hits / trials
+    result = joint_tail_monte_carlo(model, stock, lead, trials, seed)
+    hits, rate = result.hits, result.probability
     limit = delta + 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
     passed = rate <= limit
     _write_lines(
@@ -380,7 +373,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file with any of the above keys")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    It holds command names only; ``main`` looks the command function up at
+    call time, so the cached parser keeps no reference to it.
+    """
     parser = argparse.ArgumentParser(
         prog="stockbound",
         description="Safety stock with certified stockout rates for correlated demand.",
@@ -388,17 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     compute = commands.add_parser("compute", help="compare the three sizing rules")
-    compute.set_defaults(func=cmd_compute)
 
     figure = commands.add_parser("figure", help="emit one of the experiment curves")
     figure.add_argument("which", choices=("fig1", "fig2", "figest"))
-    figure.set_defaults(func=cmd_figure)
 
     validate = commands.add_parser("validate", help="simulate and check the certificate")
-    validate.set_defaults(func=cmd_validate)
 
     estimate = commands.add_parser("estimate-cgf", help="empirical CGF with half-widths")
-    estimate.set_defaults(func=cmd_estimate_cgf)
 
     for sub in (compute, figure, validate, estimate):
         _add_common(sub)
@@ -406,13 +401,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    commands = {
+        "compute": cmd_compute,
+        "figure": cmd_figure,
+        "validate": cmd_validate,
+        "estimate-cgf": cmd_estimate_cgf,
+    }
     try:
-        return args.func(_Options(args))
+        return commands[args.command](_Options(args))
     except UsageError as exc:
         print(f"stockbound: {exc}", file=sys.stderr)
         return 2

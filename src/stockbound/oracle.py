@@ -83,12 +83,17 @@ class TailQuery:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """A probability with provenance: how it was computed and how precisely."""
+    """A probability with provenance: how it was computed and how precisely.
+
+    Monte Carlo results also carry their trial count and exact hit count, so
+    ``probability == hits / trials``.
+    """
 
     probability: float
     method: str
     error: float
     trials: int | None = None
+    hits: int | None = None
 
 
 def _degenerate_joint_tail(query: TailQuery) -> float:
@@ -214,6 +219,7 @@ def joint_tail_monte_carlo(
         method="monte-carlo",
         error=3.0 * math.sqrt(p * (1.0 - p) / trials),
         trials=int(trials),
+        hits=hits,
     )
 
 

@@ -206,11 +206,11 @@ def rate_gaussian_closed(model: GaussianModel, epsilon) -> RateResult:
     return rate_numeric(gaussian_cgf(model), eps)
 
 
-def _increasing_root(cgf: CgfEvaluator, f) -> float:
+def _increasing_root(cgf: CgfEvaluator, f) -> tuple[float, bool]:
     """Root in ``u >= 0`` of ``f(u, phi(u), phi'(u))``, increasing in ``u``, for a scalar CGF.
 
-    ``f`` must be negative at ``u = 0``.  The bracket stays inside the CGF's
-    domain in one of three ways:
+    Returns the root and ``True``.  ``f`` must be negative at ``u = 0``.  The
+    bracket stays inside the CGF's domain in one of three ways:
 
     - no edge: it doubles upward from ``u = 1``;
     - an open edge where the CGF has a pole: it approaches the edge;
@@ -219,13 +219,14 @@ def _increasing_root(cgf: CgfEvaluator, f) -> float:
 
     A trial point where the moment series diverges is treated as overshoot:
     later trials halve back toward the last good point, and the divergence is
-    raised again only when that gap collapses.  A domain with no positive
-    part returns 0.  ``UnreachableRateError`` is raised when ``f`` stays
-    negative all the way out to the edge.
+    raised again only when that gap collapses.  When ``f`` stays negative all
+    the way out to an open or missing edge, there is no root: the farthest
+    point tried is returned with ``False`` (0 for a domain with no positive
+    part).
     """
     edge = math.inf if cgf.domain is None else float(cgf.domain[0][1])
     if edge <= 0.0:
-        return 0.0
+        return 0.0, False
 
     def g(v: float) -> float:
         value, grad = cgf.value_and_gradient([v])
@@ -233,7 +234,7 @@ def _increasing_root(cgf: CgfEvaluator, f) -> float:
 
     if math.isfinite(edge) and math.isfinite(cgf.value([edge])):
         if g(edge) < 0.0:
-            return edge
+            return edge, True
         lo, hi = 0.0, edge
     else:
         lo, hi, cap = 0.0, (0.5 * edge if math.isfinite(edge) else 1.0), edge
@@ -249,20 +250,22 @@ def _increasing_root(cgf: CgfEvaluator, f) -> float:
             if not lo < hi < cap:
                 if diverged is not None:
                     raise diverged
-                raise UnreachableRateError("unreachable stockout rate for this demand model")
-    return brentq(g, lo, hi, xtol=1e-15, maxiter=300)
+                return lo, False
+    return brentq(g, lo, hi, xtol=1e-15, maxiter=300), True
 
 
-def _scalar_rate(cgf: CgfEvaluator, eps: float) -> tuple[float, float]:
-    """Exact 1-d rate ``max_{u>=0} (u*eps - phi(u))`` and its maximizer, for a scalar CGF.
+def _scalar_rate(cgf: CgfEvaluator, eps: float) -> float:
+    """Exact 1-d rate ``max_{u>=0} (u*eps - phi(u))`` for a scalar CGF.
 
     The maximizer is the root of ``phi'(u) = eps``, or the closed domain edge
-    when the slope stays below ``eps`` up to it.
+    when the slope stays below ``eps`` up to it.  When the slope never reaches
+    ``eps`` (zero variance, say), the rate at the farthest point tried is
+    returned: every ``u >= 0`` certifies a bound, so it is still conservative.
     """
     if eps <= 0.0:
-        return 0.0, 0.0
-    u_star = _increasing_root(cgf, lambda u, value, slope: slope - eps)
-    return max(u_star * eps - cgf.value([u_star]), 0.0), u_star
+        return 0.0
+    u_star, _ = _increasing_root(cgf, lambda u, value, slope: slope - eps)
+    return max(u_star * eps - cgf.value([u_star]), 0.0)
 
 
 def _along(cgf: CgfEvaluator, direction: np.ndarray) -> CgfEvaluator:
@@ -304,8 +307,8 @@ def invert_rate(cgf: CgfEvaluator, delta: float, lead_time: int) -> float:
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
     target = -math.log(delta) / lead
-    u_star = _increasing_root(cgf, lambda u, value, slope: u * slope - value - target)
-    if u_star == 0.0:
+    u_star, reached = _increasing_root(cgf, lambda u, value, slope: u * slope - value - target)
+    if not reached:
         raise UnreachableRateError("unreachable stockout rate for this demand model")
     return lead * (target + cgf.value([u_star])) / u_star
 
@@ -335,7 +338,7 @@ def chernoff_bound(
     lead = validate_lead_time(lead_time)
     if pattern == events.FUNGIBLE:
         eps = float(np.asarray(epsilon, dtype=float).reshape(()))
-        rate, _ = _scalar_rate(_along(cgf, np.ones(cgf.dim)), eps)
+        rate = _scalar_rate(_along(cgf, np.ones(cgf.dim)), eps)
         return min(1.0, math.exp(-lead * rate))
     eps = np.asarray(epsilon, dtype=float).reshape(-1)
     events.check_pattern(pattern, cgf.dim, signs)
@@ -346,7 +349,7 @@ def chernoff_bound(
         result = rate_numeric(cgf, eps, signs=signs)
         return min(1.0, math.exp(-result.exponent(lead)))
     if pattern == events.UNION:
-        first_rate, _ = _scalar_rate(_along(cgf, np.eye(cgf.dim)[0]), eps[0])
+        first_rate = _scalar_rate(_along(cgf, np.eye(cgf.dim)[0]), eps[0])
         mixed = rate_numeric(cgf, eps, signs=np.array([-1.0, 1.0]))
         return min(1.0, math.exp(-lead * first_rate) + math.exp(-mixed.exponent(lead)))
     raise ValueError(f"unknown stockout pattern {pattern!r}")

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 import stockbound
-from stockbound import GaussianModel, WeibullModel, compare_policies, weibull_log_mgf
+from stockbound import (
+    GaussianModel,
+    TailQuery,
+    WeibullModel,
+    bivariate_joint_tail,
+    compare_policies,
+    joint_tail_monte_carlo,
+    weibull_log_mgf,
+)
 from stockbound.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -254,6 +262,46 @@ class TestValidate:
         third = tmp_path / "c.txt"
         assert main(["validate", "--trials", "200000", "--seed", "7", "--out", str(third)]) == 0
         assert third.read_bytes() != first.read_bytes()
+
+    def test_nonzero_mean_compares_deviation_from_mean(self, capsys, tmp_path):
+        cfg = tmp_path / "mean.json"
+        cfg.write_text(json.dumps(
+            {"model": {"type": "gaussian", "mu": [5, 5], "sigma": [[1, 0.9], [0.9, 1]]}}
+        ))
+        trials = 200_000
+        code, out, _ = run_cli(
+            capsys, "validate", "--config", str(cfg), "--L", "10", "--delta", "0.05",
+            "--trials", str(trials), "--seed", "7",
+        )
+        assert code == 0
+        record = dict(line.split(": ", 1) for line in out.strip().split("\n"))
+        assert record["result"] == "PASS"
+        stock = float(record["stock"].split(",")[0])
+        model = GaussianModel.bivariate(1.0, 1.0, 0.9)
+        exact = bivariate_joint_tail(TailQuery.from_margins(model, stock, stock, 10)).probability
+        assert exact == pytest.approx(0.0045, abs=5e-4)
+        se = math.sqrt(exact * (1.0 - exact) / trials)
+        assert abs(float(record["empirical_rate"]) - exact) <= 4.0 * se
+
+    def test_stockouts_come_from_the_monte_carlo_oracle(self, capsys, tmp_path):
+        cov = [[1.0, 0.9], [0.9, 1.0]]
+        lead, trials, seed = 10, 50_000, 11
+        counts = []
+        for mu in ([0.0, 0.0], [3.0, -2.0]):
+            cfg = tmp_path / "model.json"
+            cfg.write_text(json.dumps({"model": {"type": "gaussian", "mu": mu, "sigma": cov}}))
+            code, out, _ = run_cli(
+                capsys, "validate", "--config", str(cfg), "--L", str(lead),
+                "--trials", str(trials), "--seed", str(seed),
+            )
+            assert code == 0
+            record = dict(line.split(": ", 1) for line in out.strip().split("\n"))
+            stock = [float(s) for s in record["stock"].split(",")]
+            model = GaussianModel(np.array(mu), np.array(cov))
+            p = joint_tail_monte_carlo(model, stock, lead, trials, seed).probability
+            assert int(record["stockouts"]) == round(p * trials)
+            counts.append(record["stockouts"])
+        assert counts[0] == counts[1]
 
 
 class TestEstimateCgf:

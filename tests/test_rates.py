@@ -366,6 +366,13 @@ class TestChernoffBound:
         bound = chernoff_bound(gaussian_cgf(model), 1.2, 7, pattern=FUNGIBLE)
         assert bound == pytest.approx(math.exp(-7.0 * 1.2**2 / (2.0 * 3.0)), rel=1e-9)
 
+    def test_fungible_zero_pooled_variance(self):
+        # At rho = -1 the pooled deviation is identically 0, so P(0 >= L * eps) = 0.
+        cgf = gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, -1.0))
+        assert chernoff_bound(cgf, 1.0, 5, pattern=FUNGIBLE) == 0.0
+        for eps in (0.0, -0.3):
+            assert chernoff_bound(cgf, eps, 5, pattern=FUNGIBLE) == 1.0
+
     def test_unknown_pattern(self):
         cgf = gaussian_cgf(GaussianModel.univariate(1.0))
         with pytest.raises(ValueError, match="unknown stockout pattern"):
