@@ -42,15 +42,24 @@ def check_pattern(pattern: str, dim: int, signs=None) -> np.ndarray | None:
 
 
 def event_mask(x: np.ndarray, thresholds, pattern: str, signs=None) -> np.ndarray:
-    """Boolean mask of rows of ``x`` (draws by commodities) hitting the event."""
+    """Boolean mask of rows of ``x`` (draws by commodities) hitting the event.
+
+    Each commodity's column is compared once with its threshold and the
+    column masks are joined with ``&`` (``|`` for the union), so no
+    draws-by-commodities boolean array is built.
+    """
     if pattern == FUNGIBLE:
         return x.sum(axis=1) >= float(np.asarray(thresholds).reshape(()))
+    if pattern not in (ALL_EXCEED, UNION, ORTHANT):
+        raise ValueError(f"unknown stockout pattern {pattern!r}")
     t = np.asarray(thresholds, dtype=float).reshape(-1)
-    if pattern == ALL_EXCEED:
-        return np.all(x >= t, axis=1)
-    if pattern == UNION:
-        return np.any(x >= t, axis=1)
     if pattern == ORTHANT:
-        s = np.asarray(signs, dtype=float).reshape(-1)
-        return np.all(np.where(s > 0, x >= t, x <= t), axis=1)
-    raise ValueError(f"unknown stockout pattern {pattern!r}")
+        above = np.asarray(signs, dtype=float).reshape(-1) > 0.0
+    else:
+        above = np.ones(t.shape[0], dtype=bool)
+    join = np.logical_or if pattern == UNION else np.logical_and
+    mask = None
+    for j, (level, up) in enumerate(zip(t, above)):
+        hit = x[:, j] >= level if up else x[:, j] <= level
+        mask = hit if mask is None else join(mask, hit, out=mask)
+    return mask

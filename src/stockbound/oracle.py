@@ -1,11 +1,13 @@
 """Exact and simulated stockout probabilities for Gaussian demand.
 
-``normal_upper_tail`` is the standard normal upper tail H(k); the bivariate
-routines evaluate the probability that two correlated lead-time demands both
-exceed their thresholds, either by one-dimensional quadrature of the
-conditional tail or by two-dimensional quadrature of the joint density.  The
-Monte Carlo estimator handles any dimension and the full set of stockout
-patterns, and is the only oracle offered beyond two commodities.
+``normal_upper_tail`` is the standard normal upper tail H(k).
+``bivariate_joint_tail`` evaluates the probability that two correlated
+lead-time demands both exceed their thresholds by one-dimensional quadrature
+of the conditional tail, to a relative error target, and
+``invert_joint_tail`` finds the equal stock at which that probability meets
+``delta`` by one bracketed root of its logarithm.  The Monte Carlo estimator
+handles any dimension and the full set of stockout patterns, and is the only
+oracle offered beyond two commodities.
 
 Thresholds are standardized: a demand margin of ``L * eps`` over a lead time
 of ``L`` periods with per-period variance ``s2`` corresponds to
@@ -15,11 +17,13 @@ of ``L`` periods with per-period variance ``s2`` corresponds to
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import erfc, erfcinv
 
 from . import events
@@ -35,12 +39,20 @@ __all__ = [
     "normal_upper_tail_inverse",
 ]
 
-# Truncating a normal-tail integral 10 standard units past its lower limit
-# leaves mass below 8e-24, far under every tolerance used here.
+# The conditional-tail integral stops this many standard units past its lower
+# limit; the mass beyond is bounded analytically and counted in the error.
 TRUNCATION_WIDTH = 10.0
-QUADRATURE_TARGET = 1e-8
+# bivariate_joint_tail guarantees a reported error of at most this share of P.
+QUADRATURE_TARGET = 1e-9
+# Relative stock tolerance of the root in invert_joint_tail.  The log tail
+# changes by at most ~100 times the stock's relative change in the tested
+# range (delta down to 1e-12), so this keeps P within 1e-9 of delta.
+INVERSION_RTOL = 1e-12
+# Half width of the Monte Carlo error, in standard errors.
+MC_Z = 3.0
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_EPS = sys.float_info.epsilon
+_TINY = math.ulp(0.0)
 
 
 def normal_upper_tail(k: float) -> float:
@@ -103,74 +115,60 @@ def _degenerate_joint_tail(query: TailQuery) -> float:
 
 
 def _conditional_quadrature(query: TailQuery) -> tuple[float, float]:
-    a, b, rho = query.a, query.b, query.rho
+    """``P`` and a bound on its absolute error, by quadrature of ``phi(u) H((b - rho u) / w)``.
+
+    ``P`` is symmetric in the thresholds, so the outer variable is the one
+    with the larger threshold, which leaves the least mass past the
+    truncation point.
+    """
+    a, b, rho = max(query.a, query.b), min(query.a, query.b), query.rho
     width = math.sqrt(1.0 - rho * rho)
+    inner = 1.0 / (_SQRT2 * width)
 
     def integrand(u: float) -> float:
-        return _INV_SQRT2PI * math.exp(-0.5 * u * u) * normal_upper_tail((b - rho * u) / width)
+        return math.exp(-0.5 * u * u) * math.erfc((b - rho * u) * inner)
 
-    value, abserr, *_ = quad(
-        integrand, a, a + TRUNCATION_WIDTH, epsabs=1e-12, epsrel=1e-12, limit=500, full_output=1
-    )
-    return value, abserr + normal_upper_tail(a + TRUNCATION_WIDTH)
-
-
-def _density_quadrature(query: TailQuery) -> tuple[float, float]:
-    a, b, rho = query.a, query.b, query.rho
-    one_minus = 1.0 - rho * rho
-    norm = 1.0 / (2.0 * math.pi * math.sqrt(one_minus))
-
-    def density(s: float, t: float) -> float:
-        return norm * math.exp(-(s * s - 2.0 * rho * s * t + t * t) / (2.0 * one_minus))
-
-    inner_err = 0.0
-
-    def inner(s: float) -> float:
-        nonlocal inner_err
-        value, abserr, *_ = quad(
-            lambda t: density(s, t),
-            b,
-            b + TRUNCATION_WIDTH,
-            epsabs=1e-13,
-            epsrel=1e-12,
-            limit=200,
-            full_output=1,
-        )
-        inner_err = max(inner_err, abserr)
-        return value
-
-    value, outer_err, *_ = quad(
-        inner, a, a + TRUNCATION_WIDTH, epsabs=1e-11, epsrel=1e-11, limit=200, full_output=1
-    )
-    tails = normal_upper_tail(a + TRUNCATION_WIDTH) + normal_upper_tail(b + TRUNCATION_WIDTH)
-    return value, outer_err + TRUNCATION_WIDTH * inner_err + tails
+    top = max(a, 0.0) + TRUNCATION_WIDTH
+    value, abserr, *_ = quad(integrand, a, top, epsabs=0.0, epsrel=1e-12, limit=500, full_output=1)
+    # Past ``top`` the outer density leaves H(top); for rho < 0 the conditional
+    # tail falls with u, so it is at most its value at ``top``.
+    truncation = normal_upper_tail(top)
+    if rho < 0.0:
+        truncation *= normal_upper_tail((b - rho * top) / width)
+    # quad's estimate does not see rounding in the integrand's arguments: a
+    # relative slip of eps in u moves exp(-u^2/2) by u^2 eps, and the few
+    # roundings in z move erfc(z) by up to about 6 z^2 eps.  Both are taken
+    # a unit past ``a``, where the mass sits.
+    z = max((b - rho * a) * inner, 0.0)
+    rounding = _EPS * (4.0 + (abs(a) + 1.0) ** 2 + 6.0 * (z + 1.0) ** 2) * value
+    norm = 0.5 / math.sqrt(2.0 * math.pi)
+    return norm * value, norm * (abserr + rounding) + float(truncation)
 
 
-def bivariate_joint_tail(query: TailQuery, method: str = "conditional") -> OracleResult:
+def bivariate_joint_tail(query: TailQuery) -> OracleResult:
     """Probability that both standardized demands exceed their thresholds.
 
-    Two independent quadrature routes are offered and must agree:
-    ``conditional`` integrates the first coordinate's density against the
-    second's conditional tail; ``density`` integrates the joint density over
-    the exceedance rectangle.  Perfect correlation collapses to a univariate
-    tail and is handled in closed form.
+    Adaptive quadrature integrates the first coordinate's density against the
+    second's conditional tail, to a pure relative tolerance.  ``error`` bounds
+    the quadrature and truncation error and is at most
+    ``QUADRATURE_TARGET * probability``; when that cannot be met the call
+    raises instead of returning a loose number.  A tail that underflows to 0
+    is returned only when its truncation bound underflows as well.  Perfect
+    correlation collapses to a univariate tail and is handled in closed form,
+    with an absolute error of 1e-15.
     """
-    if method not in ("conditional", "density"):
-        raise ValueError(f"unknown quadrature method {method!r}")
     if 1.0 - abs(query.rho) < 1e-12:
         return OracleResult(
             probability=_degenerate_joint_tail(query), method="closed-form", error=1e-15
         )
-    compute = _conditional_quadrature if method == "conditional" else _density_quadrature
-    value, error = compute(query)
-    if error > QUADRATURE_TARGET:
+    value, error = _conditional_quadrature(query)
+    if not error <= QUADRATURE_TARGET * value:
         raise RuntimeError(
-            f"quadrature reached {error:.2e}, short of the {QUADRATURE_TARGET:.0e} target"
+            f"joint tail {value:.3e} has error {error:.2e}, "
+            f"above the relative target {QUADRATURE_TARGET:.0e}"
         )
     return OracleResult(
-        probability=min(1.0, max(0.0, value)),
-        method=f"quadrature-{method}",
-        error=error,
+        probability=min(1.0, value), method="quadrature-conditional", error=error
     )
 
 
@@ -190,8 +188,10 @@ def joint_tail_monte_carlo(
 
     Lead-time demand deviations are sums of ``L`` i.i.d. centered Gaussian
     periods, drawn here in one shot from their exact distribution
-    N(0, L * covariance).  Deterministic for a given seed; the reported
-    error is a three-standard-error half width.
+    N(0, L * covariance).  Deterministic for a given seed.  The reported
+    error is a three-standard-error half width; when no trial (or every
+    trial) hits, where that width is 0, it is the distance to the far end of
+    the Wilson score interval at three standard errors instead.
     """
     lead = validate_lead_time(lead_time)
     if trials < 10_000:
@@ -211,13 +211,17 @@ def joint_tail_monte_carlo(
     while remaining > 0:
         block = min(_CHUNK, remaining)
         draws = rng.standard_normal((block, model.dim)) @ factor.T
-        hits += int(events.event_mask(draws, thresholds, pattern, signs_arr).sum())
+        hits += np.count_nonzero(events.event_mask(draws, thresholds, pattern, signs_arr))
         remaining -= block
     p = hits / trials
+    if 0 < hits < trials:
+        error = MC_Z * math.sqrt(p * (1.0 - p) / trials)
+    else:
+        error = MC_Z * MC_Z / (trials + MC_Z * MC_Z)
     return OracleResult(
         probability=p,
         method="monte-carlo",
-        error=3.0 * math.sqrt(p * (1.0 - p) / trials),
+        error=error,
         trials=int(trials),
         hits=hits,
     )
@@ -229,12 +233,25 @@ class JointTailInverse(NamedTuple):
 
 
 def invert_joint_tail(model: GaussianModel, delta: float, lead_time: int) -> JointTailInverse:
-    """Safety stock at which the exact all-exceed probability equals ``delta``.
+    """Smallest equal stock whose exact all-exceed probability is at most ``delta``.
 
-    Uses equal margins across commodities.  When even zero stock already
-    meets the target (``delta >= P(0)``) the result is floored at zero and
-    flagged.  Otherwise bisection drives the exact probability within 1e-9
-    of ``delta``.
+    When even zero stock already meets the target (``delta >= P(0)``, from
+    the closed-form orthant probability) the result is floored at zero and
+    flagged.  Otherwise one Brent root (``scipy.optimize.brentq``) of
+    ``log P(ss) - log delta`` runs inside an analytic bracket:
+
+    - ``hi``: ``P`` is at most the tail of the larger standardized threshold
+      and at most the tail of the pooled demand, so the tighter of the two
+      is at most ``delta`` at ``hi``;
+    - ``lo``: for ``rho >= 0``, ``P >= H(a) H(b)`` (Slepian), which is at
+      least ``delta`` at ``min(scale) * H^-1(sqrt(delta))``; otherwise 0.
+
+    The root is taken on ``P + error``, the upper end of the quadrature's
+    error interval, and the returned stock is the bracket end where that is
+    at most ``delta``, within a relative ``INVERSION_RTOL`` of the root.  So
+    the exact ``P(ss)`` is at most ``delta`` and, in the tested range (delta
+    down to 1e-12), at least ``delta * (1 - 1e-9)``.  Every tail evaluation
+    goes through ``bivariate_joint_tail``.
     """
     lead = validate_lead_time(lead_time)
     if not 0.0 < delta < 1.0:
@@ -249,25 +266,27 @@ def invert_joint_tail(model: GaussianModel, delta: float, lead_time: int) -> Joi
     scale_x = math.sqrt(lead * model.var_x)
     scale_y = math.sqrt(lead * model.var_y)
     rho = model.correlation
-
-    def prob(ss: float) -> float:
-        return bivariate_joint_tail(TailQuery(ss / scale_x, ss / scale_y, rho)).probability
-
-    if delta >= prob(0.0):
+    if delta >= 0.25 + math.asin(rho) / (2.0 * math.pi):
         return JointTailInverse(0.0, True)
-    hi = max(scale_x, scale_y)
-    while prob(hi) > delta:
-        hi *= 2.0
-        if hi > 2.0**60:
-            raise RuntimeError("could not bracket the safety stock")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        p = prob(mid)
-        if abs(p - delta) < 1e-9:
-            return JointTailInverse(mid, False)
-        if p > delta:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError("safety-stock bisection stalled")
+
+    log_delta = math.log(delta)
+    excess: dict[float, float] = {}
+
+    def log_excess(ss: float) -> float:
+        if ss not in excess:
+            tail = bivariate_joint_tail(TailQuery(ss / scale_x, ss / scale_y, rho))
+            # A tail that underflows reads as the smallest double, below delta.
+            excess[ss] = math.log(max(tail.probability + tail.error, _TINY)) - log_delta
+        return excess[ss]
+
+    smaller = min(scale_x, scale_y)
+    pooled = (1.0 / scale_x + 1.0 / scale_y) / math.sqrt(2.0 + 2.0 * rho)
+    hi = normal_upper_tail_inverse(delta) / max(1.0 / smaller, pooled)
+    root_delta = math.sqrt(delta)
+    lo = smaller * normal_upper_tail_inverse(root_delta) if rho >= 0.0 and root_delta < 0.5 else 0.0
+    # Both ends hold analytically; a computed value on the wrong side differs
+    # from delta by rounding only, and that end is the answer.
+    if log_excess(lo) > 0.0 > log_excess(hi):
+        brentq(log_excess, lo, hi, xtol=INVERSION_RTOL * smaller, rtol=INVERSION_RTOL)
+    ss = min((s for s, f in excess.items() if f <= 0.0), default=hi)
+    return JointTailInverse(ss, False)

@@ -31,6 +31,7 @@ demand matters and the margin is
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -201,18 +202,34 @@ class PolicyOutput:
     stockout rates at those stocks.  The proposed and rigorous stocks are
     certified at ``delta``; the previous rule's stock is reported with its
     realized probability, which may exceed ``delta`` under correlation.
+
+    The rigorous stock and the three exact probabilities are computed on
+    first access and then kept, so a caller pays only for the columns it
+    reads.
     """
 
     delta: float
     ss_pre: float
     ss_pro: float
-    ss_rig: float
-    p_pre: float
-    p_pro: float
-    p_rig: float
     delta_split: tuple[float, ...] | None
     lead_time: int
     model: GaussianModel
+
+    @functools.cached_property
+    def ss_rig(self) -> float:
+        return ss_rigorous(self.model, self.lead_time, self.delta)
+
+    @functools.cached_property
+    def p_pre(self) -> float:
+        return _exact_all_exceed(self.model, self.ss_pre, self.lead_time)
+
+    @functools.cached_property
+    def p_pro(self) -> float:
+        return _exact_all_exceed(self.model, self.ss_pro, self.lead_time)
+
+    @functools.cached_property
+    def p_rig(self) -> float:
+        return _exact_all_exceed(self.model, self.ss_rig, self.lead_time)
 
     @property
     def ratio_pro(self) -> float:
@@ -224,9 +241,9 @@ class PolicyOutput:
 
     def order_point(self, which: str = "proposed") -> np.ndarray:
         """Reorder level per commodity: lead-time mean demand plus the stock."""
-        stock = {"previous": self.ss_pre, "proposed": self.ss_pro, "rigorous": self.ss_rig}
+        stock = {"previous": "ss_pre", "proposed": "ss_pro", "rigorous": "ss_rig"}
         try:
-            ss = stock[which]
+            ss = getattr(self, stock[which])
         except KeyError:
             raise ValueError(f"unknown policy {which!r}") from None
         return self.lead_time * self.model.mean + ss
@@ -243,7 +260,8 @@ def compare_policies(model: GaussianModel, lead_time: int, deltas) -> list[Polic
 
     Requires a symmetric Gaussian model (equal margins make the three rules
     directly comparable).  Each row carries the stocks and their exact
-    realized stockout probabilities.
+    realized stockout probabilities; the rigorous stock and the
+    probabilities are computed when first read.
     """
     lead = validate_lead_time(lead_time)
     rows = []
@@ -251,17 +269,11 @@ def compare_policies(model: GaussianModel, lead_time: int, deltas) -> list[Polic
         delta = _check_delta(delta)
         pre = ss_previous(model, lead, delta)
         proposed = ss_proposed(model, lead, delta)
-        pro = float(proposed.ss[0])
-        rig = ss_rigorous(model, lead, delta)
         rows.append(
             PolicyOutput(
                 delta=delta,
                 ss_pre=pre,
-                ss_pro=pro,
-                ss_rig=rig,
-                p_pre=_exact_all_exceed(model, pre, lead),
-                p_pro=_exact_all_exceed(model, pro, lead),
-                p_rig=_exact_all_exceed(model, rig, lead),
+                ss_pro=float(proposed.ss[0]),
                 delta_split=proposed.delta_split,
                 lead_time=lead,
                 model=model,

@@ -222,7 +222,9 @@ def _increasing_root(cgf: CgfEvaluator, f) -> tuple[float, bool]:
     raised again only when that gap collapses.  When ``f`` stays negative all
     the way out to an open or missing edge, there is no root: the farthest
     point tried is returned with ``False`` (0 for a domain with no positive
-    part).
+    part).  A CGF is strictly convex unless demand is constant, so a slope
+    at a trial point equal to the slope at 0 means the CGF is affine: ``f``
+    then stays negative for good, and ``inf`` is returned with ``False``.
     """
     edge = math.inf if cgf.domain is None else float(cgf.domain[0][1])
     if edge <= 0.0:
@@ -239,10 +241,14 @@ def _increasing_root(cgf: CgfEvaluator, f) -> tuple[float, bool]:
     else:
         lo, hi, cap = 0.0, (0.5 * edge if math.isfinite(edge) else 1.0), edge
         diverged = None
+        flat = float(cgf.gradient([0.0])[0])
         while True:
             try:
-                if g(hi) >= 0.0:
+                value, grad = cgf.value_and_gradient([hi])
+                if f(hi, value, float(grad[0])) >= 0.0:
                     break
+                if grad[0] == flat:
+                    return math.inf, False
                 lo = hi
             except SeriesDivergenceError as exc:
                 cap, diverged = hi, exc
@@ -258,13 +264,17 @@ def _scalar_rate(cgf: CgfEvaluator, eps: float) -> float:
     """Exact 1-d rate ``max_{u>=0} (u*eps - phi(u))`` for a scalar CGF.
 
     The maximizer is the root of ``phi'(u) = eps``, or the closed domain edge
-    when the slope stays below ``eps`` up to it.  When the slope never reaches
-    ``eps`` (zero variance, say), the rate at the farthest point tried is
-    returned: every ``u >= 0`` certifies a bound, so it is still conservative.
+    when the slope stays below ``eps`` up to it.  An affine CGF (zero
+    variance) whose slope stays below ``eps`` has an infinite rate.  When the
+    slope otherwise never reaches ``eps``, the rate at the farthest point
+    tried is returned: every ``u >= 0`` certifies a bound, so it is still
+    conservative.
     """
     if eps <= 0.0:
         return 0.0
     u_star, _ = _increasing_root(cgf, lambda u, value, slope: slope - eps)
+    if u_star == math.inf:
+        return math.inf
     return max(u_star * eps - cgf.value([u_star]), 0.0)
 
 

@@ -28,6 +28,8 @@ from stockbound import (
     ss_fungible,
 )
 
+from oracles import density_joint_tail
+
 LEAD = 10
 DELTA_GRID = np.geomspace(1e-3, 0.5, 40)
 
@@ -125,8 +127,8 @@ def test_quadrature_routes_factorization_and_sampling_agree():
         for a in thresholds:
             for b in thresholds:
                 query = TailQuery(a, b, rho)
-                cond = bivariate_joint_tail(query, method="conditional").probability
-                dens = bivariate_joint_tail(query, method="density").probability
+                cond = bivariate_joint_tail(query).probability
+                dens = density_joint_tail(a, b, rho)[0]
                 worst_pair = max(worst_pair, abs(cond - dens))
     ok = worst_pair <= 1e-6
 
@@ -152,6 +154,30 @@ def test_quadrature_routes_factorization_and_sampling_agree():
         ok,
         f"route gap {worst_pair:.2e}, factorization gap {worst_indep:.2e}, "
         f"sampling gap {mc_gap:.2e} vs {mc.error:.2e}",
+    )
+
+
+def test_rigorous_stock_meets_delta_to_relative_precision():
+    pytest.importorskip("mpmath")
+    from oracles import mpmath_joint_tail
+
+    from stockbound import ss_rigorous
+
+    worst_over, worst_under = -math.inf, -math.inf
+    for rho in (-0.9, 0.0, 0.9):
+        model = GaussianModel.bivariate(1.0, 1.0, rho)
+        for delta in (0.2, 1e-3, 1e-6, 1e-12):
+            ss = ss_rigorous(model, LEAD, delta)
+            if ss == 0.0:
+                continue
+            ratio = mpmath_joint_tail(ss / math.sqrt(LEAD), ss / math.sqrt(LEAD), rho) / delta
+            worst_over = max(worst_over, ratio - 1.0)
+            worst_under = max(worst_under, 1.0 - ratio)
+    ok = worst_over <= 0.0 and worst_under <= 1e-9
+    report(
+        "rigorous stock meets delta from below, to 1e-9 relative",
+        ok,
+        f"largest P/delta - 1 {worst_over:.2e}, largest 1 - P/delta {worst_under:.2e}",
     )
 
 

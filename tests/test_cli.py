@@ -204,6 +204,19 @@ class TestFigures:
             assert row[1] <= 1.0
             assert row[2] > 1.0
 
+    def test_figures_compute_only_what_they_print(self, capsys, monkeypatch):
+        from stockbound import policy
+
+        def forbidden(*args):
+            raise AssertionError("a column this figure does not print was computed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(policy, "_exact_all_exceed", forbidden)
+            assert run_cli(capsys, "figure", "fig1", "--grid", "4")[0] == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(policy, "ss_rigorous", forbidden)
+            assert run_cli(capsys, "figure", "fig2", "--grid", "4")[0] == 0
+
     def test_figest_error_decreases_with_sample_count(self, capsys):
         code, out, _ = run_cli(capsys, "figure", "figest", "--seed", "1")
         assert code == 0

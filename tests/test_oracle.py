@@ -15,13 +15,24 @@ from stockbound import (
     GaussianModel,
     TailQuery,
     bivariate_joint_tail,
+    covariance_factor,
+    event_mask,
     invert_joint_tail,
     joint_tail_monte_carlo,
     normal_upper_tail,
     normal_upper_tail_inverse,
 )
 
-from oracles import quad_normal_upper_tail, sample_bivariate_exceed
+from stockbound import oracle
+from stockbound.oracle import QUADRATURE_TARGET
+
+from oracles import (
+    density_joint_tail,
+    event_mask_reference,
+    mpmath_joint_tail,
+    quad_normal_upper_tail,
+    sample_bivariate_exceed,
+)
 
 
 class TestNormalTail:
@@ -84,18 +95,18 @@ class TestBivariateJointTail:
     def test_orthant_probability_closed_form(self):
         # P(X > 0, Y > 0) = 1/4 + arcsin(rho) / (2 pi)
         want = 0.25 + math.asin(0.9) / (2.0 * math.pi)
-        for method in ("conditional", "density"):
-            got = bivariate_joint_tail(TailQuery(0.0, 0.0, 0.9), method=method)
-            assert got.probability == pytest.approx(want, abs=1e-9)
+        got = bivariate_joint_tail(TailQuery(0.0, 0.0, 0.9))
+        assert got.probability == pytest.approx(want, rel=1e-12)
+        assert density_joint_tail(0.0, 0.0, 0.9)[0] == pytest.approx(want, abs=1e-9)
 
     def test_methods_agree(self):
+        # the library's conditional route against the joint-density route
         for rho in (-0.8, -0.3, 0.4, 0.9):
             for a in (-0.5, 0.3, 1.2):
                 for b in (-0.2, 0.8):
-                    query = TailQuery(a, b, rho)
-                    cond = bivariate_joint_tail(query, method="conditional")
-                    dens = bivariate_joint_tail(query, method="density")
-                    assert cond.probability == pytest.approx(dens.probability, abs=1e-6)
+                    cond = bivariate_joint_tail(TailQuery(a, b, rho))
+                    dens, _ = density_joint_tail(a, b, rho)
+                    assert cond.probability == pytest.approx(dens, abs=1e-9)
 
     def test_independent_case_factorizes(self):
         for a, b in ((0.0, 1.0), (0.5, 0.5), (1.5, -0.7), (2.0, 2.0)):
@@ -118,18 +129,43 @@ class TestBivariateJointTail:
 
     def test_method_tags(self):
         assert bivariate_joint_tail(TailQuery(0.1, 0.1, 0.5)).method == "quadrature-conditional"
-        assert (
-            bivariate_joint_tail(TailQuery(0.1, 0.1, 0.5), method="density").method
-            == "quadrature-density"
-        )
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown quadrature method"):
-            bivariate_joint_tail(TailQuery(0.0, 0.0, 0.0), method="simpson")
+        assert bivariate_joint_tail(TailQuery(0.1, 0.1, 1.0)).method == "closed-form"
 
     def test_reported_error_is_small(self):
         result = bivariate_joint_tail(TailQuery(1.0, 1.0, 0.6))
         assert 0.0 <= result.error < 1e-8
+        assert result.error <= QUADRATURE_TARGET * result.probability
+
+    @pytest.mark.parametrize(
+        "rho, a_lo, a_hi",
+        # thresholds where the tail is about 1e-12 and 1e-15
+        [(0.9, 6.727, 7.615), (0.95, 6.846, 7.744), (0.99, 6.966, 7.872)],
+    )
+    def test_deep_tail_relative_accuracy(self, rho, a_lo, a_hi):
+        pytest.importorskip("mpmath")
+        for a in (a_lo, 0.5 * (a_lo + a_hi), a_hi):
+            for b in (a, a - 0.1):
+                result = bivariate_joint_tail(TailQuery(a, b, rho))
+                want = mpmath_joint_tail(a, b, rho)
+                assert 1e-16 < want < 2e-12
+                assert result.probability == pytest.approx(want, rel=1e-9)
+                assert result.error <= QUADRATURE_TARGET * result.probability
+                # the reported error covers the true one
+                assert abs(result.probability - want) <= result.error + 1e-15 * want
+
+    def test_negative_correlation_deep_tail(self):
+        pytest.importorskip("mpmath")
+        for a, b in ((1.5, 1.5), (4.0, 4.0), (2.5, 3.5)):
+            result = bivariate_joint_tail(TailQuery(a, b, -0.9))
+            want = mpmath_joint_tail(a, b, -0.9)
+            assert result.probability == pytest.approx(want, rel=1e-9)
+            assert abs(result.probability - want) <= result.error + 1e-15 * want
+
+    def test_unmet_relative_target_raises(self):
+        # P = H(25)^2 ~ 9e-276, but the mass past the truncation point is
+        # only bounded by H(35) ~ 1e-268: no relative guarantee is possible.
+        with pytest.raises(RuntimeError, match="relative target"):
+            bivariate_joint_tail(TailQuery(25.0, 25.0, 0.0))
 
     def test_monotone_in_correlation(self):
         probs = [
@@ -209,6 +245,35 @@ class TestMonteCarlo:
         p = result.probability
         assert result.error == pytest.approx(3.0 * math.sqrt(p * (1.0 - p) / 50_000), rel=1e-12)
 
+    def test_zero_hits_report_a_one_sided_error(self):
+        # P(both >= 20) over L = 10 periods is ~1e-13: 10000 draws see nothing,
+        # which must not read as an exact zero.
+        model = GaussianModel.bivariate(1.0, 1.0, 0.5)
+        result = joint_tail_monte_carlo(model, [20.0, 20.0], 10, 10_000, seed=1)
+        assert result.hits == 0 and result.probability == 0.0
+        # far end of the Wilson score interval at z = 3
+        assert result.error == pytest.approx(9.0 / (10_000 + 9.0), rel=1e-12)
+        everyone = joint_tail_monte_carlo(model, [-20.0, -20.0], 10, 10_000, seed=1)
+        assert everyone.hits == 10_000 and everyone.error == result.error
+
+    def test_hit_counts_match_whole_array_masks(self):
+        # same stream, same comparisons: the per-column count is exact
+        model = GaussianModel(np.zeros(3), np.array([[1.0, 0.6, 0.3], [0.6, 1.0, 0.8], [0.3, 0.8, 2.0]]))
+        cases = [
+            (ALL_EXCEED, [1.0, 0.5, 1.5], None),
+            (ORTHANT, [1.0, -0.5, 2.0], [1.0, -1.0, 1.0]),
+            (FUNGIBLE, 3.0, None),
+        ]
+        for pattern, thresholds, signs in cases:
+            got = joint_tail_monte_carlo(model, thresholds, 4, 300_000, 23, pattern, signs)
+            rng = np.random.default_rng(23)
+            factor = math.sqrt(4) * covariance_factor(model)
+            want = 0
+            for block in (1 << 18, 300_000 - (1 << 18)):
+                draws = rng.standard_normal((block, 3)) @ factor.T
+                want += int(event_mask_reference(draws, thresholds, pattern, signs).sum())
+            assert got.hits == want, pattern
+
     def test_seed_determinism_across_chunks(self, experiment_model):
         # 300000 trials spans more than one internal block
         first = joint_tail_monte_carlo(experiment_model, [0.7, 0.7], 2, 300_000, seed=17)
@@ -218,7 +283,88 @@ class TestMonteCarlo:
         assert first.probability != other.probability
 
 
+class TestEventMask:
+    @pytest.mark.parametrize(
+        "pattern, thresholds, signs",
+        [
+            (ALL_EXCEED, [0.2, -0.1], None),
+            (UNION, [0.2, -0.1], None),
+            (ORTHANT, [0.2, -0.1], [-1.0, 1.0]),
+            (FUNGIBLE, 0.3, None),
+            (ALL_EXCEED, [0.2, -0.1, 0.4], None),
+            (ORTHANT, [0.2, -0.1, 0.4], [1.0, -1.0, 1.0]),
+            (ORTHANT, [0.0, 0.0, 0.0], [-1.0, -1.0, 1.0]),
+        ],
+    )
+    def test_matches_whole_array_form(self, pattern, thresholds, signs):
+        rng = np.random.default_rng(5)
+        dim = 2 if np.ndim(thresholds) == 0 else len(thresholds)
+        # one decimal, so many draws tie with a threshold and >= / <= matter
+        x = np.round(rng.standard_normal((50_000, dim)), 1)
+        got = event_mask(x, thresholds, pattern, signs)
+        want = event_mask_reference(x, thresholds, pattern, signs)
+        assert got.dtype == bool and got.shape == (50_000,)
+        assert np.array_equal(got, want)
+
+    def test_unknown_pattern(self):
+        with pytest.raises(ValueError, match="unknown stockout pattern"):
+            event_mask(np.zeros((3, 2)), [0.0, 0.0], "sometimes")
+
+
 class TestInvertJointTail:
+    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.9])
+    @pytest.mark.parametrize("delta", [0.2, 1e-3, 1e-6, 1e-12])
+    def test_certified_to_relative_precision(self, rho, delta):
+        pytest.importorskip("mpmath")
+        lead = 10
+        out = invert_joint_tail(GaussianModel.bivariate(1.0, 1.0, rho), delta, lead)
+        if out.floored:
+            assert 0.25 + math.asin(rho) / (2.0 * math.pi) <= delta
+            return
+        a = out.ss / math.sqrt(lead)
+        prob = mpmath_joint_tail(a, a, rho)
+        assert delta * (1.0 - 1e-9) <= prob <= delta
+
+    def test_small_delta_stock(self):
+        # the absolute 1e-9 stop of a bisection returned 18.97 here (P = 156 delta)
+        out = invert_joint_tail(GaussianModel.bivariate(1.0, 1.0, 0.9), 1e-12, 10)
+        assert out.ss == pytest.approx(21.2716282278, rel=1e-10)
+
+    def test_unequal_variances_certified(self):
+        pytest.importorskip("mpmath")
+        model = GaussianModel.bivariate(1.0, 4.0, -0.5)
+        for delta in (0.05, 1e-5, 1e-10):
+            out = invert_joint_tail(model, delta, 6)
+            prob = mpmath_joint_tail(out.ss / math.sqrt(6.0), out.ss / math.sqrt(24.0), -0.5)
+            assert delta * (1.0 - 1e-9) <= prob <= delta
+
+    def test_underflowing_bracket_end(self):
+        # the tail at the upper bracket end underflows to 0 here
+        pytest.importorskip("mpmath")
+        out = invert_joint_tail(GaussianModel.bivariate(0.01, 100.0, -0.5), 1e-300, 10)
+        prob = mpmath_joint_tail(out.ss / math.sqrt(0.1), out.ss / math.sqrt(1000.0), -0.5, dps=400)
+        assert 1e-300 * (1.0 - 1e-9) <= prob <= 1e-300
+
+    def test_tail_evaluations_per_inversion(self, monkeypatch):
+        # the policy-sweep grid of the benchmark: rho 0..0.95, delta 1e-4..0.4
+        calls = []
+        original = oracle.bivariate_joint_tail
+
+        def counted(query):
+            calls.append(query)
+            return original(query)
+
+        monkeypatch.setattr(oracle, "bivariate_joint_tail", counted)
+        counts = []
+        for rho in (0.0, 0.3, 0.6, 0.9, 0.95):
+            for lead in (5, 10, 20):
+                for delta in np.geomspace(1e-4, 0.4, 8):
+                    calls.clear()
+                    if not invert_joint_tail(GaussianModel.bivariate(1.0, 1.0, rho), delta, lead).floored:
+                        counts.append(len(calls))
+        assert max(counts) <= 16
+        assert np.mean(counts) <= 12
+
     def test_probability_at_returned_stock(self, experiment_model):
         lead = 10
         out = invert_joint_tail(experiment_model, 0.05, lead)
@@ -227,7 +373,7 @@ class TestInvertJointTail:
         prob = bivariate_joint_tail(
             TailQuery(out.ss / scale, out.ss / scale, 0.9)
         ).probability
-        assert prob == pytest.approx(0.05, abs=1e-9)
+        assert 0.05 * (1.0 - 1e-9) <= prob <= 0.05
 
     def test_monte_carlo_agrees_at_returned_stock(self, experiment_model):
         out = invert_joint_tail(experiment_model, 0.05, 10)

@@ -25,6 +25,7 @@ from stockbound import (
     ss_rigorous,
     weibull_cgf,
 )
+from stockbound import policy
 
 
 class TestPreviousRule:
@@ -215,20 +216,25 @@ class TestPolicyOutput:
         assert row.ratio_pre < 1.0
 
     def test_ratios_with_zero_rigorous_stock(self, experiment_model):
-        row = PolicyOutput(
-            delta=0.5,
-            ss_pre=-1.0,
-            ss_pro=2.0,
-            ss_rig=0.0,
-            p_pre=0.6,
-            p_pro=0.4,
-            p_rig=0.5,
-            delta_split=None,
-            lead_time=10,
-            model=experiment_model,
-        )
+        # P(0) ~ 0.428 at rho = 0.9, so delta = 0.45 floors the rigorous stock
+        row = compare_policies(experiment_model, 10, [0.45])[0]
+        assert row.ss_rig == 0.0
+        assert row.ss_pre < 0.0 < row.ss_pro
         assert row.ratio_pro == math.inf
         assert row.ratio_pre == math.inf
+
+    def test_exact_columns_are_computed_on_first_read(self, experiment_model, monkeypatch):
+        calls = []
+        monkeypatch.setattr(policy, "ss_rigorous", lambda *args: calls.append("rig") or 3.0)
+        monkeypatch.setattr(policy, "_exact_all_exceed", lambda *args: calls.append("p") or 0.01)
+        row = PolicyOutput(
+            delta=0.05, ss_pre=2.0, ss_pro=4.0, delta_split=None, lead_time=10, model=experiment_model
+        )
+        assert calls == []
+        assert row.ratio_pro == pytest.approx(4.0 / 3.0)
+        assert calls == ["rig"]
+        assert (row.p_pre, row.p_pro, row.ss_rig, row.p_pre) == (0.01, 0.01, 3.0, 0.01)
+        assert calls == ["rig", "p", "p"]
 
     def test_order_point_adds_lead_time_mean(self):
         model = GaussianModel.bivariate(1.0, 1.0, 0.9, mean=(2.0, 3.0))

@@ -373,6 +373,20 @@ class TestChernoffBound:
         for eps in (0.0, -0.3):
             assert chernoff_bound(cgf, eps, 5, pattern=FUNGIBLE) == 1.0
 
+    def test_fungible_zero_pooled_variance_stops_early(self):
+        # slope 0 at every point: the CGF is affine, so the bracket must not
+        # double its way out to the float range (about 1024 evaluations)
+        base = gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, -1.0))
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return base.value_and_gradient(u)
+
+        cgf = CgfEvaluator(dim=2, domain=base.domain, model=base.model, _value_and_grad=counted)
+        assert chernoff_bound(cgf, 1.0, 5, pattern=FUNGIBLE) == 0.0
+        assert len(calls) <= 24
+
     def test_unknown_pattern(self):
         cgf = gaussian_cgf(GaussianModel.univariate(1.0))
         with pytest.raises(ValueError, match="unknown stockout pattern"):
