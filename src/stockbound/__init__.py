@@ -11,7 +11,6 @@ from .cgf import (
     CgfDomainError,
     CgfEvaluator,
     EstimationCertificate,
-    SeriesDivergenceError,
     empirical_cgf,
     empirical_cgf_estimate,
     estimation_certificate,
@@ -76,7 +75,6 @@ __all__ = [
     "PolicyOutput",
     "ProposedStock",
     "RateResult",
-    "SeriesDivergenceError",
     "TailQuery",
     "UnreachableRateError",
     "WeibullModel",

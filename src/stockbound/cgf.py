@@ -7,6 +7,11 @@ normalized per period.  Evaluators built for tail analysis are mean-centered:
 ``phi(0) = 0`` and ``grad phi(0) = 0``, which makes ``phi`` convex with a
 minimum at the origin.
 
+The Weibull MGF is finite everywhere for shape above 1 and is evaluated in
+log space by a fixed-node double-exponential quadrature (Takahasi and Mori
+1974) centred on the peak of its integrand; shape 1 is exponential demand,
+in closed form.
+
 The empirical estimator follows the plug-in rule
 
     phi_hat(u) = (1/L) * log( (1/M) * sum_a exp(u * S_a) ),
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -32,8 +37,6 @@ __all__ = [
     "CgfDomainError",
     "CgfEvaluator",
     "EstimationCertificate",
-    "SeriesDivergenceError",
-    "SeriesValue",
     "empirical_cgf",
     "empirical_cgf_estimate",
     "estimation_certificate",
@@ -42,20 +45,9 @@ __all__ = [
     "weibull_log_mgf",
 ]
 
-SERIES_TERM_CAP = 500
-
 
 class CgfDomainError(ValueError):
     """The transform argument lies outside the certified domain."""
-
-
-class SeriesDivergenceError(RuntimeError):
-    """A series evaluation failed to converge within the term cap."""
-
-
-class SeriesValue(NamedTuple):
-    value: float
-    terms: int
 
 
 @dataclass(frozen=True)
@@ -108,103 +100,108 @@ def gaussian_cgf(model: GaussianModel) -> CgfEvaluator:
     return CgfEvaluator(dim=model.dim, domain=None, model=model, _value_and_grad=both)
 
 
-def _weibull_series(shape: float, scale: float, u: float, tol: float):
-    """Raw moment series sum(u^k scale^k Gamma(k/shape + 1) / k!) and its u-derivative.
+# Exp-sinh rule on (0, inf) (Takahasi and Mori 1974): nodes exp(pi/2 sinh x)
+# and their log weights at x = j * step in [-4.5, 4], past which nothing counts.
+_DE_STEP = 0.05
+_DE_X = _DE_STEP * np.arange(-90, 81)
+_DE_LOG_NODE = 0.5 * math.pi * np.sinh(_DE_X)
+_DE_NODE = np.exp(_DE_LOG_NODE)
+_DE_LOG_WEIGHT = np.log(0.5 * math.pi * _DE_STEP * np.cosh(_DE_X)) + _DE_LOG_NODE
+# The rule splits at the integrand's peak once that sits sqrt(_PEAK_SPLIT) peak
+# widths from 0: one rule over both sides would then be too coarse at the
+# peak, and the integrand at 0 is below exp(-_PEAK_SPLIT) of it.
+_PEAK_SPLIT = 49.0
 
-    Returns (log M(u), dlogM/du, terms).  Only certified convergent for
-    shape > 1, where the Gamma growth is beaten by the factorial.
+
+def _weibull_log_mgf_and_slope(model: WeibullModel, u: float) -> tuple[float, float]:
+    """``log M(u) = log E[exp(u X)]`` and its derivative for Weibull ``X``; shape >= 1.
+
+    Above shape ``k = 1``, ``M(u)`` is the integral over ``t > 0`` of
+    ``exp(a t^(1/k) - t)``, ``a = u * scale``.  For ``a > 0`` its log peaks at
+    ``t* = (a / k)^(k / (k - 1))``, with value ``(k - 1) t*`` and width
+    ``sqrt(k t* / (k - 1))``.  A peak far from 0 gets the exp-sinh rule from
+    ``t*`` both ways, scaled by the width and cut at 0; otherwise one rule
+    covers ``(0, inf)``, scaled to where the mass sits.  Sums are taken
+    relative to their largest term.  ``M(0) = 1`` and ``M'(0)`` is the mean.
     """
     if u == 0.0:
-        return 0.0, scale * math.gamma(1.0 + 1.0 / shape), 1
-    x = u * scale
-    logax = math.log(abs(x))
-    if u > 0.0:
-        # All terms positive: accumulate in log space to dodge overflow.
-        log_m = 0.0  # k = 0 term is 1
-        log_mp = -math.inf
-        for k in range(1, SERIES_TERM_CAP + 1):
-            log_t = k * logax + math.lgamma(k / shape + 1.0) - math.lgamma(k + 1.0)
-            log_m_new = np.logaddexp(log_m, log_t)
-            log_mp = np.logaddexp(log_mp, log_t + math.log(k) - math.log(u))
-            converged = log_t < math.log(tol) + log_m_new
-            log_m = log_m_new
-            if converged:
-                return float(log_m), float(math.exp(log_mp - log_m)), k
-        raise SeriesDivergenceError(
-            f"moment series did not settle within {SERIES_TERM_CAP} terms"
-        )
-    # Negative argument: alternating series, moderate magnitudes, plain sums.
-    m = 1.0
-    mp = 0.0
-    for k in range(1, SERIES_TERM_CAP + 1):
-        expo = k * logax + math.lgamma(k / shape + 1.0) - math.lgamma(k + 1.0)
-        if expo > 700.0:
-            # The true MGF is at most 1 here; a term this large means the
-            # partial sums have no significant digits left.
-            raise SeriesDivergenceError("moment series lost precision to cancellation")
-        t = (-1.0) ** k * math.exp(expo)
-        m += t
-        mp += k * t / u
-        if abs(t) < tol * abs(m):
-            if m <= 0.0:
-                raise SeriesDivergenceError("moment series lost precision to cancellation")
-            return math.log(m), mp / m, k
-    raise SeriesDivergenceError(
-        f"moment series did not settle within {SERIES_TERM_CAP} terms"
-    )
+        return 0.0, model.mean
+    k, scale = model.shape, model.scale
+    if k < 1.0:
+        raise CgfDomainError("Weibull MGF is infinite for positive arguments when shape < 1")
+    a = u * scale
+    if k == 1.0:
+        if a >= 1.0:
+            return math.inf, math.inf
+        return -math.log1p(-a), scale / (1.0 - a)
+    log_peak = k / (k - 1.0) * math.log(a / k) if a > 0.0 else -math.inf
+    if log_peak > 709.0:  # t* itself overflows
+        return math.inf, math.inf
+    peak = math.exp(log_peak)
+    if (k - 1.0) * peak >= _PEAK_SPLIT * k:
+        # t = t* (1 + r): the log-integrand less its peak value is
+        # t* (k ((1 + r)^(1/k) - 1) - r), free of cancellation near the peak.
+        width = math.sqrt(k / ((k - 1.0) * peak))  # relative to t*
+        left = _DE_NODE < 1.0 / width
+        r = width * np.concatenate([_DE_NODE, -_DE_NODE[left]])
+        log_weight = np.concatenate([_DE_LOG_WEIGHT, _DE_LOG_WEIGHT[left]])
+        shrink = np.log1p(r) / k
+        log_f = peak * (k * np.expm1(shrink) - r) + log_weight
+        root = np.exp(log_peak / k + shrink)
+        base = (k - 1.0) * peak + math.log(width * peak)
+    else:
+        if a > 0.0:
+            log_c = math.log1p(peak)
+        else:
+            # The log-integrand peaks in log t at t = w^k, where w^k + b w = 1
+            # for b = -a / k.  One Newton step from min(1, 1 / b), above w on
+            # this convex curve, lands close enough to centre the rule.
+            b = -a / k
+            w = min(1.0, 1.0 / b)
+            w -= (w**k + b * w - 1.0) / (k * w ** (k - 1.0) + b)
+            log_c = k * math.log(w)
+        root = np.exp((log_c + _DE_LOG_NODE) / k)
+        log_f = a * root - math.exp(log_c) * _DE_NODE + _DE_LOG_WEIGHT
+        base = log_c
+    top = float(log_f.max())
+    f = np.exp(log_f - top)
+    total = float(f.sum())
+    return base + top + math.log(total), scale * float(f @ root) / total
 
 
-def weibull_log_mgf(
-    model: WeibullModel, u: float, tol: float = 1e-12, centered: bool = False
-) -> SeriesValue:
-    """Log moment generating function of Weibull demand by series expansion.
+def weibull_log_mgf(model: WeibullModel, u: float, centered: bool = False) -> float:
+    """Log moment generating function ``log E[exp(u X)]`` of Weibull demand.
 
-    The raw series is for the uncentered demand; pass ``centered=True`` to
-    subtract ``u * mean`` and obtain the centered CGF.  Shapes at or below 1
-    are refused for nonzero ``u`` because the series is not certified
-    convergent there (shape 1 has a closed form, see ``weibull_cgf``).
+    Shape 1 is in closed form (infinite at and past the pole ``u = 1 / scale``);
+    larger shapes use a fixed-node double-exponential quadrature, finite for
+    every ``u``.  Pass ``centered=True`` to subtract ``u * mean`` and obtain
+    the centered CGF.  Shapes below 1 are refused for nonzero ``u``.
     """
     u = float(u)
     if not math.isfinite(u):
         raise ValueError("transform argument must be finite")
-    if model.shape <= 1.0:
-        if u == 0.0:
-            return SeriesValue(0.0, 0)
-        raise CgfDomainError("MGF series not certified convergent for shape <= 1")
-    log_m, _, terms = _weibull_series(model.shape, model.scale, u, tol)
-    value = log_m - u * model.mean if centered else log_m
-    return SeriesValue(value, terms)
+    log_m, _ = _weibull_log_mgf_and_slope(model, u)
+    return log_m - u * model.mean if centered else log_m
 
 
-def weibull_cgf(model: WeibullModel, tol: float = 1e-12) -> CgfEvaluator:
+def weibull_cgf(model: WeibullModel) -> CgfEvaluator:
     """Centered CGF evaluator for Weibull demand.
 
-    Shape > 1 uses the moment series (entire function).  Shape exactly 1 is
-    exponential demand with the closed form ``-log(1 - u * scale)`` on
+    Shape > 1 is finite everywhere and evaluated by quadrature (see
+    ``weibull_log_mgf``).  Shape exactly 1 is exponential demand, finite on
     ``u < 1 / scale``.  Shapes below 1 have no finite transform for positive
     ``u`` and are rejected.
     """
+    if model.shape < 1.0:
+        raise CgfDomainError("Weibull MGF is infinite for positive arguments when shape < 1")
     mean = model.mean
-    if model.shape > 1.0:
 
-        def both(u):
-            log_m, dlog, _ = _weibull_series(model.shape, model.scale, float(u[0]), tol)
-            return log_m - u[0] * mean, np.array([dlog - mean])
+    def both(u):
+        log_m, slope = _weibull_log_mgf_and_slope(model, float(u[0]))
+        return log_m - u[0] * mean, np.array([slope - mean])
 
-        return CgfEvaluator(dim=1, domain=None, model=model, _value_and_grad=both)
-    if model.shape == 1.0:
-        edge = 1.0 / model.scale
-
-        def both(u):
-            if u[0] >= edge:
-                return math.inf, np.array([math.inf])
-            return (
-                -math.log1p(-u[0] * model.scale) - u[0] * mean,
-                np.array([model.scale / (1.0 - u[0] * model.scale) - mean]),
-            )
-
-        return CgfEvaluator(dim=1, domain=((-math.inf, edge),), model=model, _value_and_grad=both)
-    raise CgfDomainError("MGF series not certified convergent for shape <= 1")
+    domain = ((-math.inf, 1.0 / model.scale),) if model.shape == 1.0 else None
+    return CgfEvaluator(dim=1, domain=domain, model=model, _value_and_grad=both)
 
 
 def _log_mean_exp(values: np.ndarray) -> float:

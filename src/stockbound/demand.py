@@ -144,8 +144,9 @@ class WeibullModel:
     Parameters
     ----------
     shape:
-        Weibull shape parameter, > 0.  Tail analysis by series expansion is
-        only available for shape > 1; see the cgf module.
+        Weibull shape parameter, > 0.  Tail analysis needs shape >= 1; below
+        it the MGF is infinite for every positive argument (see the cgf
+        module).
     scale:
         Weibull scale parameter, > 0.
     """

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import erfc, erfcinv
+from scipy.special import erfc, erfcinv, log_ndtr
 
 from . import events
 from .demand import GaussianModel, covariance_factor, validate_lead_time
@@ -40,7 +40,8 @@ __all__ = [
 ]
 
 # The conditional-tail integral stops this many standard units past its lower
-# limit; the mass beyond is bounded analytically and counted in the error.
+# limit, or further where a deep tail needs it; the mass beyond is bounded
+# analytically and counted in the error.
 TRUNCATION_WIDTH = 10.0
 # bivariate_joint_tail guarantees a reported error of at most this share of P.
 QUADRATURE_TARGET = 1e-9
@@ -108,10 +109,29 @@ class OracleResult:
     hits: int | None = None
 
 
-def _degenerate_joint_tail(query: TailQuery) -> float:
+def _tail_with_rounding(k: float) -> tuple[float, float]:
+    """``H(k)`` and a bound on its rounding: erfc is good to a few ulps, and a
+    slip of eps in its argument ``z = k / sqrt(2)`` moves it by ``2 z^2 eps``."""
+    tail = normal_upper_tail(k)
+    return tail, _EPS * (4.0 + 6.0 * (abs(k) / _SQRT2 + 1.0) ** 2) * tail
+
+
+def _degenerate_joint_tail(query: TailQuery) -> tuple[float, float]:
+    """``P`` at ``rho = +1`` or ``-1``, and a bound on its error at ``query.rho``.
+
+    Besides rounding, the bound covers the change in ``P`` from ``query.rho``
+    to the limit: ``dP/drho``, the bivariate density at ``(a, b)``, is at most
+    ``exp(-(a^2 + b^2) / 4) / (2 pi sqrt(1 - r^2))`` there.
+    """
+    a, b = query.a, query.b
+    gap = math.exp(-0.25 * (a * a + b * b)) * math.acos(abs(query.rho)) / (2.0 * math.pi)
     if query.rho > 0.0:  # comonotone: the larger threshold binds
-        return normal_upper_tail(max(query.a, query.b))
-    return max(0.0, normal_upper_tail(query.a) - normal_upper_tail(-query.b))
+        p, rounding = _tail_with_rounding(max(a, b))
+        return p, rounding + gap
+    if a >= -b:  # antithetic: P(a <= X <= -b), empty here
+        return 0.0, gap
+    (upper, slip_upper), (lower, slip_lower) = _tail_with_rounding(a), _tail_with_rounding(-b)
+    return upper - lower, slip_upper + slip_lower + _EPS * (upper - lower) + gap
 
 
 def _conditional_quadrature(query: TailQuery) -> tuple[float, float]:
@@ -129,6 +149,14 @@ def _conditional_quadrature(query: TailQuery) -> tuple[float, float]:
         return math.exp(-0.5 * u * u) * math.erfc((b - rho * u) * inner)
 
     top = max(a, 0.0) + TRUNCATION_WIDTH
+    if rho >= 0.0:
+        # Slepian: P >= H(a) H(b).  Where the fixed width leaves more than a
+        # thousandth of the target share of that floor past the cut, widen it
+        # until the bound H(top) <= phi(top) does not.  A share below the
+        # smallest float would be lost to rounding, so the cut stays.
+        log_share = math.log(1e-3 * QUADRATURE_TARGET) + float(log_ndtr(-a) + log_ndtr(-b))
+        if log_share > math.log(_TINY):
+            top = max(top, math.sqrt(-2.0 * log_share - math.log(2.0 * math.pi)))
     value, abserr, *_ = quad(integrand, a, top, epsabs=0.0, epsrel=1e-12, limit=500, full_output=1)
     # Past ``top`` the outer density leaves H(top); for rho < 0 the conditional
     # tail falls with u, so it is at most its value at ``top``.
@@ -154,22 +182,22 @@ def bivariate_joint_tail(query: TailQuery) -> OracleResult:
     ``QUADRATURE_TARGET * probability``; when that cannot be met the call
     raises instead of returning a loose number.  A tail that underflows to 0
     is returned only when its truncation bound underflows as well.  Perfect
-    correlation collapses to a univariate tail and is handled in closed form,
-    with an absolute error of 1e-15.
+    correlation (``|rho|`` within 1e-12 of 1) collapses to a univariate tail
+    in closed form; there ``error`` bounds the rounding and the distance to
+    the exact limit, and meets the same target.
     """
     if 1.0 - abs(query.rho) < 1e-12:
-        return OracleResult(
-            probability=_degenerate_joint_tail(query), method="closed-form", error=1e-15
-        )
-    value, error = _conditional_quadrature(query)
+        value, error = _degenerate_joint_tail(query)
+        method = "closed-form"
+    else:
+        value, error = _conditional_quadrature(query)
+        method = "quadrature-conditional"
     if not error <= QUADRATURE_TARGET * value:
         raise RuntimeError(
             f"joint tail {value:.3e} has error {error:.2e}, "
             f"above the relative target {QUADRATURE_TARGET:.0e}"
         )
-    return OracleResult(
-        probability=min(1.0, value), method="quadrature-conditional", error=error
-    )
+    return OracleResult(probability=min(1.0, value), method=method, error=error)
 
 
 _CHUNK = 1 << 18

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from . import events
-from .cgf import CgfEvaluator, SeriesDivergenceError, gaussian_cgf
+from .cgf import CgfEvaluator, gaussian_cgf
 from .demand import GaussianModel, validate_lead_time
 
 __all__ = [
@@ -133,10 +133,7 @@ def rate_numeric(cgf: CgfEvaluator, epsilon, signs=None) -> RateResult:
     eps_v = s * eps
 
     def objective(v: np.ndarray):
-        try:
-            val, grad = cgf.value_and_gradient(s * v)
-        except SeriesDivergenceError:
-            val = math.inf
+        val, grad = cgf.value_and_gradient(s * v)
         if not math.isfinite(val):
             return math.inf, np.full(cgf.dim, math.inf)
         return val - float(v @ eps_v), s * grad - eps_v
@@ -144,31 +141,21 @@ def rate_numeric(cgf: CgfEvaluator, epsilon, signs=None) -> RateResult:
     box = _cone_box(cgf, s)
     lo, hi = np.array(box).T
     gtol = RATE_GTOL * float(np.abs(eps).max())
-    v = np.zeros(cgf.dim)
-    iterations = 0
-    # The line search ends the solve at a trial point where the objective is
-    # infinite (such as the Weibull series past its term cap) instead of
-    # stepping back, so the solve resumes from the last finite point while
-    # it makes progress.  ftol=0 leaves the projected gradient as the only
-    # stopping rule.
-    while True:
-        res = minimize(
-            objective,
-            v,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=box,
-            options={"maxiter": RATE_MAX_ITER - iterations, "gtol": gtol, "ftol": 0.0},
-        )
-        v, iterations = res.x, iterations + int(res.nit)
-        residual = float(np.abs(v - np.clip(v - res.jac, lo, hi)).max())
-        if residual <= gtol or res.nit == 0 or iterations >= RATE_MAX_ITER:
-            break
+    # ftol=0 leaves the projected gradient as the only stopping rule.
+    res = minimize(
+        objective,
+        np.zeros(cgf.dim),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=box,
+        options={"maxiter": RATE_MAX_ITER, "gtol": gtol, "ftol": 0.0},
+    )
+    residual = float(np.abs(res.x - np.clip(res.x - res.jac, lo, hi)).max())
     return RateResult(
         epsilon=eps,
         rate=max(-float(res.fun), 0.0) / cgf.dim,
-        u_star=s * v,
-        iterations=iterations,
+        u_star=s * res.x,
+        iterations=int(res.nit),
         converged=residual <= gtol,
     )
 
@@ -217,14 +204,12 @@ def _increasing_root(cgf: CgfEvaluator, f) -> tuple[float, bool]:
     - a closed edge (the empirical window): when ``f`` is still negative
       there, the edge itself is returned, as the constrained solution.
 
-    A trial point where the moment series diverges is treated as overshoot:
-    later trials halve back toward the last good point, and the divergence is
-    raised again only when that gap collapses.  When ``f`` stays negative all
-    the way out to an open or missing edge, there is no root: the farthest
-    point tried is returned with ``False`` (0 for a domain with no positive
-    part).  A CGF is strictly convex unless demand is constant, so a slope
-    at a trial point equal to the slope at 0 means the CGF is affine: ``f``
-    then stays negative for good, and ``inf`` is returned with ``False``.
+    When ``f`` stays negative all the way out to an open or missing edge,
+    there is no root: the farthest point tried is returned with ``False`` (0
+    for a domain with no positive part).  A CGF is strictly convex unless
+    demand is constant, so a slope at a trial point equal to the slope at 0
+    means the CGF is affine: ``f`` then stays negative for good, and ``inf``
+    is returned with ``False``.
     """
     edge = math.inf if cgf.domain is None else float(cgf.domain[0][1])
     if edge <= 0.0:
@@ -239,23 +224,16 @@ def _increasing_root(cgf: CgfEvaluator, f) -> tuple[float, bool]:
             return edge, True
         lo, hi = 0.0, edge
     else:
-        lo, hi, cap = 0.0, (0.5 * edge if math.isfinite(edge) else 1.0), edge
-        diverged = None
+        lo, hi = 0.0, (0.5 * edge if math.isfinite(edge) else 1.0)
         flat = float(cgf.gradient([0.0])[0])
         while True:
-            try:
-                value, grad = cgf.value_and_gradient([hi])
-                if f(hi, value, float(grad[0])) >= 0.0:
-                    break
-                if grad[0] == flat:
-                    return math.inf, False
-                lo = hi
-            except SeriesDivergenceError as exc:
-                cap, diverged = hi, exc
-            hi = 2.0 * hi if cap == math.inf else 0.5 * (lo + cap)
-            if not lo < hi < cap:
-                if diverged is not None:
-                    raise diverged
+            value, grad = cgf.value_and_gradient([hi])
+            if f(hi, value, float(grad[0])) >= 0.0:
+                break
+            if grad[0] == flat:
+                return math.inf, False
+            lo, hi = hi, (2.0 * hi if edge == math.inf else 0.5 * (hi + edge))
+            if not lo < hi < edge:
                 return lo, False
     return brentq(g, lo, hi, xtol=1e-15, maxiter=300), True
 

@@ -163,6 +163,41 @@ def mpmath_joint_tail(a: float, b: float, rho: float, dps: int = 120) -> float:
         return float(value)
 
 
+def mpmath_weibull_log_mgf(shape: float, scale: float, u: float, dps: int = 30) -> tuple[float, float]:
+    """``log E[exp(u X)]`` and its derivative in ``u`` for Weibull ``X``, in ``dps``-digit mpmath.
+
+    With ``t = (X / scale)^shape`` and ``a = u * scale`` the moments are
+    ``int t^(j / shape) exp(a t^(1/shape) - t) dt`` over ``t > 0`` for
+    ``j = 0, 1``.  mpmath's adaptive tanh-sinh quadrature integrates them with
+    the log-integrand's peak value factored out, on intervals split around
+    where the mass sits: the peak ``(a / shape)^(shape / (shape - 1))`` and a
+    few of its widths for ``a > 0``, and decades around
+    ``(shape / (shape - a))^shape`` for ``a <= 0``.  Needs mpmath and
+    ``shape > 1``.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        k, a = mpmath.mpf(shape), mpmath.mpf(u) * mpmath.mpf(scale)
+        points = {mpmath.mpf(0)}
+        if a > 0:
+            peak = (a / k) ** (k / (k - 1))
+            shift = (k - 1) * peak
+            width = mpmath.sqrt(k * peak / (k - 1))
+            points.update(p for m in (-16, -4, -1, 0, 1, 4, 16) if (p := peak + m * width) > 0)
+        else:
+            shift = mpmath.mpf(0)
+            mass = (k / (k - a)) ** k
+            points.update(mass * mpmath.mpf(10) ** j for j in range(-2, 3))
+        intervals = sorted(points) + [mpmath.inf]
+
+        def moment(power):
+            return mpmath.quad(lambda t: t ** (power / k) * mpmath.exp(a * t ** (1 / k) - t - shift), intervals)
+
+        m0 = moment(0)
+        return float(shift + mpmath.log(m0)), float(scale * moment(1) / m0)
+
+
 def event_mask_reference(x, thresholds, pattern: str, signs=None):
     """Rows of ``x`` hitting a stockout pattern, by whole-array ``all``/``any``/``where``."""
     if pattern == "fungible":

@@ -1,4 +1,4 @@
-"""Tests for CGF evaluators: analytic models, series, and empirical estimates."""
+"""Tests for CGF evaluators: analytic models, Weibull quadrature, and empirical estimates."""
 
 import math
 
@@ -11,7 +11,6 @@ from stockbound import (
     CgfDomainError,
     EmpiricalDemand,
     GaussianModel,
-    SeriesDivergenceError,
     WeibullModel,
     empirical_cgf,
     empirical_cgf_estimate,
@@ -21,9 +20,9 @@ from stockbound import (
     weibull_log_mgf,
 )
 
-from oracles import quad_weibull_log_mgf
+from oracles import mpmath_weibull_log_mgf, quad_weibull_log_mgf
 
-# Frozen from the quadrature oracle below; the series must land within 1e-8.
+# Frozen from the quadrature oracle below; weibull_log_mgf must land within 1e-10.
 WEIBULL_2_1_RAW_AT_HALF = 0.4712732761677853
 WEIBULL_2_1_RAW_AT_MINUS_HALF = -0.4175643996147274
 
@@ -112,54 +111,78 @@ class TestEvaluatorBasics:
         assert cgf([0.7]) == cgf.value([0.7])
 
 
+def _assert_matches_mpmath(shape: float, scale: float, u: float) -> None:
+    """Value within 1e-11 relative of 30-digit mpmath; slope within 1e-9 where |log M| <= 1e3."""
+    pytest.importorskip("mpmath")
+    want, want_slope = mpmath_weibull_log_mgf(shape, scale, u)
+    got = weibull_log_mgf(WeibullModel(shape, scale), u)
+    assert got == pytest.approx(want, rel=1e-11)
+    if abs(want) <= 1e3:
+        mean = WeibullModel(shape, scale).mean
+        slope = weibull_cgf(WeibullModel(shape, scale)).gradient([u])[0] + mean
+        assert slope == pytest.approx(want_slope, rel=1e-9)
+
+
 class TestWeibullSeries:
     def test_zero_argument(self):
-        out = weibull_log_mgf(WeibullModel(2.0, 1.0), 0.0)
-        assert out.value == 0.0
-        assert out.terms == 1
+        assert weibull_log_mgf(WeibullModel(2.0, 1.0), 0.0) == 0.0
+        assert weibull_cgf(WeibullModel(2.0, 1.0)).gradient([0.0])[0] == 0.0
 
     def test_positive_argument_matches_quadrature(self):
         got = weibull_log_mgf(WeibullModel(2.0, 1.0), 0.5)
         want = quad_weibull_log_mgf(2.0, 1.0, 0.5)
-        assert got.value == pytest.approx(want, abs=1e-8)
-        assert got.value == pytest.approx(WEIBULL_2_1_RAW_AT_HALF, abs=1e-10)
-        assert got.terms < 50
+        assert got == pytest.approx(want, abs=1e-8)
+        assert got == pytest.approx(WEIBULL_2_1_RAW_AT_HALF, abs=1e-10)
 
     def test_negative_argument_matches_quadrature(self):
         got = weibull_log_mgf(WeibullModel(2.0, 1.0), -0.5)
-        assert got.value == pytest.approx(quad_weibull_log_mgf(2.0, 1.0, -0.5), abs=1e-8)
-        assert got.value == pytest.approx(WEIBULL_2_1_RAW_AT_MINUS_HALF, abs=1e-10)
+        assert got == pytest.approx(quad_weibull_log_mgf(2.0, 1.0, -0.5), abs=1e-8)
+        assert got == pytest.approx(WEIBULL_2_1_RAW_AT_MINUS_HALF, abs=1e-10)
 
     def test_centered_value_subtracts_mean_term(self):
         model = WeibullModel(2.0, 1.0)
-        raw = weibull_log_mgf(model, 0.5).value
-        centered = weibull_log_mgf(model, 0.5, centered=True).value
+        raw = weibull_log_mgf(model, 0.5)
+        centered = weibull_log_mgf(model, 0.5, centered=True)
         assert centered == pytest.approx(raw - 0.5 * model.mean, rel=1e-14)
         assert centered == pytest.approx(quad_weibull_log_mgf(2.0, 1.0, 0.5, centered=True), abs=1e-8)
 
     def test_large_arguments_still_converge(self):
-        out = weibull_log_mgf(WeibullModel(1.5, 2.0), 4.0)
-        assert math.isfinite(out.value)
-        assert out.terms <= 500
+        _assert_matches_mpmath(1.5, 2.0, 4.0)
 
     def test_deep_negative_argument_still_matches_quadrature(self):
         got = weibull_log_mgf(WeibullModel(2.0, 1.0), -3.0)
-        assert got.value == pytest.approx(quad_weibull_log_mgf(2.0, 1.0, -3.0), abs=1e-8)
+        assert got == pytest.approx(quad_weibull_log_mgf(2.0, 1.0, -3.0), abs=1e-8)
 
-    def test_alternating_series_failure_modes(self):
-        # Huge negative arguments: terms blow past float range (pure
-        # cancellation) or keep growing at the term cap, depending on shape.
-        with pytest.raises(SeriesDivergenceError, match="cancellation"):
-            weibull_log_mgf(WeibullModel(1.2, 1.0), -30.0)
-        with pytest.raises(SeriesDivergenceError, match="did not settle"):
-            weibull_log_mgf(WeibullModel(2.0, 1.0), -40.0)
+    def test_former_series_failures_match_reference(self):
+        # The moment series lost every digit to cancellation at (1.2, -30) and
+        # ran past its 500-term cap at (2, -40).
+        _assert_matches_mpmath(1.2, 1.0, -30.0)
+        _assert_matches_mpmath(2.0, 1.0, -40.0)
 
-    def test_shape_at_or_below_one_refused(self):
-        with pytest.raises(CgfDomainError, match="not certified convergent"):
+    @pytest.mark.parametrize("shape", [1.1, 1.5, 2.5, 5.0])
+    def test_matches_mpmath_over_grid(self, shape):
+        # u = 20 at scale 3 puts the peak of the integrand near t = 1e19 for
+        # shape 1.1, and near 0 for shape 5; u = -30 piles the mass at 0.
+        for scale in (0.5, 3.0):
+            for u in (-30.0, -1.0, 0.2, 3.0, 20.0):
+                _assert_matches_mpmath(shape, scale, u)
+
+    def test_shape_below_one_refused(self):
+        with pytest.raises(CgfDomainError, match="shape < 1"):
             weibull_log_mgf(WeibullModel(0.8, 1.0), 0.5)
         with pytest.raises(CgfDomainError):
-            weibull_log_mgf(WeibullModel(1.0, 1.0), -0.5)
-        assert weibull_log_mgf(WeibullModel(0.8, 1.0), 0.0).value == 0.0
+            weibull_log_mgf(WeibullModel(0.8, 1.0), -0.5)
+        assert weibull_log_mgf(WeibullModel(0.8, 1.0), 0.0) == 0.0
+
+    def test_exponential_closed_form_and_pole(self):
+        model = WeibullModel(1.0, 2.0)
+        assert weibull_log_mgf(model, -0.5) == -math.log(2.0)
+        assert weibull_log_mgf(model, 0.3) == pytest.approx(-math.log1p(-0.6), rel=1e-15)
+        assert weibull_log_mgf(model, 0.3, centered=True) == pytest.approx(
+            -math.log1p(-0.6) - 0.6, rel=1e-14
+        )
+        assert weibull_log_mgf(model, 0.5) == math.inf
+        assert weibull_log_mgf(model, 0.9) == math.inf
 
 
 class TestWeibullEvaluator:

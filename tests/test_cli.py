@@ -23,6 +23,8 @@ from stockbound import (
 )
 from stockbound.cli import main
 
+from oracles import mpmath_weibull_log_mgf
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # What pip's generated console-script wrapper does: set the program name,
@@ -347,8 +349,33 @@ class TestEstimateCgf:
         assert header[-2:] == ["exact", "abs_error"]
         model = WeibullModel(2.0, 1.0)
         for u, est, half, exact, abs_err in rows:
-            assert exact == pytest.approx(weibull_log_mgf(model, u).value, rel=1e-9)
+            assert exact == pytest.approx(weibull_log_mgf(model, u), rel=1e-9)
             assert abs_err <= 0.1
+
+    @pytest.mark.parametrize(
+        "shape, scale, reference",
+        [
+            (1.0, 0.5, lambda u: -math.log1p(-0.5 * u)),
+            (1.2, 3.0, lambda u: mpmath_weibull_log_mgf(1.2, 3.0, u)[0]),
+        ],
+    )
+    def test_weibull_exact_column_is_finite(self, capsys, tmp_path, shape, scale, reference):
+        # Shape 1 once printed inf at every u != 0, and shape 1.2 at scale 3
+        # printed inf at u = -1 and u = 1, where the moment series gave up.
+        pytest.importorskip("mpmath")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"type": "weibull", "shape": shape, "scale": scale}}))
+        code, out, _ = run_cli(
+            capsys, "estimate-cgf", "--config", str(cfg), "--seed", "3",
+            "--trials", "2000", "--points", "5",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[0] for row in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        for u, est, _, exact, abs_err in rows:
+            assert math.isfinite(exact)
+            assert exact == pytest.approx(reference(u), rel=1e-9, abs=1e-12)
+            assert abs_err == pytest.approx(abs(est - exact), rel=1e-9, abs=1e-12)
 
     def test_empirical_demand_from_config(self, capsys, tmp_path):
         rng = np.random.default_rng(8)

@@ -161,11 +161,37 @@ class TestBivariateJointTail:
             assert result.probability == pytest.approx(want, rel=1e-9)
             assert abs(result.probability - want) <= result.error + 1e-15 * want
 
-    def test_unmet_relative_target_raises(self):
-        # P = H(25)^2 ~ 9e-276, but the mass past the truncation point is
-        # only bounded by H(35) ~ 1e-268: no relative guarantee is possible.
+    def test_deep_tail_past_the_fixed_cut(self):
+        # P = H(25)^2 ~ 9e-276, but the fixed cut at a + 10 only bounds the
+        # mass past it by H(35) ~ 1e-268; for rho >= 0 the cut widens from
+        # Slepian's floor P >= H(a) H(b).
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            want = float((mpmath.erfc(25 / mpmath.sqrt(2)) / 2) ** 2)
+        result = bivariate_joint_tail(TailQuery(25.0, 25.0, 0.0))
+        assert result.probability == pytest.approx(want, rel=1e-9)
+        assert result.error <= QUADRATURE_TARGET * result.probability
+        for a, b, rho in ((25.0, 25.0, 0.5), (30.0, 26.0, 0.2)):
+            result = bivariate_joint_tail(TailQuery(a, b, rho))
+            want = mpmath_joint_tail(a, b, rho, dps=330)
+            assert result.probability == pytest.approx(want, rel=1e-9)
+            assert abs(result.probability - want) <= result.error
+
+    def test_closed_form_error_is_relative(self):
+        # A fixed absolute error of 1e-15 was 7.8e-4 P at (7, 7, 1).
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            tail = float(mpmath.erfc(7 / mpmath.sqrt(2)) / 2)
+            band = float((mpmath.erfc(-1 / mpmath.sqrt(2)) - mpmath.erfc(0.5 / mpmath.sqrt(2))) / 2)
+        for query, want in ((TailQuery(7.0, 7.0, 1.0), tail), (TailQuery(-1.0, -0.5, -1.0), band)):
+            result = bivariate_joint_tail(query)
+            assert result.method == "closed-form"
+            assert 0.0 < result.error <= QUADRATURE_TARGET * result.probability
+            assert abs(result.probability - want) <= result.error
+        # Just short of rho = 1 the tail differs from H(7) by about 1e-6 P,
+        # which no closed form can report within the target.
         with pytest.raises(RuntimeError, match="relative target"):
-            bivariate_joint_tail(TailQuery(25.0, 25.0, 0.0))
+            bivariate_joint_tail(TailQuery(7.0, 7.0, 1.0 - 1e-13))
 
     def test_monotone_in_correlation(self):
         probs = [

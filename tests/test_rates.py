@@ -31,9 +31,19 @@ from stockbound.rates import RATE_MAX_ITER
 from oracles import (
     exact_scalar_rate,
     gaussian_cone_rate,
+    mpmath_weibull_log_mgf,
     quad_normal_upper_tail,
     quad_weibull_log_mgf,
 )
+
+
+def assert_weibull_rate_matches_mpmath(result, shape: float, scale: float) -> None:
+    """``u* . eps - phi(u*)`` by 30-digit mpmath at the returned point, where ``phi'(u*) = eps``."""
+    u, eps = float(result.u_star[0]), float(result.epsilon[0])
+    mean = WeibullModel(shape, scale).mean
+    log_m, slope = mpmath_weibull_log_mgf(shape, scale, u)
+    assert slope - mean == pytest.approx(eps, rel=2e-6)
+    assert result.rate == pytest.approx(u * eps - (log_m - u * mean), rel=1e-9)
 
 
 class TestRateNumeric:
@@ -101,10 +111,9 @@ class TestRateNumeric:
         assert result.rate == pytest.approx(3.0 - math.log(4.0), abs=1e-5)
         assert result.u_star[0] == pytest.approx(0.75, abs=5e-3)
 
-    def test_resumes_after_overshooting_the_weibull_series_range(self):
-        # The maximizer u* ~ 1.58 is inside the range where the moment series
-        # settles within its term cap, but a quasi-Newton step from u = 1
-        # lands past it; the solve must step back rather than fail.
+    def test_weibull_rate_after_overshooting_step(self):
+        # A quasi-Newton step from u = 1 lands well past the maximizer
+        # u* ~ 1.58, where the moment series once gave up.
         shape = 1.2
         cgf = weibull_cgf(WeibullModel(shape, 1.0))
         result = rate_numeric(cgf, [5.0])
@@ -117,6 +126,21 @@ class TestRateNumeric:
 
         assert result.converged
         assert result.rate == pytest.approx(exact_scalar_rate(grad, 5.0), rel=1e-8)
+
+    def test_weibull_rates_where_the_series_gave_up(self):
+        # With the moment series these stopped at rate 0, and at the
+        # iteration cap, both unconverged.
+        pytest.importorskip("mpmath")
+        cgf = weibull_cgf(WeibullModel(1.2, 3.0))
+        result = rate_numeric(cgf, [invert_rate(cgf, 0.5, 1)])
+        assert result.converged
+        assert result.iterations < 20
+        assert result.rate == pytest.approx(math.log(2.0), rel=1e-9)
+        assert_weibull_rate_matches_mpmath(result, 1.2, 3.0)
+        result = rate_numeric(weibull_cgf(WeibullModel(3.0, 1.0)), [5.0])
+        assert result.converged
+        assert result.iterations < 20
+        assert_weibull_rate_matches_mpmath(result, 3.0, 1.0)
 
     # At every rho, [1, 1] leaves the cone constraint slack for the orthant
     # and binding for signs [-1, 1], and [-1, 1] does the opposite; [0.2, 1]
@@ -279,8 +303,9 @@ class TestInvertRate:
 
     @pytest.mark.parametrize("shape, delta", [(2.0, 1e-50), (1.2, 1e-8)])
     def test_weibull_bracket_steps_back_from_series_overflow(self, shape, delta):
-        # The maximizer sits inside the moment series' range, but a doubling
-        # bracket overshoots past it; the overshoot must not end the solve.
+        # The doubling bracket overshoots the root by up to a factor 2, past
+        # where the moment series once gave up; inversion and maximization
+        # must still agree.
         cgf = weibull_cgf(WeibullModel(shape, 1.0))
         ss = invert_rate(cgf, delta, 1)
         result = rate_numeric(cgf, [ss])
