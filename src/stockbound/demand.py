@@ -13,9 +13,10 @@ replicates should derive disjoint streams by seeding with ``[seed, index]``.
 
 from __future__ import annotations
 
-import csv
 import math
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -195,9 +196,10 @@ class EmpiricalDemand:
     def n_periods(self) -> int:
         return self.samples.shape[1]
 
-    @property
+    @cached_property
     def row_sums(self) -> np.ndarray:
-        return self.samples.sum(axis=1)
+        """Total demand of each replicate, computed once and read-only."""
+        return _frozen(self.samples.sum(axis=1))
 
     @property
     def mean_per_period(self) -> float:
@@ -249,46 +251,81 @@ def sample_correlated(
     return model.mean + noise @ factor.T
 
 
+# Blank records hold only whitespace, commas and quotes.
+_BLANK = re.compile(r'[\s,"]*')
+# numpy's C tokenizer and float converter; the fast parse and the error rescan
+# both go through these settings, so they cannot disagree.
+_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}
+
+
 def load_demand_csv(path, skip_header: bool = False) -> EmpiricalDemand:
     """Read a demand-history CSV: rows are replicates, columns are periods.
 
-    The file must be rectangular and numeric.  Blank lines are ignored.
-    Parse failures report the offending row and column using 1-based
-    positions in the file.
+    Blank lines (only whitespace, commas or empty quotes) are ignored, and
+    with ``skip_header`` so is line 1 when it is not blank.  Cells may be
+    quoted and may have whitespace around them; line ends may be LF or CRLF.
+    Every other line must hold the same number of finite numbers.  A ragged
+    row, a cell that is not a number, a non-finite value (``nan``, ``inf``)
+    or an unbalanced quote raises ``DemandDataError`` naming the 1-based
+    line of the file (and the column, for a cell).
+
+    Cells are converted by numpy's parser, which reads the decimal and
+    exponent forms Python's ``float`` reads but not digit-group underscores
+    (``1_000``) or non-ASCII digits; those cells are rejected as not numbers.
     """
     path = Path(path)
-    rows: list[list[float]] = []
-    width = None
-    with path.open(newline="") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record or all(cell.strip() == "" for cell in record):
-                continue
-            if skip_header and not rows and lineno == 1:
-                continue
-            if width is None:
-                width = len(record)
-            elif len(record) != width:
-                raise DemandDataError(
-                    f"{path}: row {lineno} has {len(record)} columns, expected {width}"
-                )
-            parsed = []
-            for col, cell in enumerate(record, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DemandDataError(
-                        f"{path}: row {lineno}, column {col}: "
-                        f"could not parse {cell.strip()!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DemandDataError(
-                        f"{path}: row {lineno}, column {col}: value is not finite"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
-    if not rows:
+    text = path.read_text()
+    raw = text.splitlines()
+    kept = [i for i, line in enumerate(raw) if not _BLANK.fullmatch(line)]
+    if skip_header and kept and kept[0] == 0:
+        kept = kept[1:]
+    if not kept:
         raise DemandDataError(f"{path}: no demand rows found")
-    return EmpiricalDemand(np.array(rows))
+    lines = [raw[i] for i in kept]
+    # numpy would join a line that leaves a quote open with the next one, so
+    # such a file goes straight to the line-by-line rescan
+    balanced = '"' not in text or not any(line.count('"') % 2 for line in lines)
+    try:
+        data = np.loadtxt(lines, **_LOADTXT) if balanced else None
+    except ValueError:
+        data = None
+    if data is None or not np.isfinite(data).all():
+        raise _first_bad_row(path, lines, kept)
+    return EmpiricalDemand(data)
+
+
+def _first_bad_row(path: Path, lines: list[str], kept: list[int]) -> DemandDataError:
+    """The error of the first line that fails on its own, read by the same parser.
+
+    ``kept[k]`` is the 0-based file line of ``lines[k]``.
+    """
+    width = None
+    for line, i in zip(lines, kept):
+        where = f"{path}: row {i + 1}"
+        if line.count('"') % 2:
+            return DemandDataError(f"{where} has an unbalanced quote")
+        try:
+            row = np.loadtxt([line], **_LOADTXT)[0]
+        except ValueError:
+            row = np.loadtxt([line], dtype=str, **_LOADTXT)[0]
+        if width is None:
+            width = row.shape[0]
+        if row.shape[0] != width:
+            return DemandDataError(f"{where} has {row.shape[0]} columns, expected {width}")
+        if row.dtype.kind != "U" and np.isfinite(row).all():
+            continue
+        for col, cell in enumerate(row, start=1):
+            value = cell
+            if row.dtype.kind == "U":
+                try:
+                    value = np.loadtxt([line], usecols=[col - 1], **_LOADTXT)[0, 0]
+                except ValueError:
+                    return DemandDataError(
+                        f"{where}, column {col}: could not parse {cell.strip()!r} as a number"
+                    )
+            if not np.isfinite(value):
+                return DemandDataError(f"{where}, column {col}: value is not finite")
+    raise AssertionError("the demand rows parse one by one but not together")
 
 
 def model_from_dict(spec: dict, base_dir=None):

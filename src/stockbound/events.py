@@ -46,10 +46,19 @@ def event_mask(x: np.ndarray, thresholds, pattern: str, signs=None) -> np.ndarra
 
     Each commodity's column is compared once with its threshold and the
     column masks are joined with ``&`` (``|`` for the union), so no
-    draws-by-commodities boolean array is built.
+    draws-by-commodities boolean array is built.  The fungible pattern adds
+    the columns into one pooled column, in column order; numpy's row sum adds
+    rows of fewer than 8 elements in that order too, so the pooled demand is
+    bit-identical to ``x.sum(axis=1)``, which is used for wider rows.
     """
     if pattern == FUNGIBLE:
-        return x.sum(axis=1) >= float(np.asarray(thresholds).reshape(()))
+        level = float(np.asarray(thresholds).reshape(()))
+        if x.shape[1] >= 8:
+            return x.sum(axis=1) >= level
+        pooled = x[:, 0].copy()
+        for j in range(1, x.shape[1]):
+            pooled += x[:, j]
+        return pooled >= level
     if pattern not in (ALL_EXCEED, UNION, ORTHANT):
         raise ValueError(f"unknown stockout pattern {pattern!r}")
     t = np.asarray(thresholds, dtype=float).reshape(-1)

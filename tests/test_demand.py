@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stockbound import (
     DemandDataError,
@@ -16,6 +18,8 @@ from stockbound import (
     sample_correlated,
     validate_lead_time,
 )
+
+from oracles import load_demand_csv_reference
 
 
 class TestGaussianModel:
@@ -98,6 +102,15 @@ class TestEmpiricalDemand:
         assert d.n_periods == 2
         assert d.row_sums.tolist() == [3.0, 8.0]
         assert d.mean_per_period == pytest.approx(11.0 / 4.0)
+
+    def test_row_sums_computed_once_and_read_only(self, rng):
+        d = EmpiricalDemand(rng.gamma(2.0, 1.0, (500, 7)))
+        sums = d.row_sums
+        assert d.row_sums is sums
+        assert np.array_equal(sums, d.samples.sum(axis=1))
+        assert not sums.flags.writeable
+        with pytest.raises(ValueError):
+            sums[0] = 0.0
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -211,6 +224,129 @@ class TestCsvIngestion:
         path = tmp_path / "d.csv"
         path.write_text("1,2\n\n3,4\n")
         assert load_demand_csv(path).n_replicates == 2
+
+    def test_whitespace_and_comma_only_lines_ignored(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('1,2\n   \n,,\n \t , \n"",""\n3,4\n\n')
+        assert load_demand_csv(path).samples.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_crlf_quotes_and_surrounding_spaces(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b'1,2\r\n"3", 4 \r\n 5 ,"6"\r\n\t-7.5e-1\t," 8 " \r\n')
+        got = load_demand_csv(path).samples
+        assert got.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [-0.75, 8.0]]
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "1e400"])
+    def test_nonfinite_cell_names_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"1,2,3\n4,5,{cell}\n")
+        with pytest.raises(DemandDataError, match="row 2, column 3: value is not finite"):
+            load_demand_csv(path)
+
+    def test_ragged_row_after_blank_lines_names_file_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2\n\n  \n,\n1,2\n1,2,3\n")
+        with pytest.raises(DemandDataError, match="row 6 has 3 columns, expected 2"):
+            load_demand_csv(path)
+
+    def test_non_numeric_cell_after_blank_lines_names_file_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('\n1,2\n""\n\n1, x \n')
+        with pytest.raises(DemandDataError, match="row 5, column 2: could not parse 'x'"):
+            load_demand_csv(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # the first bad line is reported, whatever is wrong further down
+            "1,2\n3,inf\n4,y\n5,6,7\n",
+            "1,2\n\n1,2,3\n1,x\n",
+            "1,2\n1,x\n1,2,3\n",
+            "1,2\n1,x,3\n",
+            "1,2\n, ,\n-inf,x\n",
+            '1,2\n3,4\n"5",  "nan"\n',
+            "1;2\n3;4\n",
+            "\n\n",
+        ],
+    )
+    def test_errors_match_reference_parser(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DemandDataError) as want:
+            load_demand_csv_reference(path)
+        with pytest.raises(DemandDataError) as got:
+            load_demand_csv(path)
+        assert str(got.value) == str(want.value)
+
+    def test_unbalanced_quote_names_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('1,2\n3,"4\n5",6\n')
+        with pytest.raises(DemandDataError, match="row 2"):
+            load_demand_csv(path)
+
+    def test_skip_header_skips_only_line_one(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2\n3,4\n")
+        assert load_demand_csv(path, skip_header=True).samples.tolist() == [[3.0, 4.0]]
+        # a header below a blank first line is data, and not a number
+        path.write_text("\np1,p2\n1,2\n")
+        with pytest.raises(DemandDataError, match="row 2, column 1: could not parse 'p1'"):
+            load_demand_csv(path, skip_header=True)
+        path.write_text("p1,p2\np1,p2\n1,2\n")
+        with pytest.raises(DemandDataError, match="row 2, column 1"):
+            load_demand_csv(path, skip_header=True)
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662"])
+    def test_underscores_and_non_ascii_digits_rejected(self, tmp_path, cell):
+        # Python's float reads these; numpy's parser does not
+        path = tmp_path / "d.csv"
+        path.write_text(f"1,2\n3,{cell}\n", encoding="utf-8")
+        with pytest.raises(DemandDataError, match="row 2, column 2: could not parse"):
+            load_demand_csv(path)
+
+    def test_full_precision_round_trip_is_bit_identical(self, tmp_path):
+        data = np.random.default_rng(7).gamma(2.0, 1.3, (4000, 10))
+        data[0, :3] = [5e-324, -0.0, 1.7976931348623157e308]
+        path = tmp_path / "d.csv"
+        np.savetxt(path, data, delimiter=",", fmt="%.17g")
+        got = load_demand_csv(path).samples
+        assert got.shape == data.shape
+        assert got.tobytes() == data.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_parser_on_well_formed_files(self, tmp_path_factory, data):
+        shape = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 5)), label="shape")
+        values = data.draw(
+            st.lists(
+                # bounded, so no rounded spelling overflows to inf
+                st.floats(-1e300, 1e300),
+                min_size=shape[0] * shape[1],
+                max_size=shape[0] * shape[1],
+            ),
+            label="values",
+        )
+        spelling = st.sampled_from([repr, "{:.17g}".format, "{:e}".format, "{:.3f}".format, "{:+.5G}".format])
+        pad = st.sampled_from(["", " ", "\t", "  "])
+        blank = st.sampled_from(["", " ", "\t", ",", " , ,", '""', '"",""'])
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+        header = data.draw(st.booleans(), label="header")
+        lines = [",".join(f"p{j}" for j in range(shape[1]))] if header else []
+        for r in range(shape[0]):
+            lines += data.draw(st.lists(blank, max_size=2), label="blanks")
+            cells = []
+            for c in range(shape[1]):
+                text = data.draw(pad) + data.draw(spelling)(values[r * shape[1] + c]) + data.draw(pad)
+                if data.draw(st.booleans()):
+                    text = f'"{text}"' + data.draw(pad)
+                cells.append(text)
+            lines.append(",".join(cells))
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_bytes((newline.join(lines) + data.draw(st.sampled_from(["", newline]))).encode())
+        got = load_demand_csv(path, skip_header=header).samples
+        want = load_demand_csv_reference(path, skip_header=header).samples
+        assert got.shape == want.shape == shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestModelFromDict:

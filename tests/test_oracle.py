@@ -30,6 +30,7 @@ from oracles import (
     density_joint_tail,
     event_mask_reference,
     mpmath_joint_tail,
+    owens_t_joint_tail,
     quad_normal_upper_tail,
     sample_bivariate_exceed,
 )
@@ -193,6 +194,27 @@ class TestBivariateJointTail:
         with pytest.raises(RuntimeError, match="relative target"):
             bivariate_joint_tail(TailQuery(7.0, 7.0, 1.0 - 1e-13))
 
+    @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.5, 0.9])
+    def test_matches_owens_t_route_on_moderate_tails(self, rho):
+        # a third route: Owen's T in double precision, for tails of 1e-8 and up
+        grid = (-2.5, -1.3, -0.4, 0.25, 0.9, 1.7, 2.6, 3.5, 4.4, 5.3)
+        checked = 0
+        for a in grid:
+            for b in grid:
+                want = owens_t_joint_tail(a, b, rho)
+                if want < 1e-8:
+                    continue
+                got = bivariate_joint_tail(TailQuery(a, b, rho)).probability
+                assert got == pytest.approx(want, rel=QUADRATURE_TARGET), (a, b)
+                checked += 1
+        assert checked >= 30
+
+    def test_owens_t_route_against_mpmath(self):
+        pytest.importorskip("mpmath")
+        cases = [(5.3, 0.9, 0.0), (-0.4, 5.3, 0.0), (0.9, 3.5, -0.5), (-2.5, 4.4, 0.9), (1.7, 1.7, -0.9), (-1.3, -0.4, 0.5)]
+        for a, b, rho in cases:
+            assert owens_t_joint_tail(a, b, rho) == pytest.approx(mpmath_joint_tail(a, b, rho, dps=60), rel=1e-10)
+
     def test_monotone_in_correlation(self):
         probs = [
             bivariate_joint_tail(TailQuery(0.8, 0.8, rho)).probability
@@ -331,6 +353,29 @@ class TestEventMask:
         want = event_mask_reference(x, thresholds, pattern, signs)
         assert got.dtype == bool and got.shape == (50_000,)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [2, 3, 7, 8, 9])
+    def test_fungible_pooled_sum_matches_row_sum(self, dim):
+        rng = np.random.default_rng(dim)
+        # one decimal, so many pooled sums tie with the threshold and a
+        # different addition order would flip some of them
+        x = np.round(rng.standard_normal((50_000, dim)), 1)
+        for level in (0.0, 0.3, 1.1):
+            assert np.array_equal(event_mask(x, level, FUNGIBLE), event_mask_reference(x, level, FUNGIBLE))
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_fungible_hit_counts_match_row_sums(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        model = GaussianModel(np.zeros(dim), (q * rng.uniform(0.2, 2.0, dim)) @ q.T)
+        got = joint_tail_monte_carlo(model, 2.0, 3, 300_000, 29, FUNGIBLE)
+        draws_rng = np.random.default_rng(29)
+        factor = math.sqrt(3) * covariance_factor(model)
+        want = 0
+        for block in (1 << 18, 300_000 - (1 << 18)):
+            draws = draws_rng.standard_normal((block, dim)) @ factor.T
+            want += int(event_mask_reference(draws, 2.0, FUNGIBLE).sum())
+        assert got.hits == want > 0
 
     def test_unknown_pattern(self):
         with pytest.raises(ValueError, match="unknown stockout pattern"):
