@@ -26,7 +26,6 @@ from .demand import (
     covariance_factor,
     load_demand_csv,
     model_from_dict,
-    sample_correlated,
     validate_lead_time,
 )
 from .events import ALL_EXCEED, FUNGIBLE, ORTHANT, PATTERNS, UNION, event_mask
@@ -53,7 +52,6 @@ from .rates import (
     UnreachableRateError,
     chernoff_bound,
     invert_rate,
-    rate_gaussian_closed,
     rate_numeric,
 )
 
@@ -94,9 +92,7 @@ __all__ = [
     "model_from_dict",
     "normal_upper_tail",
     "normal_upper_tail_inverse",
-    "rate_gaussian_closed",
     "rate_numeric",
-    "sample_correlated",
     "ss_fungible",
     "ss_previous",
     "ss_proposed",

@@ -9,8 +9,9 @@ minimum at the origin.
 
 The Weibull MGF is finite everywhere for shape above 1 and is evaluated in
 log space by a fixed-node double-exponential quadrature (Takahasi and Mori
-1974) centred on the peak of its integrand; shape 1 is exponential demand,
-in closed form.
+1974) centred on the peak of its integrand; for negative arguments its step
+is halved until the result settles.  Shape 1 is exponential demand, in
+closed form.
 
 The empirical estimator follows the plug-in rule
 
@@ -24,6 +25,7 @@ probability that the inner sample mean misses the true moment by more than
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -100,17 +102,50 @@ def gaussian_cgf(model: GaussianModel) -> CgfEvaluator:
     return CgfEvaluator(dim=model.dim, domain=None, model=model, _value_and_grad=both)
 
 
-# Exp-sinh rule on (0, inf) (Takahasi and Mori 1974): nodes exp(pi/2 sinh x)
-# and their log weights at x = j * step in [-4.5, 4], past which nothing counts.
 _DE_STEP = 0.05
-_DE_X = _DE_STEP * np.arange(-90, 81)
-_DE_LOG_NODE = 0.5 * math.pi * np.sinh(_DE_X)
-_DE_NODE = np.exp(_DE_LOG_NODE)
-_DE_LOG_WEIGHT = np.log(0.5 * math.pi * _DE_STEP * np.cosh(_DE_X)) + _DE_LOG_NODE
+
+
+@functools.cache
+def _de_rule(refine: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exp-sinh rule on (0, inf) (Takahasi and Mori 1974) at step ``_DE_STEP / refine``.
+
+    Returns the log nodes ``pi/2 sinh x``, the nodes and their log weights at
+    ``x = j * step`` in [-4.5, 4], past which nothing counts.
+    """
+    step = _DE_STEP / refine
+    x = step * np.arange(-90 * refine, 80 * refine + 1)
+    log_node = 0.5 * math.pi * np.sinh(x)
+    rule = (log_node, np.exp(log_node), np.log(0.5 * math.pi * step * np.cosh(x)) + log_node)
+    for arr in rule:
+        arr.setflags(write=False)  # shared by every caller through the cache
+    return rule
+
+
 # The rule splits at the integrand's peak once that sits sqrt(_PEAK_SPLIT) peak
 # widths from 0: one rule over both sides would then be too coarse at the
 # peak, and the integrand at 0 is below exp(-_PEAK_SPLIT) of it.
 _PEAK_SPLIT = 49.0
+# Below u = 0 the rule's step is halved until log M and the relative slope
+# change by at most this much; the coarser result is the one returned.
+_SETTLED = 2e-12
+# Finest step tried: _DE_STEP / _MAX_REFINE.
+_MAX_REFINE = 4
+
+
+def _log_sum(log_f: np.ndarray, root: np.ndarray, base: float, scale: float) -> tuple[float, float]:
+    """``log M`` and its slope from the rule's log terms and ``X / scale`` at its nodes."""
+    top = float(log_f.max())
+    f = np.exp(log_f - top)
+    total = float(f.sum())
+    return base + top + math.log(total), scale * float(f @ root) / total
+
+
+def _centred_rule(a: float, k: float, scale: float, log_c: float, refine: int) -> tuple[float, float]:
+    """The exp-sinh rule over ``(0, inf)`` scaled to ``t = exp(log_c)``."""
+    log_node, node, log_weight = _de_rule(refine)
+    root = np.exp((log_c + log_node) / k)
+    log_f = a * root - math.exp(log_c) * node + log_weight
+    return _log_sum(log_f, root, log_c, scale)
 
 
 def _weibull_log_mgf_and_slope(model: WeibullModel, u: float) -> tuple[float, float]:
@@ -123,6 +158,11 @@ def _weibull_log_mgf_and_slope(model: WeibullModel, u: float) -> tuple[float, fl
     ``t*`` both ways, scaled by the width and cut at 0; otherwise one rule
     covers ``(0, inf)``, scaled to where the mass sits.  Sums are taken
     relative to their largest term.  ``M(0) = 1`` and ``M'(0)`` is the mean.
+
+    For ``a < 0`` the factor ``exp(-t)`` cuts the integrand off near
+    ``t = 1``, over about one unit of ``log t``.  High shapes put the mass
+    far below that, where the rule's nodes are coarse, so there the step is
+    halved until the result settles to ``_SETTLED``.
     """
     if u == 0.0:
         return 0.0, model.mean
@@ -142,31 +182,32 @@ def _weibull_log_mgf_and_slope(model: WeibullModel, u: float) -> tuple[float, fl
         # t = t* (1 + r): the log-integrand less its peak value is
         # t* (k ((1 + r)^(1/k) - 1) - r), free of cancellation near the peak.
         width = math.sqrt(k / ((k - 1.0) * peak))  # relative to t*
-        left = _DE_NODE < 1.0 / width
-        r = width * np.concatenate([_DE_NODE, -_DE_NODE[left]])
-        log_weight = np.concatenate([_DE_LOG_WEIGHT, _DE_LOG_WEIGHT[left]])
+        _, node, log_weight = _de_rule(1)
+        left = node < 1.0 / width
+        r = width * np.concatenate([node, -node[left]])
+        log_weight = np.concatenate([log_weight, log_weight[left]])
         shrink = np.log1p(r) / k
         log_f = peak * (k * np.expm1(shrink) - r) + log_weight
         root = np.exp(log_peak / k + shrink)
-        base = (k - 1.0) * peak + math.log(width * peak)
-    else:
-        if a > 0.0:
-            log_c = math.log1p(peak)
-        else:
-            # The log-integrand peaks in log t at t = w^k, where w^k + b w = 1
-            # for b = -a / k.  One Newton step from min(1, 1 / b), above w on
-            # this convex curve, lands close enough to centre the rule.
-            b = -a / k
-            w = min(1.0, 1.0 / b)
-            w -= (w**k + b * w - 1.0) / (k * w ** (k - 1.0) + b)
-            log_c = k * math.log(w)
-        root = np.exp((log_c + _DE_LOG_NODE) / k)
-        log_f = a * root - math.exp(log_c) * _DE_NODE + _DE_LOG_WEIGHT
-        base = log_c
-    top = float(log_f.max())
-    f = np.exp(log_f - top)
-    total = float(f.sum())
-    return base + top + math.log(total), scale * float(f @ root) / total
+        return _log_sum(log_f, root, (k - 1.0) * peak + math.log(width * peak), scale)
+    if a > 0.0:
+        return _centred_rule(a, k, scale, math.log1p(peak), 1)
+    # The log-integrand peaks in log t at t = w^k, where w^k + b w = 1 for
+    # b = -a / k.  One Newton step from min(1, 1 / b), above w on this convex
+    # curve, lands close enough to centre the rule.
+    b = -a / k
+    w = min(1.0, 1.0 / b)
+    w -= (w**k + b * w - 1.0) / (k * w ** (k - 1.0) + b)
+    log_c = k * math.log(w)
+    value, slope = _centred_rule(a, k, scale, log_c, 1)
+    refine = 2
+    while refine <= _MAX_REFINE:
+        finer, finer_slope = _centred_rule(a, k, scale, log_c, refine)
+        if abs(finer - value) <= _SETTLED and abs(finer_slope - slope) <= _SETTLED * finer_slope:
+            break
+        value, slope = finer, finer_slope
+        refine *= 2
+    return value, slope
 
 
 def weibull_log_mgf(model: WeibullModel, u: float, centered: bool = False) -> float:

@@ -38,7 +38,6 @@ from .demand import (
     GaussianModel,
     WeibullModel,
     model_from_dict,
-    sample_correlated,
     validate_lead_time,
 )
 from .oracle import joint_tail_monte_carlo
@@ -174,19 +173,15 @@ def _parse_grid(text: str, lo: float, hi: float) -> tuple[float, float, int]:
     raise UsageError(f"bad grid {text!r}: expected COUNT or LO:HI:COUNT")
 
 
-def _describe_model(model) -> str:
-    if isinstance(model, GaussianModel):
-        if model.dim == 1:
-            return f"gaussian dim=1 sigma={_fmt(math.sqrt(model.covariance[0, 0]))}"
-        if model.dim == 2:
-            return (
-                f"gaussian dim=2 sigma_x={_fmt(math.sqrt(model.var_x))} "
-                f"sigma_y={_fmt(math.sqrt(model.var_y))} rho={_fmt(model.correlation)}"
-            )
-        return f"gaussian dim={model.dim}"
-    if isinstance(model, WeibullModel):
-        return f"weibull shape={_fmt(model.shape)} scale={_fmt(model.scale)}"
-    return f"empirical replicates={model.n_replicates} periods={model.n_periods}"
+def _describe_model(model: GaussianModel) -> str:
+    if model.dim == 1:
+        return f"gaussian dim=1 sigma={_fmt(math.sqrt(model.covariance[0, 0]))}"
+    if model.dim == 2:
+        return (
+            f"gaussian dim=2 sigma_x={_fmt(math.sqrt(model.var_x))} "
+            f"sigma_y={_fmt(math.sqrt(model.var_y))} rho={_fmt(model.correlation)}"
+        )
+    return f"gaussian dim={model.dim}"
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +307,14 @@ def _scalar_samples(opts: _Options, model, lead: int) -> EmpiricalDemand:
     if count < 2:
         raise UsageError("estimation needs at least 2 replicates")
     seed = opts.get("seed", int, required=True)
+    rng = np.random.default_rng(seed)
     if isinstance(model, GaussianModel):
         if model.dim != 1:
             raise UsageError("estimate-cgf works with one-dimensional demand")
-        return EmpiricalDemand(sample_correlated(model, lead, count, seed)[:, :, 0])
-    rng = np.random.default_rng(seed)
-    draws = model.scale * rng.weibull(model.shape, size=(count, lead))
+        sd = math.sqrt(model.covariance[0, 0])
+        draws = model.mean[0] + rng.standard_normal((count, lead)) * sd
+    else:
+        draws = model.scale * rng.weibull(model.shape, size=(count, lead))
     return EmpiricalDemand(draws)
 
 
@@ -410,10 +407,7 @@ def main(argv=None) -> int:
     }
     try:
         return commands[args.command](_Options(args))
-    except UsageError as exc:
-        print(f"stockbound: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, OSError) as exc:
+    except (UsageError, ValueError, TypeError, OSError) as exc:
         print(f"stockbound: {exc}", file=sys.stderr)
         return 2
 

@@ -1,14 +1,10 @@
-"""Demand models, correlated sampling, and demand-history ingestion.
+"""Demand models, covariance factors, and demand-history ingestion.
 
 Demand over a replenishment lead time of ``L`` periods is a sum of per-period
 draws that are independent across periods but may be correlated across
 commodities within a period.  All tail machinery downstream works on the
 mean-centered deviation of demand from its per-period mean; the raw mean
 enters only at ingestion and when order points are reported.
-
-Sampling uses numpy's PCG64 generator (``numpy.random.default_rng``).  Every
-sampling call takes an explicit seed so runs are bit-reproducible; parallel
-replicates should derive disjoint streams by seeding with ``[seed, index]``.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ __all__ = [
     "covariance_factor",
     "load_demand_csv",
     "model_from_dict",
-    "sample_correlated",
+    "validate_lead_time",
 ]
 
 # Covariance eigenvalues may dip slightly negative from rounding; anything
@@ -229,26 +225,6 @@ def covariance_factor(model: GaussianModel) -> np.ndarray:
     except np.linalg.LinAlgError:
         eigvals, eigvecs = np.linalg.eigh(cov)
         return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-
-
-def sample_correlated(
-    model: GaussianModel, lead_time: int, count: int, seed: int
-) -> np.ndarray:
-    """Draw ``count`` demand paths of ``lead_time`` periods.
-
-    Returns an array of shape ``(count, lead_time, N)``.  Each period is an
-    independent N(mean, covariance) draw; results are bit-identical for a
-    given seed.
-    """
-    lead_time = validate_lead_time(lead_time)
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if seed is None:
-        raise ValueError("a seed is required")
-    factor = covariance_factor(model)
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((count, lead_time, model.dim))
-    return model.mean + noise @ factor.T
 
 
 # Blank records hold only whitespace, commas and quotes.

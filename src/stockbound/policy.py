@@ -153,8 +153,6 @@ def ss_proposed(
             dx, dy = delta_split if delta_split is not None else (root, root)
             if not (0.0 < dx < 1.0 and 0.0 < dy < 1.0):
                 raise ValueError("split rates must lie strictly between 0 and 1")
-            if abs(dx * dy - delta) > 1e-12 * delta:
-                raise ValueError("rate split must multiply back to delta")
             vx, vy, rho = model.var_x, model.var_y, model.correlation
             ss_x = math.sqrt(2.0 * lead * vx * math.log(1.0 / dx))
             ss_y = rho * math.sqrt(vy / vx) * ss_x + math.sqrt(
@@ -172,8 +170,6 @@ def ss_proposed(
         split = tuple(float(d) for d in delta_split)
         if len(split) != n:
             raise ValueError("one split rate per commodity is required")
-        if abs(math.prod(split) - delta) > 1e-12 * delta:
-            raise ValueError("rate split must multiply back to delta")
     else:
         split = (delta ** (1.0 / n),) * n
     # Per-commodity inversion certifies the product rate for independent demand.

@@ -28,15 +28,14 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from . import events
-from .cgf import CgfEvaluator, gaussian_cgf
-from .demand import GaussianModel, validate_lead_time
+from .cgf import CgfEvaluator
+from .demand import validate_lead_time
 
 __all__ = [
     "RateResult",
     "UnreachableRateError",
     "chernoff_bound",
     "invert_rate",
-    "rate_gaussian_closed",
     "rate_numeric",
 ]
 
@@ -62,9 +61,8 @@ class RateResult:
     ``rate`` is per degree: multiply by lead time and commodity count to get
     the exponent of the probability bound.  ``u_star`` is the point that
     achieved it, always inside the sign cone and the CGF's domain.
-    ``iterations`` counts solver iterations (0 for a closed form), and
-    ``converged`` records whether the KKT residual at ``u_star`` met the
-    stopping rule.
+    ``iterations`` counts L-BFGS-B iterations, and ``converged`` records
+    whether the KKT residual at ``u_star`` met the stopping rule.
     """
 
     epsilon: np.ndarray
@@ -153,44 +151,11 @@ def rate_numeric(cgf: CgfEvaluator, epsilon, signs=None) -> RateResult:
     residual = float(np.abs(res.x - np.clip(res.x - res.jac, lo, hi)).max())
     return RateResult(
         epsilon=eps,
-        rate=max(-float(res.fun), 0.0) / cgf.dim,
+        rate=max(0.0, -float(res.fun)) / cgf.dim,
         u_star=s * res.x,
         iterations=int(res.nit),
         converged=residual <= gtol,
     )
-
-
-def rate_gaussian_closed(model: GaussianModel, epsilon) -> RateResult:
-    """Gaussian rate in closed form where the orthant constraint is slack.
-
-    The unconstrained maximizer is ``u* = Sigma^{-1} eps`` with per-degree
-    rate ``eps . u* / (2 N)``; for singular covariance the pseudoinverse
-    solution is used.  When ``u*`` has a negative coordinate, or the margin
-    lies outside the covariance's range (the unconstrained rate is then
-    infinite, but the orthant-constrained one need not be), ``rate_numeric``
-    solves the constrained problem instead.
-    """
-    eps = np.asarray(epsilon, dtype=float).reshape(-1)
-    n = model.dim
-    if eps.shape[0] != n:
-        raise ValueError(f"margin has {eps.shape[0]} coordinates, expected {n}")
-    eigvals, eigvecs = np.linalg.eigh(model.covariance)
-    cutoff = 1e-12 * max(float(eigvals.max(initial=0.0)), 1.0)
-    live = eigvals > cutoff
-    coeff = eigvecs.T @ eps
-    null_part = np.where(live, 0.0, coeff)
-    in_range = np.all(np.abs(null_part) <= 1e-9 * max(1.0, float(np.abs(eps).max(initial=0.0))))
-    u = eigvecs @ np.where(live, coeff / np.where(live, eigvals, 1.0), 0.0)
-    if in_range and np.all(u >= -1e-12):
-        u = np.maximum(u, 0.0)
-        return RateResult(
-            epsilon=eps,
-            rate=max(0.5 * float(eps @ u), 0.0) / n,
-            u_star=u,
-            iterations=0,
-            converged=True,
-        )
-    return rate_numeric(gaussian_cgf(model), eps)
 
 
 def _increasing_root(cgf: CgfEvaluator, f) -> tuple[float, bool]:
@@ -329,15 +294,11 @@ def chernoff_bound(
         rate = _scalar_rate(_along(cgf, np.ones(cgf.dim)), eps)
         return min(1.0, math.exp(-lead * rate))
     eps = np.asarray(epsilon, dtype=float).reshape(-1)
-    events.check_pattern(pattern, cgf.dim, signs)
-    if pattern == events.ALL_EXCEED:
-        result = rate_numeric(cgf, eps)
-        return min(1.0, math.exp(-result.exponent(lead)))
-    if pattern == events.ORTHANT:
-        result = rate_numeric(cgf, eps, signs=signs)
-        return min(1.0, math.exp(-result.exponent(lead)))
+    cone = events.check_pattern(pattern, cgf.dim, signs)
     if pattern == events.UNION:
         first_rate = _scalar_rate(_along(cgf, np.eye(cgf.dim)[0]), eps[0])
         mixed = rate_numeric(cgf, eps, signs=np.array([-1.0, 1.0]))
         return min(1.0, math.exp(-lead * first_rate) + math.exp(-mixed.exponent(lead)))
-    raise ValueError(f"unknown stockout pattern {pattern!r}")
+    # all_exceed or orthant: check_pattern gives signs only for the orthant
+    result = rate_numeric(cgf, eps, signs=cone)
+    return min(1.0, math.exp(-result.exponent(lead)))

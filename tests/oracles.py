@@ -199,38 +199,84 @@ def owens_t_joint_tail(a: float, b: float, rho: float) -> float:
 
 
 def mpmath_weibull_log_mgf(shape: float, scale: float, u: float, dps: int = 30) -> tuple[float, float]:
-    """``log E[exp(u X)]`` and its derivative in ``u`` for Weibull ``X``, in ``dps``-digit mpmath.
+    """``log E[exp(u X)]`` and its derivative in ``u`` for Weibull ``X``, in mpmath.
 
-    With ``t = (X / scale)^shape`` and ``a = u * scale`` the moments are
-    ``int t^(j / shape) exp(a t^(1/shape) - t) dt`` over ``t > 0`` for
-    ``j = 0, 1``.  mpmath's adaptive tanh-sinh quadrature integrates them with
-    the log-integrand's peak value factored out, on intervals split around
-    where the mass sits: the peak ``(a / shape)^(shape / (shape - 1))`` and a
-    few of its widths for ``a > 0``, and decades around
-    ``(shape / (shape - a))^shape`` for ``a <= 0``.  Needs mpmath and
-    ``shape > 1``.
+    With ``x = X / scale = e^s`` and ``a = u * scale``, the moments
+    ``E[X^j exp(u X)]`` are ``scale^j * shape`` times the integral over all
+    real ``s`` of ``exp((shape + j) s + a e^s - e^(shape s))``, for j = 0, 1.
+    Each log-integrand has one peak, found by bisection on its slope.  mpmath's
+    tanh-sinh quadrature integrates it with the peak value factored out, on
+    intervals split 1, 4 and 16 peak widths either side of the peak and at
+    ``s = 0``, where ``exp(-x^shape)`` cuts the integrand off, and ending
+    where it is below ``e^-250`` of its peak.  The working precision is
+    ``dps`` digits plus those of the peak value, which the exponent cancels
+    against.  Needs mpmath and ``shape > 1``.
     """
     import mpmath
 
-    with mpmath.workdps(dps):
-        k, a = mpmath.mpf(shape), mpmath.mpf(u) * mpmath.mpf(scale)
-        points = {mpmath.mpf(0)}
-        if a > 0:
-            peak = (a / k) ** (k / (k - 1))
-            shift = (k - 1) * peak
-            width = mpmath.sqrt(k * peak / (k - 1))
-            points.update(p for m in (-16, -4, -1, 0, 1, 4, 16) if (p := peak + m * width) > 0)
-        else:
-            shift = mpmath.mpf(0)
-            mass = (k / (k - a)) ** k
-            points.update(mass * mpmath.mpf(10) ** j for j in range(-2, 3))
-        intervals = sorted(points) + [mpmath.inf]
+    def log_moment(power: int, digits: int):
+        with mpmath.workdps(digits):
+            k, a = mpmath.mpf(shape), mpmath.mpf(u) * mpmath.mpf(scale)
+            p = k + power
+            log_f = lambda s: p * s + a * mpmath.exp(s) - mpmath.exp(k * s)
+            slope = lambda s: p + a * mpmath.exp(s) - k * mpmath.exp(k * s)
+            lo, hi = mpmath.mpf(-1), mpmath.mpf(1)
+            while slope(lo) <= 0:
+                lo *= 2
+            while slope(hi) >= 0:
+                hi *= 2
+            for _ in range(100):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+            peak = (lo + hi) / 2
+            top = log_f(peak)
+            needed = dps + int(mpmath.log10(abs(top) + 1))
+            if digits < needed:
+                return log_moment(power, needed)
+            width = 1 / mpmath.sqrt(k * p + (k - 1) * a * mpmath.exp(peak))
+            ends = []
+            for side in (-1, 1):
+                m = 1
+                while log_f(peak + side * m * width) - top > -250:
+                    m *= 2
+                ends.append(peak + side * m * width)
+            inner = {peak + m * width for m in (-16, -4, -1, 0, 1, 4, 16)} | {mpmath.mpf(0)}
+            points = [ends[0], *sorted(x for x in inner if ends[0] < x < ends[1]), ends[1]]
+            return top + mpmath.log(k * mpmath.quad(lambda s: mpmath.exp(log_f(s) - top), points))
 
-        def moment(power):
-            return mpmath.quad(lambda t: t ** (power / k) * mpmath.exp(a * t ** (1 / k) - t - shift), intervals)
+    log_m0, log_m1 = log_moment(0, dps), log_moment(1, dps)
+    return float(log_m0), float(scale * mpmath.exp(log_m1 - log_m0))
 
-        m0 = moment(0)
-        return float(shift + mpmath.log(m0)), float(scale * moment(1) / m0)
+
+def trapezoid_weibull_log_mgf(shape: float, scale: float, u: float, nodes: int = 400_001) -> tuple[float, float]:
+    """``log E[exp(u X)]`` and its derivative in ``u`` by the trapezoid rule, in double precision.
+
+    The integrand of ``mpmath_weibull_log_mgf`` for j = 0, summed on
+    ``nodes`` equally spaced points of ``s = log(X / scale)`` from 80 / shape
+    (or 60 peak widths, if more) below its peak to 60 peak widths above; the
+    slope is the mean of ``X`` under the same weights.  For negative ``u``,
+    where the peak width is at least ``1 / sqrt(shape + 1)`` or so.
+    """
+    k, a = shape, u * scale
+    slope = lambda s: k + a * math.exp(s) - k * math.exp(k * s)
+    lo, hi = -1.0, 1.0
+    while slope(lo) <= 0.0:
+        lo *= 2.0
+    while slope(hi) >= 0.0:
+        hi *= 2.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
+    peak = 0.5 * (lo + hi)
+    width = 1.0 / math.sqrt(k * k + (k - 1.0) * a * math.exp(peak))
+    start = peak - max(60.0 * width, 80.0 / k)
+    step = (peak + 60.0 * width - start) / (nodes - 1)
+    s = start + step * np.arange(nodes)
+    log_f = k * s + a * np.exp(s) - np.exp(k * s)
+    top = float(log_f.max())
+    f = np.exp(log_f - top)
+    total = float(f.sum())
+    return top + math.log(k * total * step), scale * float(f @ np.exp(s)) / total
 
 
 def event_mask_reference(x, thresholds, pattern: str, signs=None):

@@ -1,0 +1,50 @@
+"""The public API: every exported name resolves and comes from a submodule."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import stockbound
+
+SUBMODULES = [
+    importlib.import_module(f"stockbound.{info.name}")
+    for info in sorted(pkgutil.iter_modules(stockbound.__path__), key=lambda info: info.name)
+    if not info.name.startswith("_")
+]
+
+
+def test_submodules_are_found():
+    names = {module.__name__ for module in SUBMODULES}
+    assert {"stockbound.cgf", "stockbound.demand", "stockbound.rates"} <= names
+
+
+@pytest.mark.parametrize("module", [stockbound, *SUBMODULES], ids=lambda module: module.__name__)
+def test_every_exported_name_resolves(module):
+    assert len(set(module.__all__)) == len(module.__all__)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_package_exports_come_from_the_submodules():
+    exported = {}
+    for module in SUBMODULES:
+        for name in module.__all__:
+            exported.setdefault(name, []).append(getattr(module, name))
+    stray = [
+        name
+        for name in stockbound.__all__
+        if name != "__version__"
+        and not any(getattr(stockbound, name) is obj for obj in exported.get(name, []))
+    ]
+    assert stray == []
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("rates", "rate_gaussian_closed"), ("demand", "sample_correlated")],
+)
+def test_removed_names_are_gone(module, name):
+    assert not hasattr(stockbound, name)
+    assert name not in stockbound.__all__
+    assert not hasattr(importlib.import_module(f"stockbound.{module}"), name)

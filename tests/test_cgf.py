@@ -20,7 +20,7 @@ from stockbound import (
     weibull_log_mgf,
 )
 
-from oracles import mpmath_weibull_log_mgf, quad_weibull_log_mgf
+from oracles import mpmath_weibull_log_mgf, quad_weibull_log_mgf, trapezoid_weibull_log_mgf
 
 # Frozen from the quadrature oracle below; weibull_log_mgf must land within 1e-10.
 WEIBULL_2_1_RAW_AT_HALF = 0.4712732761677853
@@ -166,6 +166,28 @@ class TestWeibullSeries:
         for scale in (0.5, 3.0):
             for u in (-30.0, -1.0, 0.2, 3.0, 20.0):
                 _assert_matches_mpmath(shape, scale, u)
+
+    @pytest.mark.parametrize("shape, scale", [(10.0, 1.0), (12.0, 0.5), (20.0, 1.0), (30.0, 2.0)])
+    def test_high_shapes_match_mpmath(self, shape, scale):
+        # Near u * scale = -2 shape, exp(-t) cuts the integrand off far above
+        # its peak, where the unrefined rule's nodes are coarse: it was off by
+        # 1e-10 in value at shape 20 and by 3.9e-10 in slope at shape 30.
+        pytest.importorskip("mpmath")
+        model = WeibullModel(shape, scale)
+        cgf = weibull_cgf(model)
+        for ratio in (-8.0, -4.0, -2.5, -2.0, -1.75, -1.5, -1.25, 2.0):
+            u = ratio * shape / scale
+            want, want_slope = mpmath_weibull_log_mgf(shape, scale, u)
+            assert weibull_log_mgf(model, u) == pytest.approx(want, rel=1e-11)
+            assert cgf.gradient([u])[0] + model.mean == pytest.approx(want_slope, rel=1e-11)
+
+    @pytest.mark.parametrize("u", [-60.0, -90.0, -120.0])
+    def test_reference_agrees_with_log_x_trapezoid(self, u):
+        # The former reference, an mpmath quadrature in t = (X / scale)^shape,
+        # was off by 7.3e-5 in slope at shape 30, u = -120.
+        pytest.importorskip("mpmath")
+        want = trapezoid_weibull_log_mgf(30.0, 1.0, u)
+        assert mpmath_weibull_log_mgf(30.0, 1.0, u) == pytest.approx(want, rel=1e-12)
 
     def test_shape_below_one_refused(self):
         with pytest.raises(CgfDomainError, match="shape < 1"):

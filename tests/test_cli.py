@@ -13,11 +13,15 @@ import pytest
 
 import stockbound
 from stockbound import (
+    EmpiricalDemand,
     GaussianModel,
     TailQuery,
     WeibullModel,
     bivariate_joint_tail,
     compare_policies,
+    covariance_factor,
+    empirical_cgf_estimate,
+    estimation_certificate,
     joint_tail_monte_carlo,
     weibull_log_mgf,
 )
@@ -115,6 +119,11 @@ class TestUsageErrors:
 
     def test_figest_needs_seed(self, capsys):
         code, _, err = run_cli(capsys, "figure", "figest")
+        assert code == 2
+        assert "--seed is required" in err
+
+    def test_estimate_needs_seed(self, capsys):
+        code, _, err = run_cli(capsys, "estimate-cgf", "--model", "gauss1")
         assert code == 2
         assert "--seed is required" in err
 
@@ -336,6 +345,27 @@ class TestEstimateCgf:
         origin = rows[2]
         assert origin[1] == 0.0
         assert origin[4] == 0.0
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    def test_gaussian_rows_match_the_former_sampler(self, capsys, sigma):
+        # The replicates are lead-time paths of N(mean, covariance) draws,
+        # mean + noise @ factor.T, with noise of shape (trials, L, 1) from
+        # the seeded generator; the estimate and half width come from them.
+        code, out, _ = run_cli(
+            capsys, "estimate-cgf", "--model", "gauss1", "--seed", "4",
+            "--trials", "500", "--L", "3", "--sigma", str(sigma),
+        )
+        assert code == 0
+        model = GaussianModel.univariate(sigma * sigma)
+        noise = np.random.default_rng(4).standard_normal((500, 3, 1))
+        data = EmpiricalDemand((model.mean + noise @ covariance_factor(model).T)[:, :, 0])
+        lines = ["u,estimate,half_width,exact,abs_error"]
+        for u in np.linspace(-1.0, 1.0, 21):
+            est = empirical_cgf_estimate(data, u)
+            half = estimation_certificate(data, u, 3.0).half_width
+            exact = 0.5 * sigma * sigma * u * u
+            lines.append(",".join(f"{v:.12g}" for v in (u, est, half, exact, abs(est - exact))))
+        assert out == "\n".join(lines) + "\n"
 
     def test_weibull_exact_column_uses_series(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,4 @@
-"""Tests for demand models, sampling, and CSV ingestion."""
+"""Tests for demand models, covariance factors, and CSV ingestion."""
 
 import math
 
@@ -15,7 +15,6 @@ from stockbound import (
     covariance_factor,
     load_demand_csv,
     model_from_dict,
-    sample_correlated,
     validate_lead_time,
 )
 
@@ -150,42 +149,26 @@ class TestCovarianceFactor:
         assert np.abs(factor @ factor.T - m.covariance).max() <= 1e-10
 
 
+def draw_with_factor(model: GaussianModel, count: int, seed: int) -> np.ndarray:
+    """``count`` draws of N(mean, covariance) through ``covariance_factor``."""
+    noise = np.random.default_rng(seed).standard_normal((count, model.dim))
+    return model.mean + noise @ covariance_factor(model).T
+
+
 class TestSampling:
-    def test_shape(self):
-        m = GaussianModel.bivariate(1.0, 1.0, 0.3)
-        out = sample_correlated(m, 4, 7, seed=0)
-        assert out.shape == (7, 4, 2)
-
-    def test_deterministic_for_seed(self):
-        m = GaussianModel.univariate(1.0)
-        a = sample_correlated(m, 3, 100, seed=11)
-        b = sample_correlated(m, 3, 100, seed=11)
-        assert np.array_equal(a, b)
-        c = sample_correlated(m, 3, 100, seed=12)
-        assert not np.array_equal(a, c)
-
     def test_sample_mean_near_zero(self):
-        m = GaussianModel.univariate(1.0)
-        samples = sample_correlated(m, 1, 1_000_000, seed=42)
+        samples = draw_with_factor(GaussianModel.univariate(1.0), 1_000_000, seed=42)
         assert abs(float(samples.mean())) < 4.0 / math.sqrt(1_000_000)
 
     def test_sample_correlation_matches_model(self):
-        m = GaussianModel.bivariate(1.0, 1.0, 0.9)
-        pairs = sample_correlated(m, 1, 1_000_000, seed=43)[:, 0, :]
+        pairs = draw_with_factor(GaussianModel.bivariate(1.0, 1.0, 0.9), 1_000_000, seed=43)
         corr = float(np.corrcoef(pairs.T)[0, 1])
         assert abs(corr - 0.9) < 0.005
 
     def test_zero_covariance_returns_mean_exactly(self):
         m = GaussianModel(np.array([3.0, -1.0]), np.zeros((2, 2)))
-        out = sample_correlated(m, 4, 10, seed=7)
+        out = draw_with_factor(m, 40, seed=7)
         assert np.all(out == np.array([3.0, -1.0]))
-
-    def test_requires_seed_and_count(self):
-        m = GaussianModel.univariate(1.0)
-        with pytest.raises(ValueError):
-            sample_correlated(m, 1, 0, seed=1)
-        with pytest.raises(ValueError):
-            sample_correlated(m, 1, 10, seed=None)
 
 
 class TestCsvIngestion:

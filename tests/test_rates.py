@@ -21,7 +21,6 @@ from stockbound import (
     empirical_cgf,
     gaussian_cgf,
     invert_rate,
-    rate_gaussian_closed,
     rate_numeric,
     weibull_cgf,
 )
@@ -89,8 +88,8 @@ class TestRateNumeric:
         # threshold: same rate as all-exceed under the sign-flipped model.
         model = GaussianModel.bivariate(1.0, 1.0, 0.5)
         mixed = rate_numeric(gaussian_cgf(model), [-0.5, 1.0], signs=[-1.0, 1.0])
-        flipped = rate_gaussian_closed(GaussianModel.bivariate(1.0, 1.0, -0.5), [0.5, 1.0])
-        assert mixed.rate == pytest.approx(flipped.rate, abs=1e-5)
+        flipped = gaussian_cone_rate(GaussianModel.bivariate(1.0, 1.0, -0.5).covariance, [0.5, 1.0])
+        assert mixed.rate == pytest.approx(flipped, abs=1e-9)
         assert mixed.rate == pytest.approx(7.0 / 12.0, abs=1e-5)
         assert mixed.u_star == pytest.approx([-4.0 / 3.0, 5.0 / 3.0], abs=5e-3)
 
@@ -191,35 +190,36 @@ class TestRateNumeric:
 
 
 class TestRateGaussianClosed:
+    """``rate_numeric`` on Gaussian cases whose rate is known in closed form."""
+
     def test_independent_pair(self):
-        result = rate_gaussian_closed(GaussianModel.bivariate(1.0, 1.0, 0.0), [1.0, 1.0])
+        result = rate_numeric(gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, 0.0)), [1.0, 1.0])
         assert result.rate == pytest.approx(0.5, rel=1e-12)
         assert result.u_star == pytest.approx([1.0, 1.0], rel=1e-12)
-        assert result.iterations == 0
         assert result.converged
 
     def test_zero_margin(self):
-        result = rate_gaussian_closed(GaussianModel.bivariate(1.0, 2.0, 0.3), [0.0, 0.0])
+        result = rate_numeric(gaussian_cgf(GaussianModel.bivariate(1.0, 2.0, 0.3)), [0.0, 0.0])
         assert result.rate == 0.0
+        assert math.copysign(1.0, result.rate) == 1.0
 
     def test_correlated_pair(self, experiment_model):
-        result = rate_gaussian_closed(experiment_model, [1.0, 1.0])
+        result = rate_numeric(gaussian_cgf(experiment_model), [1.0, 1.0])
         assert result.rate == pytest.approx(5.0 / 19.0, rel=1e-12)
-        assert result.u_star == pytest.approx([1.0 / 1.9, 1.0 / 1.9], rel=1e-12)
+        assert result.u_star == pytest.approx([1.0 / 1.9, 1.0 / 1.9], rel=1e-9)
 
-    def test_boundary_case_falls_back_to_ascent(self, experiment_model):
-        # Unconstrained maximizer has a negative coordinate; the constrained
-        # optimum puts no weight on the first commodity.
-        result = rate_gaussian_closed(experiment_model, [0.0, 1.0])
-        assert result.iterations > 0
-        assert result.rate == pytest.approx(0.25, abs=1e-5)
+    def test_boundary_case_puts_no_weight_on_first(self, experiment_model):
+        # The unconstrained maximizer has a negative coordinate; the
+        # constrained optimum puts no weight on the first commodity.
+        result = rate_numeric(gaussian_cgf(experiment_model), [0.0, 1.0])
+        assert result.rate == pytest.approx(0.25, rel=1e-12)
         assert result.u_star[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_singular_covariance_in_range(self):
         model = GaussianModel.bivariate(1.0, 1.0, 1.0)
-        result = rate_gaussian_closed(model, [1.0, 1.0])
+        result = rate_numeric(gaussian_cgf(model), [1.0, 1.0])
         assert result.rate == pytest.approx(0.25, rel=1e-12)
-        assert result.u_star == pytest.approx([0.5, 0.5], rel=1e-12)
+        assert result.u_star == pytest.approx([0.5, 0.5], rel=1e-9)
 
     def test_singular_covariance_out_of_range(self):
         # The margin is outside the covariance's range, so the unconstrained
@@ -227,7 +227,7 @@ class TestRateGaussianClosed:
         # goes on the larger margin.  Lead-time demand over 4 periods is
         # (2Z, 2Z), so the exact tail is P(Z >= 4).
         model = GaussianModel.bivariate(1.0, 1.0, 1.0)
-        result = rate_gaussian_closed(model, [1.0, 2.0])
+        result = rate_numeric(gaussian_cgf(model), [1.0, 2.0])
         assert result.converged
         assert result.rate == pytest.approx(1.0, rel=1e-9)
         assert result.u_star == pytest.approx([0.0, 2.0], abs=1e-8)
@@ -235,7 +235,7 @@ class TestRateGaussianClosed:
 
     def test_margin_dimension_checked(self):
         with pytest.raises(ValueError, match="expected 2"):
-            rate_gaussian_closed(GaussianModel.bivariate(1.0, 1.0, 0.0), [1.0])
+            rate_numeric(gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, 0.0)), [1.0])
 
 
 class TestInvertRate:
