@@ -3,8 +3,10 @@
 The package sizes lead-time safety stock so that the joint stockout rate —
 every commodity's lead-time demand exceeding its reorder margin — is provably
 at most a chosen ``delta``.  The certificate is a Chernoff bound built from
-the demand's cumulant generating function; Gaussian demand additionally gets
-closed forms, exact tail oracles, and the policy comparison experiments.
+the demand's cumulant generating function.  Gaussian demand of any dimension
+is sized by one solve of its exponent, which reproduces the paper's closed
+forms (a root of it certifies ``sequential``); it also gets exact tail
+oracles and the policy comparison experiments.
 """
 
 from .cgf import (

@@ -110,10 +110,13 @@ def _de_rule(refine: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exp-sinh rule on (0, inf) (Takahasi and Mori 1974) at step ``_DE_STEP / refine``.
 
     Returns the log nodes ``pi/2 sinh x``, the nodes and their log weights at
-    ``x = j * step`` in [-4.5, 4], past which nothing counts.
+    ``x = j * step`` in [-4.5, 4], past which nothing counts.  The refined
+    rules, used below ``u = 0``, span [-5.5, 5.5]: at high shapes the integrand
+    there reaches ``sqrt(shape)`` units of ``log t`` either side of its peak.
     """
     step = _DE_STEP / refine
-    x = step * np.arange(-90 * refine, 80 * refine + 1)
+    left, right = (90, 80) if refine == 1 else (110, 110)
+    x = step * np.arange(-left * refine, right * refine + 1)
     log_node = 0.5 * math.pi * np.sinh(x)
     rule = (log_node, np.exp(log_node), np.log(0.5 * math.pi * step * np.cosh(x)) + log_node)
     for arr in rule:

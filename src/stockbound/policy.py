@@ -9,24 +9,17 @@ Three sizing rules are compared throughout:
 - rigorous: exact inversion of the joint tail, the tightest stock that any
   certificate could hope to approach.
 
-For two symmetric Gaussian commodities with per-period variance ``s2`` and
-correlation ``rho`` the proposed rule has the closed form
-
-    SS = sqrt(L * s2 * (1 + rho) * log(1 / delta)),
-
-obtained by splitting ``delta`` into ``delta ** ((1 + rho) / 2)`` for the
-first commodity and ``delta ** ((1 - rho) / 2)`` for the second; the split
-always multiplies back to ``delta``.  The general sequential rule sizes the
-first commodity alone and then the second conditionally on the first:
-
-    SS_x = sqrt(2 L s2_x * log(1 / delta_x))
-    SS_y = rho * sqrt(s2_y / s2_x) * SS_x
-           + sqrt(2 L s2_y * (1 - rho^2) * log(1 / delta_y)).
-
-When commodities are fungible (either can serve a request) only the pooled
-demand matters and the margin is
-
-    SS = sqrt(2 L * (s2_x + s2_y + 2 rho sx sy) * log(1 / delta)).
+The proposed rule sizes Gaussian demand of any dimension and covariance from
+the Chernoff exponent ``L * N * R(eps)`` of ``rates.rate_numeric``.  The
+exponent is 2-homogeneous in the margin, so one solve at equal unit margins
+serves every ``delta``: ``SS = sqrt(L * log(1 / delta) / (N * R(1)))``.
+That reproduces the paper's formulas, ``sqrt(L s2 (1 + rho) log(1 / delta))``
+for two symmetric commodities and ``sqrt(2 L s2 log(1 / delta))`` for one.
+The solver returns a feasible point, so the rate is a lower bound and the
+stock errs on the safe side.  The ``sequential`` allocation keeps the
+paper's first margin, ``sqrt(2 L s2_x log(1 / delta_x))``, and certifies the
+second by a root of the exponent; the paper's conditional rule for it
+undersizes it where the cone constraint ``u >= 0`` binds (high ``rho``).
 """
 
 from __future__ import annotations
@@ -36,8 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .cgf import CgfEvaluator
+from .cgf import CgfEvaluator, gaussian_cgf
 from .demand import GaussianModel, validate_lead_time
 from .oracle import (
     TailQuery,
@@ -46,7 +40,7 @@ from .oracle import (
     normal_upper_tail,
     normal_upper_tail_inverse,
 )
-from .rates import invert_rate
+from .rates import invert_rate, rate_numeric
 
 __all__ = [
     "PolicyOutput",
@@ -66,17 +60,14 @@ def _check_delta(delta: float) -> float:
     return delta
 
 
-def _symmetric_pair(model: GaussianModel) -> tuple[float, float]:
-    """Shared variance and correlation of a symmetric 2-commodity model."""
-    vx, vy = model.var_x, model.var_y
-    if not math.isclose(vx, vy, rel_tol=1e-9, abs_tol=0.0):
-        raise ValueError("this rule requires equal per-commodity variances")
-    return vx, model.correlation
+def _check_split(split, delta: float) -> None:
+    if abs(math.prod(split) - delta) > 1e-12 * delta:
+        raise ValueError("rate split must multiply back to delta")
 
 
 @dataclass(frozen=True)
 class ProposedStock:
-    """Per-commodity margins with the rate split that certifies them."""
+    """Per-commodity margins, with the rate split that certifies them if any."""
 
     ss: np.ndarray
     delta: float
@@ -87,9 +78,7 @@ class ProposedStock:
         arr.setflags(write=False)
         object.__setattr__(self, "ss", arr)
         if self.delta_split is not None:
-            product = math.prod(self.delta_split)
-            if abs(product - self.delta) > 1e-12 * self.delta:
-                raise ValueError("rate split must multiply back to delta")
+            _check_split(self.delta_split, self.delta)
 
 
 def ss_previous(model: GaussianModel, lead_time: int, delta: float) -> float:
@@ -104,13 +93,44 @@ def ss_previous(model: GaussianModel, lead_time: int, delta: float) -> float:
     delta = _check_delta(delta)
     if not isinstance(model, GaussianModel):
         raise TypeError("the previous rule is defined for Gaussian demand")
-    if model.dim == 1:
-        variance = float(model.covariance[0, 0])
-        return math.sqrt(lead * variance) * normal_upper_tail_inverse(delta)
-    if model.dim == 2:
-        variance, _ = _symmetric_pair(model)
-        return math.sqrt(lead * variance) * normal_upper_tail_inverse(math.sqrt(delta))
-    raise ValueError("the previous rule covers one or two commodities")
+    if model.dim > 2:
+        raise ValueError("the previous rule covers one or two commodities")
+    variance, *other = np.diag(model.covariance)
+    if other and not math.isclose(variance, other[0], rel_tol=1e-9, abs_tol=0.0):
+        raise ValueError("this rule requires equal per-commodity variances")
+    share = math.sqrt(delta) if other else delta
+    return math.sqrt(lead * variance) * normal_upper_tail_inverse(share)
+
+
+def _ray_stocks(model: GaussianModel, lead: int):
+    """Equal stock per ``delta``: its exponent ``N * R(1) * ss^2 / L`` is ``log(1 / delta)``."""
+    rate = rate_numeric(gaussian_cgf(model), np.ones(model.dim)).rate
+    return lambda delta: math.sqrt(lead * -math.log(delta) / (model.dim * rate))
+
+
+def _sequential(model: GaussianModel, lead: int, delta: float, delta_split) -> ProposedStock:
+    """Commodity x alone at ``delta_x``, then y at the root of the joint exponent."""
+    dx, dy = delta_split if delta_split is not None else (math.sqrt(delta),) * 2
+    if not (0.0 < dx < 1.0 and 0.0 < dy < 1.0):
+        raise ValueError("split rates must lie strictly between 0 and 1")
+    _check_split((dx, dy), delta)
+    vx, vy, rho = model.var_x, model.var_y, model.correlation
+    ss_x = math.sqrt(2.0 * lead * vx * math.log(1.0 / dx))
+    cgf, met = gaussian_cgf(model), []
+
+    def gap(ss_y: float) -> float:
+        exponent = rate_numeric(cgf, [ss_x / lead, ss_y / lead]).exponent(lead)
+        if exponent + math.log(delta) >= 0.0:
+            met.append(ss_y)
+        return exponent + math.log(delta)
+
+    # The exponent is log(1 / dx) at y's conditional mean, and at least
+    # log(1 / delta) at y's own stock, which certifies delta alone.  The
+    # least stock seen to meet the target is the bracket's upper end.
+    hi = math.sqrt(2.0 * lead * vy * math.log(1.0 / delta))
+    if gap(hi) > 0.0:
+        brentq(gap, rho * math.sqrt(vy / vx) * ss_x, hi, xtol=1e-13 * hi, rtol=1e-15)
+    return ProposedStock(np.array([ss_x, min(met, default=hi)]), delta, (dx, dy))
 
 
 def ss_proposed(
@@ -122,44 +142,27 @@ def ss_proposed(
 ) -> ProposedStock:
     """Certified safety stock from the large-deviations bound.
 
-    Gaussian models use closed forms: ``symmetric`` applies the correlation
-    weighted split and equal margins; ``sequential`` sizes commodity one
-    then commodity two with the conditional rule, splitting ``delta`` as
-    ``sqrt(delta)`` each unless an explicit ``delta_split`` is given.  A
-    single scalar CGF evaluator (or a sequence of them, one per independent
-    commodity) is sized by numeric rate inversion instead.  A stock sized
-    from ``empirical_cgf`` is certified only for the plug-in estimate of the
-    CGF: the estimation error is not covered, and ``estimation_certificate``
-    does not enter the stock.
+    A Gaussian model is sized from its Chernoff exponent: ``symmetric`` gives
+    every commodity the equal margin whose exponent is ``log(1 / delta)``;
+    ``sequential`` (two commodities) sizes commodity one alone at its share
+    of ``delta_split`` (``sqrt(delta)`` each by default), then commodity two
+    as the least margin that brings the joint exponent to ``log(1 / delta)``.
+    A scalar CGF evaluator (or one per independent commodity) is sized by
+    numeric rate inversion.  A stock sized from ``empirical_cgf`` is
+    certified only for the plug-in estimate of the CGF: the estimation error
+    is not covered, and ``estimation_certificate`` does not enter the stock.
     """
     lead = validate_lead_time(lead_time)
     delta = _check_delta(delta)
     if isinstance(model, GaussianModel):
-        if model.dim == 1:
-            variance = float(model.covariance[0, 0])
-            ss = math.sqrt(2.0 * lead * variance * math.log(1.0 / delta))
-            return ProposedStock(np.array([ss]), delta, None)
-        if model.dim != 2:
-            raise ValueError("closed-form sizing covers one or two commodities")
-        if allocation == "symmetric":
-            if delta_split is not None:
-                raise ValueError("the symmetric allocation fixes its own split")
-            variance, rho = _symmetric_pair(model)
-            ss = math.sqrt(lead * variance * (1.0 + rho) * math.log(1.0 / delta))
-            split = (delta ** ((1.0 + rho) / 2.0), delta ** ((1.0 - rho) / 2.0))
-            return ProposedStock(np.array([ss, ss]), delta, split)
-        if allocation == "sequential":
-            root = math.sqrt(delta)
-            dx, dy = delta_split if delta_split is not None else (root, root)
-            if not (0.0 < dx < 1.0 and 0.0 < dy < 1.0):
-                raise ValueError("split rates must lie strictly between 0 and 1")
-            vx, vy, rho = model.var_x, model.var_y, model.correlation
-            ss_x = math.sqrt(2.0 * lead * vx * math.log(1.0 / dx))
-            ss_y = rho * math.sqrt(vy / vx) * ss_x + math.sqrt(
-                2.0 * lead * vy * (1.0 - rho * rho) * math.log(1.0 / dy)
-            )
-            return ProposedStock(np.array([ss_x, ss_y]), delta, (dx, dy))
-        raise ValueError(f"unknown allocation {allocation!r}")
+        if allocation == "sequential" and model.dim != 1:
+            return _sequential(model, lead, delta, delta_split)
+        if allocation not in ("symmetric", "sequential"):
+            raise ValueError(f"unknown allocation {allocation!r}")
+        if delta_split is not None:
+            raise ValueError("the symmetric allocation fixes its own split")
+        ss = _ray_stocks(model, lead)(delta)
+        return ProposedStock(np.full(model.dim, ss), delta, None)
     if isinstance(model, CgfEvaluator):
         return ProposedStock(np.array([invert_rate(model, delta, lead)]), delta, None)
     evaluators = list(model)
@@ -178,10 +181,12 @@ def ss_proposed(
 
 
 def ss_fungible(model: GaussianModel, lead_time: int, delta: float) -> float:
-    """Certified stock for pooled demand of two substitutable commodities."""
+    """Certified stock ``sqrt(2 L * sum(Sigma) * log(1 / delta))`` for pooled demand."""
     lead = validate_lead_time(lead_time)
     delta = _check_delta(delta)
-    pooled = model.var_x + model.var_y + 2.0 * model.covariance[0, 1]
+    if not isinstance(model, GaussianModel):
+        raise TypeError("the pooled rule is defined for Gaussian demand")
+    pooled = float(model.covariance.sum())
     return math.sqrt(max(2.0 * lead * pooled * math.log(1.0 / delta), 0.0))
 
 
@@ -207,7 +212,6 @@ class PolicyOutput:
     delta: float
     ss_pre: float
     ss_pro: float
-    delta_split: tuple[float, ...] | None
     lead_time: int
     model: GaussianModel
 
@@ -260,19 +264,10 @@ def compare_policies(model: GaussianModel, lead_time: int, deltas) -> list[Polic
     probabilities are computed when first read.
     """
     lead = validate_lead_time(lead_time)
-    rows = []
-    for delta in np.asarray(deltas, dtype=float).reshape(-1):
-        delta = _check_delta(delta)
-        pre = ss_previous(model, lead, delta)
-        proposed = ss_proposed(model, lead, delta)
-        rows.append(
-            PolicyOutput(
-                delta=delta,
-                ss_pre=pre,
-                ss_pro=float(proposed.ss[0]),
-                delta_split=proposed.delta_split,
-                lead_time=lead,
-                model=model,
-            )
-        )
-    return rows
+    deltas = [_check_delta(d) for d in np.asarray(deltas, dtype=float).reshape(-1)]
+    previous = [ss_previous(model, lead, delta) for delta in deltas]
+    stock = _ray_stocks(model, lead)  # one solve serves every delta
+    return [
+        PolicyOutput(delta, pre, stock(delta), lead, model)
+        for delta, pre in zip(deltas, previous)
+    ]

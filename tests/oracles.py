@@ -90,6 +90,33 @@ def gaussian_cone_rate(cov, eps, signs=None) -> float:
     return best / n
 
 
+def univariate_proposed_stock(var: float, lead: int, delta: float) -> float:
+    """Closed-form proposed stock for one Gaussian commodity: ``sqrt(2 L var log(1/delta))``."""
+    return math.sqrt(2.0 * lead * var * math.log(1.0 / delta))
+
+
+def symmetric_proposed_stock(var: float, rho: float, lead: int, delta: float) -> float:
+    """The paper's closed-form proposed stock for two symmetric Gaussian commodities.
+
+    ``sqrt(L var (1 + rho) log(1/delta))``: the correlation-weighted split
+    ``delta^((1 + rho) / 2)``, ``delta^((1 - rho) / 2)`` at equal margins.
+    """
+    return math.sqrt(lead * var * (1.0 + rho) * math.log(1.0 / delta))
+
+
+def sequential_proposed_stock(vx: float, vy: float, rho: float, lead: int, dx: float, dy: float):
+    """The paper's conditional rule: x alone at ``dx``, then y given x at its margin.
+
+    Certified only where the Chernoff cone constraint is slack; for large
+    ``rho`` it undersizes y (the conditional tail grows past x's margin).
+    """
+    ss_x = math.sqrt(2.0 * lead * vx * math.log(1.0 / dx))
+    ss_y = rho * math.sqrt(vy / vx) * ss_x + math.sqrt(
+        2.0 * lead * vy * (1.0 - rho * rho) * math.log(1.0 / dy)
+    )
+    return ss_x, ss_y
+
+
 def sample_bivariate_exceed(a: float, b: float, rho: float, trials: int, seed: int) -> float:
     """Monte Carlo joint upper tail of a standardized bivariate normal."""
     rng = np.random.default_rng(seed)

@@ -23,11 +23,19 @@ from stockbound import (
     gaussian_cgf,
     invert_rate,
     joint_tail_monte_carlo,
+    normal_upper_tail,
     rate_numeric,
     ss_fungible,
+    ss_proposed,
 )
 
-from oracles import density_joint_tail, gaussian_cone_rate
+from oracles import (
+    density_joint_tail,
+    gaussian_cone_rate,
+    sequential_proposed_stock,
+    symmetric_proposed_stock,
+    univariate_proposed_stock,
+)
 
 LEAD = 10
 DELTA_GRID = np.geomspace(1e-3, 0.5, 40)
@@ -261,4 +269,88 @@ def test_three_commodity_bound_dominates_simulation():
         "three-commodity bound dominates simulation",
         ok,
         f"all solves converged: {all_converged}, worst sampled gap {worst_gap:.2e}",
+    )
+
+
+def test_exponent_solve_reproduces_the_closed_forms():
+    worst = 0.0
+    for var in (0.25, 1.0, 4.0):
+        for lead in (1, 5, 10, 20):
+            for delta in (0.4, 0.05, 1e-3, 1e-6, 1e-12):
+                got = ss_proposed(GaussianModel.univariate(var), lead, delta).ss
+                want = univariate_proposed_stock(var, lead, delta)
+                worst = max(worst, float(np.abs(got / want - 1.0).max()))
+                for rho in (-0.99, -0.9, -0.5, 0.0, 0.3, 0.6, 0.9, 0.99):
+                    model = GaussianModel.bivariate(var, var, rho)
+                    got = ss_proposed(model, lead, delta).ss
+                    want = symmetric_proposed_stock(var, rho, lead, delta)
+                    worst = max(worst, float(np.abs(got / want - 1.0).max()))
+    ok = worst <= 1e-14
+    report("exponent solve reproduces the closed forms", ok, f"worst relative error {worst:.2e}")
+
+
+def test_sequential_stock_is_certified():
+    # Splits as (delta_x, delta_y); None is the default sqrt(delta) each.
+    splits = (None, (0.1, 0.9), (0.9, 0.1))
+    worst_exact, worst_bound, worst_kept, kept, cases = 0.0, 0.0, 0.0, 0, 0
+    for split in splits:
+        for rho in (-0.9, -0.5, 0.0, 0.3, 0.6, 0.9, 0.99):
+            for var_y in (0.25, 1.0, 4.0):
+                model = GaussianModel.bivariate(1.0, var_y, rho)
+                cgf = gaussian_cgf(model)
+                for delta in (0.3, 0.05, 1e-3, 1e-6, 1e-12):
+                    powers = split or (0.5, 0.5)
+                    dx, dy = delta ** powers[0], delta ** powers[1]
+                    given = None if split is None else (dx, dy)
+                    ss = ss_proposed(model, LEAD, delta, "sequential", given).ss
+                    query = TailQuery.from_margins(model, ss[0], ss[1], LEAD)
+                    worst_exact = max(worst_exact, bivariate_joint_tail(query).probability / delta)
+                    worst_bound = max(worst_bound, chernoff_bound(cgf, ss / LEAD, LEAD) / delta)
+                    # where the conditional rule was already certified, it stands
+                    former = np.array(sequential_proposed_stock(1.0, var_y, rho, LEAD, dx, dy))
+                    if chernoff_bound(cgf, former / LEAD, LEAD) <= delta * (1.0 + 1e-9):
+                        kept += 1
+                        worst_kept = max(worst_kept, float(np.abs(ss / former - 1.0).max()))
+                    cases += 1
+    ok = cases == 315 and worst_exact <= 1.0 and worst_bound <= 1.0 + 1e-9
+    ok = ok and kept == 225 and worst_kept <= 1e-9
+    report(
+        "sequential stock is certified",
+        ok,
+        f"{cases} cases: max P/delta {worst_exact:.3g}, max bound/delta {worst_bound:.12g}; "
+        f"{kept} formerly certified, worst change {worst_kept:.2e}",
+    )
+
+
+def test_exponent_solve_sizes_three_and_singular_commodities():
+    from scipy.stats import multivariate_normal
+
+    cov = np.array([[1.0, 0.6, 0.3], [0.6, 1.0, 0.8], [0.3, 0.8, 2.0]])
+    model = GaussianModel(np.zeros(3), cov)
+    ratios = []
+    for delta in (1e-2, 1e-4, 1e-6):
+        ss = ss_proposed(model, LEAD, delta).ss
+        # P(X >= ss) = P(-X <= -ss), and -X has the same centred law
+        genz = multivariate_normal(cov=LEAD * cov, seed=3, abseps=1e-3 * delta, releps=1e-4)
+        ratios.append(float(genz.cdf(-ss)) / delta)
+    ok = max(ratios) <= 1.0
+
+    # Singular demand: y = -x, a deterministic commodity, and a perfectly
+    # correlated pair beside an independent third, whose tail is a product.
+    singular = {
+        "rho=-1": GaussianModel.bivariate(1.0, 1.0, -1.0),
+        "var_y=0": GaussianModel(np.zeros(2), np.diag([1.0, 0.0])),
+        "rank 2": GaussianModel(np.zeros(3), [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    }
+    delta = 1e-4
+    stocks = {name: ss_proposed(m, LEAD, delta).ss for name, m in singular.items()}
+    # The first two stockout events are empty at any positive stock.
+    ok = ok and all(np.all(np.isfinite(ss)) and np.all(ss > 0.0) for ss in stocks.values())
+    p_rank2 = normal_upper_tail(stocks["rank 2"][0] / math.sqrt(LEAD)) ** 2
+    ok = ok and p_rank2 <= delta
+    report(
+        "exponent solve sizes three and singular commodities",
+        ok,
+        f"Genz P/delta {np.round(ratios, 4).tolist()}, rank-2 P/delta {p_rank2 / delta:.4f}, "
+        f"singular stocks {[f'{ss.min():.3g}' for ss in stocks.values()]}",
     )

@@ -181,6 +181,19 @@ class TestWeibullSeries:
             assert weibull_log_mgf(model, u) == pytest.approx(want, rel=1e-11)
             assert cgf.gradient([u])[0] + model.mean == pytest.approx(want_slope, rel=1e-11)
 
+    @pytest.mark.parametrize("shape, u", [(50.0, -300.0), (60.0, -480.0), (100.0, -800.0)])
+    def test_deep_negative_arguments_at_high_shapes(self, shape, u):
+        # Here the integrand decays like a Gaussian of width sqrt(shape) in
+        # log t either side of its peak.  The refined rules once ended where
+        # the plain rule does, at x = -4.5 and 4, which cut off 9.7e-11 of log M
+        # at shape 60 and 1.4e-6 at shape 100.
+        pytest.importorskip("mpmath")
+        model = WeibullModel(shape, 1.0)
+        want, want_slope = mpmath_weibull_log_mgf(shape, 1.0, u)
+        assert abs(weibull_log_mgf(model, u) - want) <= 1e-12
+        slope = weibull_cgf(model).gradient([u])[0] + model.mean
+        assert abs(slope - want_slope) <= 1e-12 * want_slope
+
     @pytest.mark.parametrize("u", [-60.0, -90.0, -120.0])
     def test_reference_agrees_with_log_x_trapezoid(self, u):
         # The former reference, an mpmath quadrature in t = (X / scale)^shape,

@@ -30,6 +30,7 @@ from stockbound.cli import main
 from oracles import mpmath_weibull_log_mgf
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+DATA = Path(__file__).resolve().parent / "data"
 
 # What pip's generated console-script wrapper does: set the program name,
 # import the declared callable and exit with its return value.
@@ -307,6 +308,20 @@ class TestValidate:
         se = math.sqrt(exact * (1.0 - exact) / trials)
         assert abs(float(record["empirical_rate"]) - exact) <= 4.0 * se
 
+    def test_three_commodity_config(self, capsys, tmp_path):
+        cov = [[1.0, 0.6, 0.3], [0.6, 1.0, 0.8], [0.3, 0.8, 2.0]]
+        cfg = tmp_path / "three.json"
+        cfg.write_text(json.dumps({"model": {"type": "gaussian", "mu": [0, 0, 0], "sigma": cov}}))
+        code, out, _ = run_cli(
+            capsys, "validate", "--config", str(cfg), "--trials", "100000", "--seed", "5"
+        )
+        assert code == 0
+        record = dict(line.split(": ", 1) for line in out.strip().split("\n"))
+        assert record["model"] == "gaussian dim=3"
+        assert record["result"] == "PASS"
+        assert len(set(record["stock"].split(","))) == 1
+        assert len(record["stock"].split(",")) == 3
+
     def test_stockouts_come_from_the_monte_carlo_oracle(self, capsys, tmp_path):
         cov = [[1.0, 0.9], [0.9, 1.0]]
         lead, trials, seed = 10, 50_000, 11
@@ -326,6 +341,26 @@ class TestValidate:
             assert int(record["stockouts"]) == round(p * trials)
             counts.append(record["stockouts"])
         assert counts[0] == counts[1]
+
+
+class TestGoldenOutputs:
+    # Written by the CLI at default flags (rho 0.9, sigma 1, L 10), e.g.
+    # ``python -m stockbound.cli compute --grid 40 > tests/data/compute_grid40.csv``.
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("compute_grid40.csv", ["compute", "--grid", "40"]),
+            ("figure_fig1.csv", ["figure", "fig1"]),
+            ("figure_fig2.csv", ["figure", "fig2"]),
+        ],
+    )
+    def test_default_output_is_byte_identical(self, capsys, monkeypatch, name, argv):
+        for key in list(os.environ):
+            if key.startswith("STOCKBOUND_"):
+                monkeypatch.delenv(key)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (DATA / name).read_bytes()
 
 
 class TestEstimateCgf:

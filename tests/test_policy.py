@@ -27,6 +27,8 @@ from stockbound import (
 )
 from stockbound import policy
 
+from oracles import sequential_proposed_stock, symmetric_proposed_stock
+
 
 class TestPreviousRule:
     def test_single_commodity_median_needs_no_stock(self):
@@ -73,16 +75,15 @@ class TestProposedRule:
         model = GaussianModel.bivariate(1.0, 1.0, 0.0)
         out = ss_proposed(model, 10, math.exp(-1.0))
         assert out.ss == pytest.approx([math.sqrt(10.0)] * 2, rel=1e-12)
-        assert out.delta_split == pytest.approx([math.exp(-0.5)] * 2, rel=1e-12)
+        assert out.delta_split is None
 
     def test_correlated_pair(self, experiment_model):
         out = ss_proposed(experiment_model, 10, 0.05)
         want = math.sqrt(10.0 * 1.9 * math.log(20.0))
         assert out.ss == pytest.approx([want] * 2, rel=1e-12)
         assert want == pytest.approx(7.5445, abs=5e-4)
-        # correlation-weighted split: delta^((1 + rho) / 2), delta^((1 - rho) / 2)
-        assert out.delta_split == pytest.approx([0.05**0.95, 0.05**0.05], rel=1e-12)
-        assert out.delta_split[0] * out.delta_split[1] == pytest.approx(0.05, rel=1e-12)
+        assert out.ss == pytest.approx([symmetric_proposed_stock(1.0, 0.9, 10, 0.05)] * 2, rel=1e-14)
+        assert out.delta_split is None
 
     def test_perfect_correlation_limit(self):
         model = GaussianModel.bivariate(1.0, 1.0, 1.0)
@@ -96,12 +97,20 @@ class TestProposedRule:
         assert seq.ss == pytest.approx(sym.ss, rel=1e-10)
 
     def test_sequential_conditional_offset(self, experiment_model):
-        out = ss_proposed(experiment_model, 10, 0.05, allocation="sequential")
+        # rho = 0.5 leaves the cone constraint slack: the root of the joint
+        # exponent is the paper's conditional rule
         dx = math.sqrt(0.05)
-        ss_x = math.sqrt(20.0 * math.log(1.0 / dx))
-        ss_y = 0.9 * ss_x + math.sqrt(20.0 * (1.0 - 0.81) * math.log(1.0 / dx))
-        assert out.ss == pytest.approx([ss_x, ss_y], rel=1e-12)
+        model = GaussianModel.bivariate(1.0, 1.0, 0.5)
+        out = ss_proposed(model, 10, 0.05, allocation="sequential")
+        assert out.ss == pytest.approx(sequential_proposed_stock(1.0, 1.0, 0.5, 10, dx, dx), rel=1e-10)
         assert out.delta_split == pytest.approx([dx, dx], rel=1e-12)
+        # at rho = 0.9 the conditional rule undersizes y (its Chernoff bound
+        # exceeds delta); y's own stock at delta is the least that certifies
+        out = ss_proposed(experiment_model, 10, 0.05, allocation="sequential")
+        ss_x, conditional = sequential_proposed_stock(1.0, 1.0, 0.9, 10, dx, dx)
+        assert out.ss == pytest.approx([ss_x, math.sqrt(20.0 * math.log(20.0))], rel=1e-12)
+        assert out.ss[1] > conditional
+        assert chernoff_bound(gaussian_cgf(experiment_model), out.ss / 10, 10) <= 0.05 * (1 + 1e-9)
 
     def test_sequential_accepts_explicit_split(self, experiment_model):
         split = (0.01, 5.0)
@@ -135,9 +144,20 @@ class TestProposedRule:
         with pytest.raises(ValueError, match="unknown allocation"):
             ss_proposed(experiment_model, 10, 0.05, allocation="waterfall")
 
-    def test_three_commodities_rejected(self):
-        with pytest.raises(ValueError, match="one or two"):
-            ss_proposed(GaussianModel(np.zeros(3), np.eye(3)), 10, 0.05)
+    def test_three_independent_commodities_split_evenly(self):
+        # independent unit commodities: the equal margin carries delta^(1/3) each
+        out = ss_proposed(GaussianModel(np.zeros(3), np.eye(3)), 10, 0.05)
+        want = math.sqrt(20.0 * math.log(1.0 / 0.05) / 3.0)
+        assert out.ss == pytest.approx([want] * 3, rel=1e-12)
+        assert out.delta_split is None
+
+    def test_unequal_variances_are_sized(self):
+        model = GaussianModel.bivariate(1.0, 2.0, 0.3)
+        out = ss_proposed(model, 10, 0.01)
+        assert out.ss[0] == out.ss[1]
+        bound = chernoff_bound(gaussian_cgf(model), out.ss / 10, 10)
+        assert bound == pytest.approx(0.01, rel=1e-9)
+        assert bound <= 0.01 * (1 + 1e-9)
 
     def test_cgf_evaluator_is_inverted_numerically(self):
         cgf = gaussian_cgf(GaussianModel.univariate(2.0))
@@ -173,6 +193,19 @@ class TestProposedRule:
 
 
 class TestFungibleRule:
+    def test_three_commodities_pool_the_whole_covariance(self):
+        cov = np.array([[1.0, 0.6, 0.3], [0.6, 1.0, 0.8], [0.3, 0.8, 2.0]])
+        model = GaussianModel(np.zeros(3), cov)
+        lead, delta = 10, 1e-4
+        ss = ss_fungible(model, lead, delta)
+        assert ss == pytest.approx(math.sqrt(2.0 * lead * 7.4 * math.log(1.0 / delta)), rel=1e-14)
+        bound = chernoff_bound(gaussian_cgf(model), ss / lead, lead, pattern=FUNGIBLE)
+        assert bound == pytest.approx(delta, rel=1e-12)
+
+    def test_non_gaussian_rejected(self):
+        with pytest.raises(TypeError, match="Gaussian"):
+            ss_fungible(WeibullModel(2.0, 1.0), 10, 0.05)
+
     def test_antithetic_demand_needs_no_stock(self):
         assert ss_fungible(GaussianModel.bivariate(1.0, 1.0, -1.0), 10, 0.05) == 0.0
 
@@ -228,7 +261,7 @@ class TestPolicyOutput:
         monkeypatch.setattr(policy, "ss_rigorous", lambda *args: calls.append("rig") or 3.0)
         monkeypatch.setattr(policy, "_exact_all_exceed", lambda *args: calls.append("p") or 0.01)
         row = PolicyOutput(
-            delta=0.05, ss_pre=2.0, ss_pro=4.0, delta_split=None, lead_time=10, model=experiment_model
+            delta=0.05, ss_pre=2.0, ss_pro=4.0, lead_time=10, model=experiment_model
         )
         assert calls == []
         assert row.ratio_pro == pytest.approx(4.0 / 3.0)
@@ -261,7 +294,16 @@ class TestComparePolicies:
         assert row.ss_pre == ss_previous(experiment_model, 10, 0.05)
         assert row.ss_pro == ss_proposed(experiment_model, 10, 0.05).ss[0]
         assert row.ss_rig == ss_rigorous(experiment_model, 10, 0.05)
-        assert row.delta_split == ss_proposed(experiment_model, 10, 0.05).delta_split
+
+    def test_one_rate_solve_serves_every_rate(self, experiment_model, monkeypatch):
+        calls = []
+        solve = policy.rate_numeric
+        monkeypatch.setattr(policy, "rate_numeric", lambda *a: calls.append(1) or solve(*a))
+        rows = compare_policies(experiment_model, 10, [0.01, 0.05, 0.2])
+        assert len(calls) == 1
+        assert [row.ss_pro for row in rows] == [
+            ss_proposed(experiment_model, 10, d).ss[0] for d in (0.01, 0.05, 0.2)
+        ]
 
     def test_certificates_hold_and_previous_rule_fails(self, experiment_model):
         rows = compare_policies(experiment_model, 10, [0.02, 0.05, 0.1, 0.3])
