@@ -232,6 +232,10 @@ _BLANK = re.compile(r'[\s,"]*')
 # numpy's C tokenizer and float converter; the fast parse and the error rescan
 # both go through these settings, so they cannot disagree.
 _LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}
+# ((text, skip_header), parse) of the last file load_demand_csv parsed.  The
+# parse reads nothing but the text, so equal text gives an equal parse; the
+# comparison is a memcmp, where hashing the file would slow every first load.
+_last_parse: tuple[tuple[str, bool], EmpiricalDemand] | None = None
 
 
 def load_demand_csv(path, skip_header: bool = False) -> EmpiricalDemand:
@@ -248,9 +252,20 @@ def load_demand_csv(path, skip_header: bool = False) -> EmpiricalDemand:
     Cells are converted by numpy's parser, which reads the decimal and
     exponent forms Python's ``float`` reads but not digit-group underscores
     (``1_000``) or non-ASCII digits; those cells are rejected as not numbers.
+
+    A load whose text (and ``skip_header``) is identical to the last file
+    parsed returns that parse's ``EmpiricalDemand`` again, read-only and
+    shared.  The whole text is compared, not the file's name, size or time
+    stamp, so the last file's text and data stay in memory until another
+    file is parsed.  Errors are not kept: a bad file is parsed, and raises,
+    on every load.
     """
+    global _last_parse
     path = Path(path)
     text = path.read_text()
+    key = (text, bool(skip_header))
+    if _last_parse is not None and _last_parse[0] == key:
+        return _last_parse[1]
     raw = text.splitlines()
     kept = [i for i, line in enumerate(raw) if not _BLANK.fullmatch(line)]
     if skip_header and kept and kept[0] == 0:
@@ -267,7 +282,9 @@ def load_demand_csv(path, skip_header: bool = False) -> EmpiricalDemand:
         data = None
     if data is None or not np.isfinite(data).all():
         raise _first_bad_row(path, lines, kept)
-    return EmpiricalDemand(data)
+    demand = EmpiricalDemand(data)
+    _last_parse = (key, demand)
+    return demand
 
 
 def _first_bad_row(path: Path, lines: list[str], kept: list[int]) -> DemandDataError:

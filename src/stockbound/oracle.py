@@ -200,7 +200,10 @@ def bivariate_joint_tail(query: TailQuery) -> OracleResult:
     return OracleResult(probability=min(1.0, value), method=method, error=error)
 
 
-_CHUNK = 1 << 18
+# Rows of normals drawn per block: small enough that the block and its
+# product stay in cache.  The generator fills normals in sequence whatever
+# the block size, so the hit count does not depend on it.
+_BLOCK = 1 << 13
 
 
 def joint_tail_monte_carlo(
@@ -234,13 +237,14 @@ def joint_tail_monte_carlo(
         raise ValueError("one threshold per commodity is required")
     factor = math.sqrt(lead) * covariance_factor(model)
     rng = np.random.default_rng(seed)
+    z = np.empty((min(_BLOCK, int(trials)), model.dim))
+    draws = np.empty_like(z)
     hits = 0
-    remaining = int(trials)
-    while remaining > 0:
-        block = min(_CHUNK, remaining)
-        draws = rng.standard_normal((block, model.dim)) @ factor.T
-        hits += np.count_nonzero(events.event_mask(draws, thresholds, pattern, signs_arr))
-        remaining -= block
+    for start in range(0, int(trials), _BLOCK):
+        n = min(_BLOCK, int(trials) - start)
+        rng.standard_normal(out=z[:n])
+        np.matmul(z[:n], factor.T, out=draws[:n])
+        hits += np.count_nonzero(events.event_mask(draws[:n], thresholds, pattern, signs_arr))
     p = hits / trials
     if 0 < hits < trials:
         error = MC_Z * math.sqrt(p * (1.0 - p) / trials)

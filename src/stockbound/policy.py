@@ -110,6 +110,8 @@ def _ray_stocks(model: GaussianModel, lead: int):
 
 def _sequential(model: GaussianModel, lead: int, delta: float, delta_split) -> ProposedStock:
     """Commodity x alone at ``delta_x``, then y at the root of the joint exponent."""
+    if model.dim != 2:
+        raise ValueError("the sequential allocation covers two commodities")
     dx, dy = delta_split if delta_split is not None else (math.sqrt(delta),) * 2
     if not (0.0 < dx < 1.0 and 0.0 < dy < 1.0):
         raise ValueError("split rates must lie strictly between 0 and 1")

@@ -1,6 +1,7 @@
 """Tests for demand models, covariance factors, and CSV ingestion."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from stockbound import (
     validate_lead_time,
 )
 
+from stockbound import demand
 from oracles import load_demand_csv_reference
 
 
@@ -330,6 +332,74 @@ class TestCsvIngestion:
         want = load_demand_csv_reference(path, skip_header=header).samples
         assert got.shape == want.shape == shape
         assert got.tobytes() == want.tobytes()
+
+
+class TestCsvReuse:
+    """A load of the bytes last parsed returns that parse; nothing else is kept."""
+
+    @pytest.fixture
+    def loadtxt_calls(self, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(demand.np, "loadtxt", counted)
+        return calls
+
+    def test_unchanged_bytes_are_not_parsed_again(self, tmp_path, loadtxt_calls):
+        path = tmp_path / "d.csv"
+        path.write_text("1.25,2\n3,4.5\n")
+        first = load_demand_csv(path)
+        parsed = len(loadtxt_calls)
+        # another name for the same bytes is the same content
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes(path.read_bytes())
+        second = load_demand_csv(copy)
+        assert len(loadtxt_calls) == parsed
+        assert second is first
+        assert second.samples.tolist() == [[1.25, 2.0], [3.0, 4.5]]
+        assert not second.samples.flags.writeable
+        assert not second.row_sums.flags.writeable
+
+    def test_same_size_rewrite_with_old_time_stamp_is_read(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2\n3,4\n")
+        assert load_demand_csv(path).samples.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        stamp = path.stat()
+        path.write_text("5,6\n7,8\n")
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        assert path.stat().st_size == stamp.st_size
+        assert path.stat().st_mtime_ns == stamp.st_mtime_ns
+        assert load_demand_csv(path).samples.tolist() == [[5.0, 6.0], [7.0, 8.0]]
+
+    def test_header_flag_is_part_of_the_key(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("10,20\n30,40\n")
+        assert load_demand_csv(path).n_replicates == 2
+        assert load_demand_csv(path, skip_header=True).samples.tolist() == [[30.0, 40.0]]
+        assert load_demand_csv(path).n_replicates == 2
+
+    def test_errors_are_raised_on_every_load(self, tmp_path, loadtxt_calls):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2\n3,4\n")
+        load_demand_csv(path)
+        path.write_text("1,2\n3,x\n")
+        messages = []
+        for _ in range(2):
+            before = len(loadtxt_calls)
+            with pytest.raises(DemandDataError) as err:
+                load_demand_csv(path)
+            assert len(loadtxt_calls) > before
+            messages.append(str(err.value))
+        assert messages == [f"{path}: row 2, column 2: could not parse 'x' as a number"] * 2
+        # the good bytes were still the last parse
+        path.write_text("1,2\n3,4\n")
+        before = len(loadtxt_calls)
+        assert load_demand_csv(path).samples.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert len(loadtxt_calls) == before
 
 
 class TestModelFromDict:

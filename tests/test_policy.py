@@ -127,6 +127,11 @@ class TestProposedRule:
                 experiment_model, 10, 0.05, allocation="sequential", delta_split=(0.5, 0.5)
             )
 
+    def test_sequential_rejects_three_commodities(self):
+        model = GaussianModel(np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match="sequential allocation covers two commodities"):
+            ss_proposed(model, 10, 0.05, allocation="sequential")
+
     def test_sequential_certifies_asymmetric_pair(self):
         # unequal variances: the certified stock must keep the exact
         # all-exceed probability at or below the target
