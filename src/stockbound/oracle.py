@@ -7,7 +7,10 @@ of the conditional tail, to a relative error target, and
 ``invert_joint_tail`` finds the equal stock at which that probability meets
 ``delta`` by one bracketed root of its logarithm.  The Monte Carlo estimator
 handles any dimension and the full set of stockout patterns, and is the only
-oracle offered beyond two commodities.
+oracle offered beyond two commodities.  It splits its trials into fixed
+chunks of 32 768, each drawn from its own stream spawned from the seed, and
+counts the chunks on a thread per usable core; the hit count depends on the
+seed and the trial count only.
 
 Thresholds are standardized: a demand margin of ``L * eps`` over a lead time
 of ``L`` periods with per-period variance ``s2`` corresponds to
@@ -17,7 +20,10 @@ of ``L`` periods with per-period variance ``s2`` corresponds to
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -200,6 +206,9 @@ def bivariate_joint_tail(query: TailQuery) -> OracleResult:
     return OracleResult(probability=min(1.0, value), method=method, error=error)
 
 
+# Trials per chunk.  Chunk i draws from the i-th stream spawned from the
+# seed, so the hit count does not depend on how many threads count chunks.
+_CHUNK = 1 << 15
 # Rows of normals drawn per block: small enough that the block and its
 # product stay in cache.  The generator fills normals in sequence whatever
 # the block size, so the hit count does not depend on it.
@@ -219,12 +228,20 @@ def joint_tail_monte_carlo(
 
     Lead-time demand deviations are sums of ``L`` i.i.d. centered Gaussian
     periods, drawn here in one shot from their exact distribution
-    N(0, L * covariance).  Deterministic for a given seed.  The reported
-    error is a three-standard-error half width; when no trial (or every
-    trial) hits, where that width is 0, it is the distance to the far end of
-    the Wilson score interval at three standard errors instead.
+    N(0, L * covariance).  The trials run in fixed chunks of ``2**15`` (the
+    last may be shorter); chunk ``i`` draws from its own generator, seeded by
+    the ``i``-th child of ``numpy.random.SeedSequence(seed).spawn``, and the
+    calling thread and one helper per further usable core take chunks until
+    none is left.  So the hit count depends on ``seed`` and ``trials`` only,
+    not on the number of cores, and memory does not grow with ``trials``.  The
+    reported error is a three-standard-error half width; when no trial (or
+    every trial) hits, where that width is 0, it is the distance to the far
+    end of the Wilson score interval at three standard errors instead.
     """
     lead = validate_lead_time(lead_time)
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise ValueError("the trial count must be an integer")
+    trials = int(trials)
     if trials < 10_000:
         raise ValueError("at least 10000 trials are required")
     signs_arr = events.check_pattern(pattern, model.dim, signs)
@@ -235,16 +252,41 @@ def joint_tail_monte_carlo(
     )
     if pattern != events.FUNGIBLE and np.shape(thresholds) != (model.dim,):
         raise ValueError("one threshold per commodity is required")
+    if not np.all(np.isfinite(thresholds)):
+        raise ValueError("thresholds must be finite")
     factor = math.sqrt(lead) * covariance_factor(model)
-    rng = np.random.default_rng(seed)
-    z = np.empty((min(_BLOCK, int(trials)), model.dim))
-    draws = np.empty_like(z)
-    hits = 0
-    for start in range(0, int(trials), _BLOCK):
-        n = min(_BLOCK, int(trials) - start)
-        rng.standard_normal(out=z[:n])
-        np.matmul(z[:n], factor.T, out=draws[:n])
-        hits += np.count_nonzero(events.event_mask(draws[:n], thresholds, pattern, signs_arr))
+    root = np.random.SeedSequence(seed)
+    chunks = -(-trials // _CHUNK)
+    chunk_ids = iter(range(chunks))
+    lock = threading.Lock()
+
+    def count() -> int:
+        # Each worker takes the next chunk until none is left, so memory does
+        # not grow with the trial count.  Chunk i's stream is the i-th child
+        # of the root, the one root.spawn(chunks)[i] would return.
+        z = np.empty((min(_BLOCK, trials), model.dim))
+        draws = np.empty_like(z)
+        hits = 0
+        while True:
+            with lock:
+                i = next(chunk_ids, chunks)
+            if i == chunks:
+                return hits
+            rng = np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(i,)))
+            size = min(_CHUNK, trials - i * _CHUNK)
+            for start in range(0, size, _BLOCK):
+                n = min(_BLOCK, size - start)
+                rng.standard_normal(out=z[:n])
+                np.matmul(z[:n], factor.T, out=draws[:n])
+                hits += int(np.count_nonzero(events.event_mask(draws[:n], thresholds, pattern, signs_arr)))
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(chunks, cpus)
+    # The calling thread counts too; the pool starts a thread per submitted
+    # helper only, so one usable CPU starts none.
+    with ThreadPoolExecutor(workers) as pool:
+        helpers = [pool.submit(count) for _ in range(workers - 1)]
+        hits = count() + sum(h.result() for h in helpers)
     p = hits / trials
     if 0 < hits < trials:
         error = MC_Z * math.sqrt(p * (1.0 - p) / trials)
@@ -254,7 +296,7 @@ def joint_tail_monte_carlo(
         probability=p,
         method="monte-carlo",
         error=error,
-        trials=int(trials),
+        trials=trials,
         hits=hits,
     )
 

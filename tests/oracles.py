@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy import integrate
 
-from stockbound import DemandDataError, EmpiricalDemand
+from stockbound import DemandDataError, EmpiricalDemand, covariance_factor
 
 
 def quad_normal_upper_tail(k: float) -> float:
@@ -317,6 +317,27 @@ def event_mask_reference(x, thresholds, pattern: str, signs=None):
         return np.any(x >= t, axis=1)
     s = np.asarray(signs, dtype=float).reshape(-1)
     return np.all(np.where(s > 0, x >= t, x <= t), axis=1)
+
+
+# Trials per Monte Carlo chunk; chunk i draws from the i-th stream spawned
+# from the seed.
+MC_CHUNK = 1 << 15
+
+
+def monte_carlo_hits_reference(model, thresholds, lead: int, trials: int, seed, pattern: str, signs=None) -> int:
+    """Hit count of ``joint_tail_monte_carlo`` by whole chunks and whole-array masks.
+
+    Chunk ``i`` of ``MC_CHUNK`` trials (the last may be shorter) draws all its
+    normals in one call from ``default_rng(SeedSequence(seed).spawn(k)[i])``,
+    one chunk after another on one thread.
+    """
+    factor = math.sqrt(lead) * covariance_factor(model)
+    sizes = [min(MC_CHUNK, trials - start) for start in range(0, trials, MC_CHUNK)]
+    hits = 0
+    for stream, size in zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes):
+        draws = np.random.default_rng(stream).standard_normal((size, model.dim)) @ factor.T
+        hits += int(event_mask_reference(draws, thresholds, pattern, signs).sum())
+    return hits
 
 
 def load_demand_csv_reference(path, skip_header: bool = False) -> EmpiricalDemand:

@@ -118,6 +118,12 @@ class TestUsageErrors:
         assert code == 2
         assert "at least 10000" in err
 
+    def test_validate_rejects_a_nan_stock(self, capsys):
+        # NaN compares false, so a NaN stock would count no stockout and pass
+        code, out, err = run_cli(capsys, "validate", "--ss", "nan", "--trials", "10000", "--seed", "1")
+        assert code == 2 and out == ""
+        assert "thresholds must be finite" in err
+
     def test_figest_needs_seed(self, capsys):
         code, _, err = run_cli(capsys, "figure", "figest")
         assert code == 2

@@ -1,6 +1,8 @@
 """Tests for exact tail probabilities: quadrature, sampling, and inversion."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from stockbound import (
     GaussianModel,
     TailQuery,
     bivariate_joint_tail,
-    covariance_factor,
     event_mask,
     invert_joint_tail,
     joint_tail_monte_carlo,
@@ -27,8 +28,10 @@ from stockbound import oracle
 from stockbound.oracle import QUADRATURE_TARGET
 
 from oracles import (
+    MC_CHUNK,
     density_joint_tail,
     event_mask_reference,
+    monte_carlo_hits_reference,
     mpmath_joint_tail,
     owens_t_joint_tail,
     quad_normal_upper_tail,
@@ -305,7 +308,8 @@ class TestMonteCarlo:
         assert everyone.hits == 10_000 and everyone.error == result.error
 
     def test_hit_counts_match_whole_array_masks(self):
-        # same stream, same comparisons: the per-column count is exact
+        # same spawned streams, same comparisons: the per-column count is
+        # exact; 300000 trials end in a short chunk
         model = GaussianModel(np.zeros(3), np.array([[1.0, 0.6, 0.3], [0.6, 1.0, 0.8], [0.3, 0.8, 2.0]]))
         cases = [
             (ALL_EXCEED, [1.0, 0.5, 1.5], None),
@@ -314,13 +318,68 @@ class TestMonteCarlo:
         ]
         for pattern, thresholds, signs in cases:
             got = joint_tail_monte_carlo(model, thresholds, 4, 300_000, 23, pattern, signs)
-            rng = np.random.default_rng(23)
-            factor = math.sqrt(4) * covariance_factor(model)
-            want = 0
-            for block in (1 << 18, 300_000 - (1 << 18)):
-                draws = rng.standard_normal((block, 3)) @ factor.T
-                want += int(event_mask_reference(draws, thresholds, pattern, signs).sum())
+            want = monte_carlo_hits_reference(model, thresholds, 4, 300_000, 23, pattern, signs)
             assert got.hits == want, pattern
+
+    @pytest.mark.parametrize("trials", [10_000, MC_CHUNK, MC_CHUNK + 1, 300_000])
+    def test_hits_do_not_depend_on_the_thread_count(self, monkeypatch, trials):
+        model = GaussianModel.bivariate(1.0, 2.0, 0.3)
+        cases = [
+            (ALL_EXCEED, [0.5, 1.0], None),
+            (UNION, [1.5, 2.0], None),
+            (ORTHANT, [0.5, -1.0], [1.0, -1.0]),
+            (FUNGIBLE, 2.0, None),
+        ]
+        for pattern, thresholds, signs in cases:
+            # against the one-thread reference, not only across settings:
+            # chunks sharing one stream would still cover the same rows
+            # whatever the interleaving, and agree with each other
+            want = monte_carlo_hits_reference(model, thresholds, 2, trials, 31, pattern, signs)
+            for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+                threads = threading.active_count()
+                got = joint_tail_monte_carlo(model, thresholds, 2, trials, 31, pattern, signs)
+                assert threading.active_count() == threads
+                assert got.hits == want, (pattern, cpus)
+
+    def test_one_helper_thread_per_further_cpu(self, monkeypatch):
+        # the calling thread counts too, and helpers take chunks in turn, so
+        # neither a single CPU nor a long run submits more than cpus - 1 tasks
+        model = GaussianModel.bivariate(1.0, 2.0, 0.3)
+        submit = oracle.ThreadPoolExecutor.submit
+        for cpus, helpers in (({0}, 0), ({0, 1}, 1), ({0, 1, 2, 3}, 3)):
+            calls = []
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+            monkeypatch.setattr(
+                oracle.ThreadPoolExecutor, "submit", lambda pool, *a: calls.append(a) or submit(pool, *a)
+            )
+            joint_tail_monte_carlo(model, [0.5, 1.0], 2, 20 * MC_CHUNK, 31)
+            assert len(calls) == helpers, cpus
+
+    @pytest.mark.parametrize("trials", [20_000.7, 20_000.0, True, "20000"])
+    def test_non_integer_trials_rejected(self, experiment_model, trials):
+        with pytest.raises(ValueError, match="trial count must be an integer"):
+            joint_tail_monte_carlo(experiment_model, [1.0, 1.0], 1, trials, seed=1)
+
+    def test_numpy_integer_trials_give_python_numbers(self, experiment_model):
+        result = joint_tail_monte_carlo(experiment_model, [1.0, 1.0], 1, np.int64(20_000), seed=1)
+        assert type(result.trials) is int and type(result.hits) is int
+        assert type(result.probability) is float and type(result.error) is float
+        assert result.probability == result.hits / result.trials
+
+    @pytest.mark.parametrize(
+        "pattern, thresholds, signs",
+        [
+            (ALL_EXCEED, [1.0, math.nan], None),
+            (UNION, [math.nan, 1.0], None),
+            (ORTHANT, [1.0, math.inf], [1.0, -1.0]),
+            (FUNGIBLE, math.nan, None),
+            (FUNGIBLE, -math.inf, None),
+        ],
+    )
+    def test_non_finite_thresholds_rejected(self, experiment_model, pattern, thresholds, signs):
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            joint_tail_monte_carlo(experiment_model, thresholds, 1, 10_000, 1, pattern, signs)
 
     def test_seed_determinism_across_chunks(self, experiment_model):
         # 300000 trials spans more than one internal block
@@ -369,13 +428,7 @@ class TestEventMask:
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         model = GaussianModel(np.zeros(dim), (q * rng.uniform(0.2, 2.0, dim)) @ q.T)
         got = joint_tail_monte_carlo(model, 2.0, 3, 300_000, 29, FUNGIBLE)
-        draws_rng = np.random.default_rng(29)
-        factor = math.sqrt(3) * covariance_factor(model)
-        want = 0
-        for block in (1 << 18, 300_000 - (1 << 18)):
-            draws = draws_rng.standard_normal((block, dim)) @ factor.T
-            want += int(event_mask_reference(draws, 2.0, FUNGIBLE).sum())
-        assert got.hits == want > 0
+        assert got.hits == monte_carlo_hits_reference(model, 2.0, 3, 300_000, 29, FUNGIBLE) > 0
 
     def test_unknown_pattern(self):
         with pytest.raises(ValueError, match="unknown stockout pattern"):
