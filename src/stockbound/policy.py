@@ -149,23 +149,29 @@ def ss_proposed(
     ``sequential`` (two commodities) sizes commodity one alone at its share
     of ``delta_split`` (``sqrt(delta)`` each by default), then commodity two
     as the least margin that brings the joint exponent to ``log(1 / delta)``.
-    A scalar CGF evaluator (or one per independent commodity) is sized by
-    numeric rate inversion.  A stock sized from ``empirical_cgf`` is
+    A scalar CGF evaluator is sized by numeric rate inversion at ``delta``;
+    a sequence of them, one per independent commodity, at the rates of
+    ``delta_split`` (``delta ** (1 / N)`` each by default).  Evaluators take
+    only the ``symmetric`` allocation.  A stock sized from ``empirical_cgf`` is
     certified only for the plug-in estimate of the CGF: the estimation error
     is not covered, and ``estimation_certificate`` does not enter the stock.
     """
     lead = validate_lead_time(lead_time)
     delta = _check_delta(delta)
+    if allocation not in ("symmetric", "sequential"):
+        raise ValueError(f"unknown allocation {allocation!r}")
     if isinstance(model, GaussianModel):
         if allocation == "sequential" and model.dim != 1:
             return _sequential(model, lead, delta, delta_split)
-        if allocation not in ("symmetric", "sequential"):
-            raise ValueError(f"unknown allocation {allocation!r}")
         if delta_split is not None:
             raise ValueError("the symmetric allocation fixes its own split")
         ss = _ray_stocks(model, lead)(delta)
         return ProposedStock(np.full(model.dim, ss), delta, None)
+    if allocation == "sequential":
+        raise ValueError("the sequential allocation sizes a Gaussian model")
     if isinstance(model, CgfEvaluator):
+        if delta_split is not None:
+            raise ValueError("a single commodity takes the whole delta")
         return ProposedStock(np.array([invert_rate(model, delta, lead)]), delta, None)
     evaluators = list(model)
     if not all(isinstance(e, CgfEvaluator) for e in evaluators):

@@ -289,11 +289,13 @@ def chernoff_bound(
     A nonpositive margin in every coordinate gives the trivial bound 1.
     """
     lead = validate_lead_time(lead_time)
+    eps = np.asarray(epsilon, dtype=float)
+    if not np.all(np.isfinite(eps)):
+        raise ValueError("margins must be finite")
     if pattern == events.FUNGIBLE:
-        eps = float(np.asarray(epsilon, dtype=float).reshape(()))
-        rate = _scalar_rate(_along(cgf, np.ones(cgf.dim)), eps)
+        rate = _scalar_rate(_along(cgf, np.ones(cgf.dim)), float(eps.reshape(())))
         return min(1.0, math.exp(-lead * rate))
-    eps = np.asarray(epsilon, dtype=float).reshape(-1)
+    eps = eps.reshape(-1)
     cone = events.check_pattern(pattern, cgf.dim, signs)
     if pattern == events.UNION:
         first_rate = _scalar_rate(_along(cgf, np.eye(cgf.dim)[0]), eps[0])

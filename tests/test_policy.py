@@ -185,6 +185,17 @@ class TestProposedRule:
         with pytest.raises(ValueError, match="multiply back"):
             ss_proposed(evaluators, 6, 0.01, delta_split=(0.5, 0.5))
 
+    def test_evaluator_rejects_options_it_cannot_use(self):
+        cgf = weibull_cgf(WeibullModel(2.0, 1.0))
+        with pytest.raises(ValueError, match="unknown allocation"):
+            ss_proposed(cgf, 10, 0.05, allocation="bogus")
+        with pytest.raises(ValueError, match="whole delta"):
+            ss_proposed(cgf, 10, 0.05, delta_split=(0.5, 0.1))
+        with pytest.raises(ValueError, match="sequential allocation sizes a Gaussian"):
+            ss_proposed(cgf, 10, 0.05, allocation="sequential")
+        with pytest.raises(ValueError, match="sequential allocation sizes a Gaussian"):
+            ss_proposed([cgf, cgf], 10, 0.05, allocation="sequential")
+
     def test_rejects_other_inputs(self):
         with pytest.raises(TypeError, match="Gaussian model or CGF evaluator"):
             ss_proposed([1.0, 2.0], 6, 0.01)

@@ -323,6 +323,24 @@ class TestInvertRate:
         assert cgf.gradient([0.3])[0] < ss / lead
         assert ss == pytest.approx(lead * (target + cgf.value([0.3])) / 0.3, rel=1e-12)
 
+    def test_empirical_interior_root_audited_by_numpy(self):
+        # Gamma demand puts the root near u = 0.5, inside the window of 5, so
+        # the bracket is the window itself.  The audit's log-mean-exp is the
+        # plain numpy one; these sums are small enough not to overflow.
+        data = np.random.default_rng(11).gamma(2.0, 1.0, (4000, 10))
+        sums, periods, mean = data.sum(axis=1), data.shape[1], float(data.mean())
+        lead, delta = 10, 1e-2
+        ss = invert_rate(empirical_cgf(EmpiricalDemand(data)), delta, lead)
+
+        def grad(v: float):
+            moments = np.exp(v * sums)
+            slope = float(moments @ sums) / float(moments.sum()) / periods - mean
+            return slope, math.log(float(moments.mean())) / periods - v * mean
+
+        assert 0.0 < ss / lead < grad(5.0)[0]
+        rate = exact_scalar_rate(grad, ss / lead)
+        assert rate == pytest.approx(-math.log(delta) / lead, rel=1e-12)
+
     @pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-12])
     def test_exponential_pole_edge_exact(self, delta):
         # Exponential demand with scale s has rate x - log(1 + x) at the
@@ -390,6 +408,32 @@ class TestChernoffBound:
         model = GaussianModel.bivariate(1.0, 1.0, 0.5)
         bound = chernoff_bound(gaussian_cgf(model), 1.2, 7, pattern=FUNGIBLE)
         assert bound == pytest.approx(math.exp(-7.0 * 1.2**2 / (2.0 * 3.0)), rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("pattern", [FUNGIBLE, UNION])
+    def test_non_finite_margin_rejected(self, pattern, bad):
+        # The union's first term once ran its bracket out to overflow before
+        # the mixed term raised.
+        cgf = gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, 0.5))
+        eps = bad if pattern == FUNGIBLE else [bad, 1.0]
+        with pytest.raises(ValueError, match="margins must be finite"):
+            chernoff_bound(cgf, eps, 10, pattern=pattern)
+
+    @pytest.mark.parametrize(
+        "cgf",
+        [
+            empirical_cgf(EmpiricalDemand(np.random.default_rng(12).gamma(2.0, 1.0, (400, 10)))),
+            weibull_cgf(WeibullModel(1.0, 1.7)),
+        ],
+        ids=["empirical", "exponential"],
+    )
+    def test_single_commodity_fungible_is_all_exceed(self, cgf):
+        # With one commodity the pooled event is the all-exceed event; the
+        # fungible bound searches the CGF's domain (a closed window for the
+        # empirical CGF, a pole for the exponential) along the ones vector.
+        fungible = chernoff_bound(cgf, 1.0, 10, pattern=FUNGIBLE)
+        assert 1e-8 < fungible < 0.5
+        assert fungible == pytest.approx(chernoff_bound(cgf, [1.0], 10), rel=1e-12)
 
     def test_fungible_zero_pooled_variance(self):
         # At rho = -1 the pooled deviation is identically 0, so P(0 >= L * eps) = 0.
