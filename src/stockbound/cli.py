@@ -12,9 +12,12 @@ Four commands, all emitting CSV or a small text report:
 - ``estimate-cgf``: empirical CGF of scalar demand with a concentration
   half-width.
 
-Every option can also come from a ``--config`` JSON file or from the
-environment (``STOCKBOUND_<NAME>``, e.g. ``STOCKBOUND_SEED``); command-line
-flags win over the environment, which wins over the file.  Sampling uses
+Each command accepts only the flags it reads (``_LEAF_FLAGS``), so argparse
+rejects any other with exit 2.  Every option can also come from a
+``--config`` JSON file or from the environment (``STOCKBOUND_<NAME>``, e.g.
+``STOCKBOUND_SEED``); command-line flags win over the environment, which
+wins over the file.  One config file may serve every command, so it may hold
+any command's keys, but a key that no command reads is an error.  Sampling uses
 numpy's default generator (PCG64), so a run is reproducible from its config
 plus seed.  Exit status: 0 on success or a passing validation, 1 when a
 validation run exceeds its limit, 2 for usage or configuration errors.
@@ -53,6 +56,39 @@ DEFAULT_GRID = (1e-3, 0.5, 40)
 ESTIMATE_M_VALUES = (100, 1_000, 10_000, 100_000)
 ESTIMATE_SUBSEEDS = 5
 CONFIDENCE_MULTIPLIER = 3.0
+
+# Every option: name -> (type, help).
+_FLAGS = {
+    "model": (str, "gauss1 or gauss2 (default gauss2; gauss1 for estimate-cgf)"),
+    "sigma": (float, "per-period standard deviation"),
+    "rho": (float, "correlation for gauss2"),
+    "L": (int, "lead time in periods"),
+    "delta": (float, "allowed stockout rate"),
+    "grid": (str, "rate grid: COUNT or LO:HI:COUNT, log-spaced"),
+    "trials": (int, "Monte Carlo trials / replicates"),
+    "seed": (int, "RNG seed (required when sampling)"),
+    "points": (int, "points in the u grid"),
+    "ss": (float, "override the stock level"),
+    "out": (str, "output file (default: stdout)"),
+    "config": (str, "JSON file of option values, keyed by flag name"),
+}
+_POLICY_FLAGS = ("model", "sigma", "rho", "L", "delta", "grid")
+# Leaf command -> the options it reads; every command also takes out and config.
+_LEAF_FLAGS = {
+    "compute": _POLICY_FLAGS,
+    "fig1": _POLICY_FLAGS,
+    "fig2": _POLICY_FLAGS,
+    "figest": ("seed", "points"),
+    "validate": ("model", "sigma", "rho", "L", "delta", "trials", "seed", "ss"),
+    "estimate-cgf": ("model", "sigma", "L", "trials", "seed", "points"),
+}
+# Policy command -> CSV columns: ``PolicyOutput`` fields, ``_over_delta`` ones divided by delta.
+_POLICY_COLUMNS = {
+    "compute": ("delta", "ss_pre", "ss_pro", "ss_rig", "p_pre", "p_pro", "p_rig",
+                "ratio_pro", "ratio_pre"),
+    "fig1": ("delta", "ratio_pro", "ratio_pre"),
+    "fig2": ("delta", "p_pro_over_delta", "p_pre_over_delta"),
+}
 
 
 class UsageError(Exception):
@@ -93,6 +129,9 @@ class _Options:
                 raise UsageError(f"could not read config file: {exc}") from None
             if not isinstance(self.config, dict):
                 raise UsageError("config file must hold a JSON object")
+            unknown = next((key for key in self.config if key not in _FLAGS), None)
+            if unknown is not None:
+                raise UsageError(f"unknown config key {unknown!r}")
             self.base_dir = Path(path).parent
 
     def _raw(self, name: str, cast):
@@ -126,9 +165,9 @@ class _Options:
             raise UsageError(f"--{name.replace('_', '-')} is required")
         return value
 
-    def model(self, allow: tuple[type, ...] = (GaussianModel,)):
+    def model(self, default: str = "gauss2", allow: tuple[type, ...] = (GaussianModel,)):
         """Demand model from --model/--sigma/--rho or a config mapping."""
-        spec = self.get("model", str, default="gauss2")
+        spec = self.get("model", str, default=default)
         if isinstance(spec, dict):
             model = model_from_dict(spec, base_dir=self.base_dir)
         elif spec == "gauss1":
@@ -145,14 +184,16 @@ class _Options:
             raise UsageError(f"this command needs a {names} demand model")
         return model
 
-    def delta_grid(self) -> np.ndarray:
-        """Either the single --delta or a log-spaced --grid of rates."""
+    def delta_grid(self, required: bool) -> np.ndarray:
+        """The single --delta, a log-spaced --grid, or the default grid if not ``required``."""
         delta = self.get("delta", float)
         grid = self.get("grid", str)
         if delta is not None and grid is not None:
             raise UsageError("give either --delta or --grid, not both")
         if delta is not None:
             return np.array([delta])
+        if grid is None and required:
+            raise UsageError("--delta is required (or give --grid for a sweep)")
         lo, hi, count = DEFAULT_GRID
         if grid is not None:
             lo, hi, count = _parse_grid(str(grid), lo, hi)
@@ -188,44 +229,20 @@ def _describe_model(model: GaussianModel) -> str:
 # commands
 
 
-def cmd_compute(opts: _Options) -> int:
-    model = opts.model()
-    lead = validate_lead_time(opts.get("L", int, default=DEFAULT_LEAD))
-    delta = opts.get("delta", float)
-    grid = opts.get("grid", str)
-    if delta is None and grid is None:
-        raise UsageError("--delta is required (or give --grid for a sweep)")
-    rows = compare_policies(model, lead, opts.delta_grid())
-    header = [
-        "delta", "ss_pre", "ss_pro", "ss_rig",
-        "p_pre", "p_pro", "p_rig", "ratio_pro", "ratio_pre",
-    ]
-    _write_csv(
-        opts.get("out", str),
-        header,
-        [
-            (r.delta, r.ss_pre, r.ss_pro, r.ss_rig,
-             r.p_pre, r.p_pro, r.p_rig, r.ratio_pro, r.ratio_pre)
-            for r in rows
-        ],
-    )
-    return 0
+def _cell(row, column: str) -> float:
+    if column.endswith("_over_delta"):
+        return getattr(row, column.removesuffix("_over_delta")) / row.delta
+    return getattr(row, column)
 
 
-def cmd_figure(opts: _Options) -> int:
-    which = opts.args.which
-    if which == "figest":
-        return _figure_estimation(opts)
+def cmd_policy(opts: _Options) -> int:
+    """``compute``, ``figure fig1|fig2``: a row per rate computes only its table's columns."""
+    leaf = opts.args.leaf
     model = opts.model()
     lead = validate_lead_time(opts.get("L", int, default=DEFAULT_LEAD))
-    rows = compare_policies(model, lead, opts.delta_grid())
-    if which == "fig1":
-        header = ["delta", "ratio_pro", "ratio_pre"]
-        data = [(r.delta, r.ratio_pro, r.ratio_pre) for r in rows]
-    else:
-        header = ["delta", "p_pro_over_delta", "p_pre_over_delta"]
-        data = [(r.delta, r.p_pro / r.delta, r.p_pre / r.delta) for r in rows]
-    _write_csv(opts.get("out", str), header, data)
+    rows = compare_policies(model, lead, opts.delta_grid(required=leaf == "compute"))
+    columns = _POLICY_COLUMNS[leaf]
+    _write_csv(opts.get("out", str), columns, [[_cell(r, c) for c in columns] for r in rows])
     return 0
 
 
@@ -238,7 +255,7 @@ def _u_grid(points: int, keep_zero: bool) -> np.ndarray:
     return grid
 
 
-def _figure_estimation(opts: _Options) -> int:
+def cmd_figest(opts: _Options) -> int:
     """Estimation error |phi_hat - phi| against sample count.
 
     Standard normal demand over a single period, so the target is u^2/2.
@@ -319,7 +336,7 @@ def _scalar_samples(opts: _Options, model, lead: int) -> EmpiricalDemand:
 
 
 def cmd_estimate_cgf(opts: _Options) -> int:
-    model = opts.model(allow=(GaussianModel, WeibullModel, EmpiricalDemand))
+    model = opts.model("gauss1", allow=(GaussianModel, WeibullModel, EmpiricalDemand))
     lead = validate_lead_time(opts.get("L", int, default=1))
     data = _scalar_samples(opts, model, lead)
     grid = _u_grid(opts.get("points", int, default=21), keep_zero=True)
@@ -352,21 +369,6 @@ def cmd_estimate_cgf(opts: _Options) -> int:
 # wiring
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model", help="gauss1 or gauss2 (default gauss2)")
-    sub.add_argument("--sigma", type=float, help="per-period standard deviation")
-    sub.add_argument("--rho", type=float, help="correlation for gauss2")
-    sub.add_argument("--L", type=int, help="lead time in periods")
-    sub.add_argument("--delta", type=float, help="allowed stockout rate")
-    sub.add_argument("--grid", help="rate grid: COUNT or LO:HI:COUNT, log-spaced")
-    sub.add_argument("--trials", type=int, help="Monte Carlo trials / replicates")
-    sub.add_argument("--seed", type=int, help="RNG seed (required when sampling)")
-    sub.add_argument("--points", type=int, help="points in the u grid")
-    sub.add_argument("--ss", type=float, help="override the stock level")
-    sub.add_argument("--out", help="output file (default: stdout)")
-    sub.add_argument("--config", help="JSON file with any of the above keys")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.
@@ -379,18 +381,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Safety stock with certified stockout rates for correlated demand.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    compute = commands.add_parser("compute", help="compare the three sizing rules")
-
     figure = commands.add_parser("figure", help="emit one of the experiment curves")
-    figure.add_argument("which", choices=("fig1", "fig2", "figest"))
-
-    validate = commands.add_parser("validate", help="simulate and check the certificate")
-
-    estimate = commands.add_parser("estimate-cgf", help="empirical CGF with half-widths")
-
-    for sub in (compute, figure, validate, estimate):
-        _add_common(sub)
+    figures = figure.add_subparsers(dest="which", required=True)
+    leaves = (
+        (commands, "compute", "compare the three sizing rules"),
+        (figures, "fig1", "stock overhead ratios against the rigorous stock"),
+        (figures, "fig2", "realized stockout rates over their target"),
+        (figures, "figest", "empirical CGF error against replicate count"),
+        (commands, "validate", "simulate and check the certificate"),
+        (commands, "estimate-cgf", "empirical CGF with half-widths"),
+    )
+    for group, name, text in leaves:
+        sub = group.add_parser(name, help=text)
+        sub.set_defaults(leaf=name)
+        for flag in _LEAF_FLAGS[name] + ("out", "config"):
+            cast, flag_help = _FLAGS[flag]
+            sub.add_argument(f"--{flag}", type=cast, help=flag_help)
     return parser
 
 
@@ -400,13 +406,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     commands = {
-        "compute": cmd_compute,
-        "figure": cmd_figure,
+        "compute": cmd_policy,
+        "fig1": cmd_policy,
+        "fig2": cmd_policy,
+        "figest": cmd_figest,
         "validate": cmd_validate,
         "estimate-cgf": cmd_estimate_cgf,
     }
     try:
-        return commands[args.command](_Options(args))
+        return commands[args.leaf](_Options(args))
     except (UsageError, ValueError, TypeError, OSError) as exc:
         print(f"stockbound: {exc}", file=sys.stderr)
         return 2

@@ -321,6 +321,14 @@ def _first_bad_row(path: Path, lines: list[str], kept: list[int]) -> DemandDataE
     raise AssertionError("the demand rows parse one by one but not together")
 
 
+# Model type -> the keys its config reads besides "type".
+_MODEL_KEYS = {
+    "gaussian": ("mu", "sigma"),
+    "weibull": ("shape", "scale"),
+    "empirical": ("path", "skip_header"),
+}
+
+
 def model_from_dict(spec: dict, base_dir=None):
     """Build a demand model from a plain config mapping.
 
@@ -329,10 +337,17 @@ def model_from_dict(spec: dict, base_dir=None):
         {"type": "gaussian", "mu": [...], "sigma": [[...], ...]}
         {"type": "weibull", "shape": a, "scale": b}
         {"type": "empirical", "path": "demand.csv", "skip_header": false}
+
+    A key that the type does not read is an error, not ignored.
     """
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("model config must be a mapping with a 'type' key")
     kind = spec["type"]
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+        raise ValueError(f"unknown model type {kind!r}")
+    unknown = next((key for key in spec if key != "type" and key not in _MODEL_KEYS[kind]), None)
+    if unknown is not None:
+        raise ValueError(f"{kind} config has unknown key {unknown!r}")
     if kind == "gaussian":
         try:
             return GaussianModel(spec["mu"], spec["sigma"])
@@ -343,11 +358,10 @@ def model_from_dict(spec: dict, base_dir=None):
             return WeibullModel(float(spec["shape"]), float(spec["scale"]))
         except KeyError as missing:
             raise ValueError(f"weibull config is missing {missing}") from None
-    if kind == "empirical":
-        if "path" not in spec:
-            raise ValueError("empirical config is missing 'path'")
-        path = Path(spec["path"])
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
-        return load_demand_csv(path, skip_header=bool(spec.get("skip_header", False)))
-    raise ValueError(f"unknown model type {kind!r}")
+    # the type is known, so what is left is "empirical"
+    if "path" not in spec:
+        raise ValueError("empirical config is missing 'path'")
+    path = Path(spec["path"])
+    if base_dir is not None and not path.is_absolute():
+        path = Path(base_dir) / path
+    return load_demand_csv(path, skip_header=bool(spec.get("skip_header", False)))

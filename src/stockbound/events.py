@@ -25,15 +25,22 @@ PATTERNS = (ALL_EXCEED, UNION, ORTHANT, FUNGIBLE)
 __all__ = ["ALL_EXCEED", "FUNGIBLE", "ORTHANT", "PATTERNS", "UNION", "check_pattern", "event_mask"]
 
 
+def _check_signs(pattern: str, signs) -> None:
+    """Signs go with the orthant pattern and with no other."""
+    if pattern == ORTHANT and signs is None:
+        raise ValueError("the orthant pattern requires a sign vector")
+    if pattern != ORTHANT and signs is not None:
+        raise ValueError(f"signs apply only to the orthant pattern, not {pattern!r}")
+
+
 def check_pattern(pattern: str, dim: int, signs=None) -> np.ndarray | None:
     """Validate a pattern name against the dimension; returns cleaned signs."""
     if pattern not in PATTERNS:
         raise ValueError(f"unknown stockout pattern {pattern!r}")
     if pattern == UNION and dim != 2:
         raise ValueError("the union pattern is defined for exactly two commodities")
+    _check_signs(pattern, signs)
     if pattern == ORTHANT:
-        if signs is None:
-            raise ValueError("the orthant pattern requires a sign vector")
         arr = np.asarray(signs, dtype=float).reshape(-1)
         if arr.shape[0] != dim or not np.all(np.abs(arr) == 1.0):
             raise ValueError("signs must be a vector of +1/-1, one per commodity")
@@ -51,6 +58,7 @@ def event_mask(x: np.ndarray, thresholds, pattern: str, signs=None) -> np.ndarra
     rows of fewer than 8 elements in that order too, so the pooled demand is
     bit-identical to ``x.sum(axis=1)``, which is used for wider rows.
     """
+    _check_signs(pattern, signs)
     if pattern == FUNGIBLE:
         level = float(np.asarray(thresholds).reshape(()))
         if x.shape[1] >= 8:

@@ -16,10 +16,12 @@ serves every ``delta``: ``SS = sqrt(L * log(1 / delta) / (N * R(1)))``.
 That reproduces the paper's formulas, ``sqrt(L s2 (1 + rho) log(1 / delta))``
 for two symmetric commodities and ``sqrt(2 L s2 log(1 / delta))`` for one.
 The solver returns a feasible point, so the rate is a lower bound and the
-stock errs on the safe side.  The ``sequential`` allocation keeps the
-paper's first margin, ``sqrt(2 L s2_x log(1 / delta_x))``, and certifies the
-second by a root of the exponent; the paper's conditional rule for it
-undersizes it where the cone constraint ``u >= 0`` binds (high ``rho``).
+stock errs on the safe side.  Given a rate split ``(delta_x, delta_y)``, two
+Gaussian commodities are sized sequentially: the paper's first margin,
+``sqrt(2 L s2_x log(1 / delta_x))``, then the second as a root of the
+exponent; the paper's conditional rule for it undersizes it where the cone
+constraint ``u >= 0`` binds (high ``rho``).  The paper's split is
+``(sqrt(delta), sqrt(delta))``.
 """
 
 from __future__ import annotations
@@ -111,8 +113,8 @@ def _ray_stocks(model: GaussianModel, lead: int):
 def _sequential(model: GaussianModel, lead: int, delta: float, delta_split) -> ProposedStock:
     """Commodity x alone at ``delta_x``, then y at the root of the joint exponent."""
     if model.dim != 2:
-        raise ValueError("the sequential allocation covers two commodities")
-    dx, dy = delta_split if delta_split is not None else (math.sqrt(delta),) * 2
+        raise ValueError("a rate split sizes two Gaussian commodities")
+    dx, dy = delta_split
     if not (0.0 < dx < 1.0 and 0.0 < dy < 1.0):
         raise ValueError("split rates must lie strictly between 0 and 1")
     _check_split((dx, dy), delta)
@@ -135,40 +137,29 @@ def _sequential(model: GaussianModel, lead: int, delta: float, delta_split) -> P
     return ProposedStock(np.array([ss_x, min(met, default=hi)]), delta, (dx, dy))
 
 
-def ss_proposed(
-    model,
-    lead_time: int,
-    delta: float,
-    allocation: str = "symmetric",
-    delta_split: tuple[float, float] | None = None,
-) -> ProposedStock:
+def ss_proposed(model, lead_time: int, delta: float, delta_split=None) -> ProposedStock:
     """Certified safety stock from the large-deviations bound.
 
-    A Gaussian model is sized from its Chernoff exponent: ``symmetric`` gives
-    every commodity the equal margin whose exponent is ``log(1 / delta)``;
-    ``sequential`` (two commodities) sizes commodity one alone at its share
-    of ``delta_split`` (``sqrt(delta)`` each by default), then commodity two
-    as the least margin that brings the joint exponent to ``log(1 / delta)``.
+    A Gaussian model is sized from its Chernoff exponent.  With no
+    ``delta_split`` every commodity gets the equal margin whose exponent is
+    ``log(1 / delta)``.  A split ``(delta_x, delta_y)`` of two commodities
+    sizes them sequentially: commodity one alone at ``delta_x``, then
+    commodity two as the least margin that brings the joint exponent to
+    ``log(1 / delta)``; the paper's rule is ``(sqrt(delta), sqrt(delta))``.
     A scalar CGF evaluator is sized by numeric rate inversion at ``delta``;
     a sequence of them, one per independent commodity, at the rates of
-    ``delta_split`` (``delta ** (1 / N)`` each by default).  Evaluators take
-    only the ``symmetric`` allocation.  A stock sized from ``empirical_cgf`` is
-    certified only for the plug-in estimate of the CGF: the estimation error
-    is not covered, and ``estimation_certificate`` does not enter the stock.
+    ``delta_split`` (``delta ** (1 / N)`` each by default).  A stock sized
+    from ``empirical_cgf`` is certified only for the plug-in estimate of the
+    CGF: the estimation error is not covered, and ``estimation_certificate``
+    does not enter the stock.
     """
     lead = validate_lead_time(lead_time)
     delta = _check_delta(delta)
-    if allocation not in ("symmetric", "sequential"):
-        raise ValueError(f"unknown allocation {allocation!r}")
     if isinstance(model, GaussianModel):
-        if allocation == "sequential" and model.dim != 1:
-            return _sequential(model, lead, delta, delta_split)
         if delta_split is not None:
-            raise ValueError("the symmetric allocation fixes its own split")
+            return _sequential(model, lead, delta, delta_split)
         ss = _ray_stocks(model, lead)(delta)
         return ProposedStock(np.full(model.dim, ss), delta, None)
-    if allocation == "sequential":
-        raise ValueError("the sequential allocation sizes a Gaussian model")
     if isinstance(model, CgfEvaluator):
         if delta_split is not None:
             raise ValueError("a single commodity takes the whole delta")

@@ -292,11 +292,11 @@ def chernoff_bound(
     eps = np.asarray(epsilon, dtype=float)
     if not np.all(np.isfinite(eps)):
         raise ValueError("margins must be finite")
+    cone = events.check_pattern(pattern, cgf.dim, signs)
     if pattern == events.FUNGIBLE:
         rate = _scalar_rate(_along(cgf, np.ones(cgf.dim)), float(eps.reshape(())))
         return min(1.0, math.exp(-lead * rate))
     eps = eps.reshape(-1)
-    cone = events.check_pattern(pattern, cgf.dim, signs)
     if pattern == events.UNION:
         first_rate = _scalar_rate(_along(cgf, np.eye(cgf.dim)[0]), eps[0])
         mixed = rate_numeric(cgf, eps, signs=np.array([-1.0, 1.0]))

@@ -290,7 +290,7 @@ def test_exponent_solve_reproduces_the_closed_forms():
 
 
 def test_sequential_stock_is_certified():
-    # Splits as (delta_x, delta_y); None is the default sqrt(delta) each.
+    # Splits as powers of delta; None is the paper's sqrt(delta) each.
     splits = (None, (0.1, 0.9), (0.9, 0.1))
     worst_exact, worst_bound, worst_kept, kept, cases = 0.0, 0.0, 0.0, 0, 0
     for split in splits:
@@ -301,8 +301,8 @@ def test_sequential_stock_is_certified():
                 for delta in (0.3, 0.05, 1e-3, 1e-6, 1e-12):
                     powers = split or (0.5, 0.5)
                     dx, dy = delta ** powers[0], delta ** powers[1]
-                    given = None if split is None else (dx, dy)
-                    ss = ss_proposed(model, LEAD, delta, "sequential", given).ss
+                    given = (math.sqrt(delta),) * 2 if split is None else (dx, dy)
+                    ss = ss_proposed(model, LEAD, delta, given).ss
                     query = TailQuery.from_margins(model, ss[0], ss[1], LEAD)
                     worst_exact = max(worst_exact, bivariate_joint_tail(query).probability / delta)
                     worst_bound = max(worst_bound, chernoff_bound(cgf, ss / LEAD, LEAD) / delta)

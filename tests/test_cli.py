@@ -1,8 +1,11 @@
 """End-to-end tests of the command line interface."""
 
+import argparse
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -25,11 +28,12 @@ from stockbound import (
     joint_tail_monte_carlo,
     weibull_log_mgf,
 )
-from stockbound.cli import main
+from stockbound.cli import build_parser, main
 
 from oracles import mpmath_weibull_log_mgf
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 DATA = Path(__file__).resolve().parent / "data"
 
 # What pip's generated console-script wrapper does: set the program name,
@@ -73,6 +77,39 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def leaf_flags(parser, path=()):
+    """Leaf command (e.g. ``figure fig1``) -> the set of flags it accepts."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        return {" ".join(path): {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}}
+    found = {}
+    for name, sub in groups[0].choices.items():
+        found.update(leaf_flags(sub, (*path, name)))
+    return found
+
+
+def readme_section(title):
+    text = README.read_text()
+    start = text.index(f"## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end >= 0 else None]
+
+
+def readme_commands():
+    """The ``stockbound ...`` lines of the README's command-line section."""
+    return [
+        line.removeprefix("stockbound ")
+        for line in readme_section("Command line").splitlines()
+        if line.startswith("stockbound ")
+    ]
+
+
+def clear_environment(monkeypatch):
+    for key in list(os.environ):
+        if key.startswith("STOCKBOUND_"):
+            monkeypatch.delenv(key)
 
 
 def parse_csv(text):
@@ -142,8 +179,72 @@ class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         assert main(["compute", "--walrus", "5"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--grid", "40", "--seed", "1", "--trials", "20000"],
+            ["compute", "--delta", "0.05", "--ss", "1"],
+            ["figure", "fig1", "--seed", "1"],
+            ["figure", "figest", "--seed", "1", "--rho", "0.5"],
+            ["estimate-cgf", "--seed", "2", "--delta", "0.05"],
+        ],
+        ids=["validate --grid", "compute --ss", "fig1 --seed", "figest --rho", "estimate-cgf --delta"],
+    )
+    def test_flag_the_command_does_not_read(self, capsys, argv):
+        # these flags were once accepted and silently ignored
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err
+
+    def test_figure_needs_a_curve(self, capsys):
+        code, _, err = run_cli(capsys, "figure")
+        assert code == 2
+        assert "required" in err
+
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
+
+
+class TestFlagSets:
+    POLICY = {"model", "sigma", "rho", "L", "delta", "grid", "out", "config"}
+    EXPECTED = {
+        "compute": POLICY,
+        "figure fig1": POLICY,
+        "figure fig2": POLICY,
+        "figure figest": {"seed", "points", "out", "config"},
+        "validate": {"model", "sigma", "rho", "L", "delta", "trials", "seed", "ss", "out", "config"},
+        "estimate-cgf": {"model", "sigma", "L", "trials", "seed", "points", "out", "config"},
+    }
+
+    def test_each_command_accepts_the_flags_it_reads(self):
+        found = leaf_flags(build_parser())
+        assert found == self.EXPECTED
+        assert sum(len(flags) for flags in found.values()) == 46
+
+    def test_readme_table_lists_the_same_flags(self):
+        # rows of "| `command`, `command` | `--flag` `--flag` |"
+        documented = {}
+        for row in readme_section("Command line").splitlines():
+            cells = row.split("|")
+            if len(cells) == 4 and "--" in cells[2]:
+                flags = set(re.findall(r"--(\w+)", cells[2])) | {"out", "config"}
+                for command in re.findall(r"`([^`]+)`", cells[1]):
+                    documented[command] = flags
+        assert documented == self.EXPECTED
+
+
+class TestReadmeCommands:
+    @pytest.mark.parametrize("line", readme_commands())
+    def test_readme_command_runs(self, capsys, monkeypatch, line):
+        clear_environment(monkeypatch)
+        command, _, comment = line.partition("#")
+        code, _, err = run_cli(capsys, *shlex.split(command))
+        assert code == (1 if "fails" in comment else 0), err
+
+    def test_readme_has_the_commands(self):
+        lines = readme_commands()
+        assert len(lines) >= 7
+        assert sum("#" in line for line in lines) == 1
 
 
 class TestCompute:
@@ -361,9 +462,7 @@ class TestGoldenOutputs:
         ],
     )
     def test_default_output_is_byte_identical(self, capsys, monkeypatch, name, argv):
-        for key in list(os.environ):
-            if key.startswith("STOCKBOUND_"):
-                monkeypatch.delenv(key)
+        clear_environment(monkeypatch)
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out.encode() == (DATA / name).read_bytes()
@@ -463,6 +562,13 @@ class TestEstimateCgf:
         assert header == ["u", "estimate", "half_width"]
         assert len(rows) == 3
 
+    def test_default_model_is_gauss1(self, capsys, monkeypatch):
+        # the shared default gauss2 was always rejected here
+        clear_environment(monkeypatch)
+        code, out, err = run_cli(capsys, "estimate-cgf", "--seed", "2")
+        assert code == 0, err
+        assert run_cli(capsys, "estimate-cgf", "--model", "gauss1", "--seed", "2") == (0, out, "")
+
     def test_minimum_replicates(self, capsys):
         code, _, err = run_cli(
             capsys, "estimate-cgf", "--model", "gauss1", "--seed", "1", "--trials", "1"
@@ -515,6 +621,29 @@ class TestOptionLayering:
         code, _, err = run_cli(capsys, "compute", "--config", str(tmp_path / "missing.json"))
         assert code == 2
         assert "could not read config file" in err
+
+    def test_misspelled_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 0.05, "trails": 5}))
+        code, out, err = run_cli(capsys, "compute", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "unknown config key 'trails'" in err
+
+    def test_config_may_hold_keys_of_other_commands(self, capsys, monkeypatch, tmp_path):
+        # one file serves every command: compute leaves seed and ss to others
+        clear_environment(monkeypatch)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 0.05, "seed": 3, "ss": 1.0}))
+        code, out, _ = run_cli(capsys, "compute", "--config", str(cfg))
+        assert code == 0
+        assert out == run_cli(capsys, "compute", "--delta", "0.05")[1]
+
+    def test_unknown_model_key_in_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"type": "weibull", "shape": 2, "scale": 1, "mean": 3}}))
+        code, out, err = run_cli(capsys, "estimate-cgf", "--config", str(cfg), "--seed", "1")
+        assert code == 2 and out == ""
+        assert "weibull config has unknown key 'mean'" in err
 
     def test_config_must_be_an_object(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

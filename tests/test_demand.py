@@ -425,3 +425,21 @@ class TestModelFromDict:
     def test_missing_field(self):
         with pytest.raises(ValueError, match="missing"):
             model_from_dict({"type": "gaussian", "mu": [0.0]})
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"type": "weibull", "shape": 2, "scale": 1, "mean": 3}, "mean"),
+            ({"type": "gaussian", "mu": [0.0, 0.0], "sigma": [[1, 0], [0, 1]], "rho": 0.5}, "rho"),
+            ({"type": "empirical", "path": "d.csv", "skip_headers": True}, "skip_headers"),
+            ({"type": "gaussian", "mu": [0.0], "sigma": [[1.0]], "shape": 2, "scale": 1}, "shape"),
+        ],
+    )
+    def test_unknown_key_is_named(self, spec, key):
+        # the key is read before any file, so the missing d.csv is not reached
+        with pytest.raises(ValueError, match=f"{spec['type']} config has unknown key '{key}'"):
+            model_from_dict(spec)
+
+    def test_unhashable_type_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown model type"):
+            model_from_dict({"type": ["gaussian"]})

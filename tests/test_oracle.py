@@ -17,7 +17,9 @@ from stockbound import (
     GaussianModel,
     TailQuery,
     bivariate_joint_tail,
+    chernoff_bound,
     event_mask,
+    gaussian_cgf,
     invert_joint_tail,
     joint_tail_monte_carlo,
     normal_upper_tail,
@@ -25,6 +27,7 @@ from stockbound import (
 )
 
 from stockbound import oracle
+from stockbound.events import check_pattern
 from stockbound.oracle import QUADRATURE_TARGET
 
 from oracles import (
@@ -433,6 +436,33 @@ class TestEventMask:
     def test_unknown_pattern(self):
         with pytest.raises(ValueError, match="unknown stockout pattern"):
             event_mask(np.zeros((3, 2)), [0.0, 0.0], "sometimes")
+
+
+class TestSignsOnlyForOrthant:
+    # Signs were once dropped for every pattern but the orthant: at rho = 0.5,
+    # margins (0.5, 0.5) and L = 10, all_exceed with signs [1, -1] gave the
+    # all-exceed bound 0.1889 where the orthant's is 0.2865, and Monte Carlo
+    # counted the all-exceed event.
+    @pytest.mark.parametrize(
+        "pattern, thresholds", [(ALL_EXCEED, [0.5, 0.5]), (UNION, [0.5, 0.5]), (FUNGIBLE, 0.5)]
+    )
+    def test_signs_with_another_pattern_are_rejected(self, pattern, thresholds):
+        model = GaussianModel.bivariate(1.0, 1.0, 0.5)
+        signs = [1.0, -1.0]
+        match = f"signs apply only to the orthant pattern, not '{pattern}'"
+        with pytest.raises(ValueError, match=match):
+            check_pattern(pattern, 2, signs)
+        with pytest.raises(ValueError, match=match):
+            chernoff_bound(gaussian_cgf(model), thresholds, 10, pattern, signs=signs)
+        with pytest.raises(ValueError, match=match):
+            joint_tail_monte_carlo(model, thresholds, 10, 10_000, 1, pattern, signs)
+        with pytest.raises(ValueError, match=match):
+            event_mask(np.zeros((3, 2)), thresholds, pattern, signs)
+
+    def test_orthant_mask_needs_signs(self):
+        # without signs the mask once compared the first column only
+        with pytest.raises(ValueError, match="requires a sign vector"):
+            event_mask(np.zeros((3, 2)), [0.0, 0.0], ORTHANT)
 
 
 class TestInvertJointTail:

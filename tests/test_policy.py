@@ -93,7 +93,7 @@ class TestProposedRule:
     def test_sequential_matches_symmetric_when_independent(self):
         model = GaussianModel.bivariate(1.0, 1.0, 0.0)
         sym = ss_proposed(model, 10, 0.05)
-        seq = ss_proposed(model, 10, 0.05, allocation="sequential")
+        seq = ss_proposed(model, 10, 0.05, delta_split=(math.sqrt(0.05),) * 2)
         assert seq.ss == pytest.approx(sym.ss, rel=1e-10)
 
     def test_sequential_conditional_offset(self, experiment_model):
@@ -101,12 +101,12 @@ class TestProposedRule:
         # exponent is the paper's conditional rule
         dx = math.sqrt(0.05)
         model = GaussianModel.bivariate(1.0, 1.0, 0.5)
-        out = ss_proposed(model, 10, 0.05, allocation="sequential")
+        out = ss_proposed(model, 10, 0.05, delta_split=(dx, dx))
         assert out.ss == pytest.approx(sequential_proposed_stock(1.0, 1.0, 0.5, 10, dx, dx), rel=1e-10)
         assert out.delta_split == pytest.approx([dx, dx], rel=1e-12)
         # at rho = 0.9 the conditional rule undersizes y (its Chernoff bound
         # exceeds delta); y's own stock at delta is the least that certifies
-        out = ss_proposed(experiment_model, 10, 0.05, allocation="sequential")
+        out = ss_proposed(experiment_model, 10, 0.05, delta_split=(dx, dx))
         ss_x, conditional = sequential_proposed_stock(1.0, 1.0, 0.9, 10, dx, dx)
         assert out.ss == pytest.approx([ss_x, math.sqrt(20.0 * math.log(20.0))], rel=1e-12)
         assert out.ss[1] > conditional
@@ -115,39 +115,32 @@ class TestProposedRule:
     def test_sequential_accepts_explicit_split(self, experiment_model):
         split = (0.01, 5.0)
         with pytest.raises(ValueError, match="strictly between"):
-            ss_proposed(experiment_model, 10, 0.05, allocation="sequential", delta_split=split)
-        out = ss_proposed(
-            experiment_model, 10, 0.05, allocation="sequential", delta_split=(0.1, 0.5)
-        )
+            ss_proposed(experiment_model, 10, 0.05, delta_split=split)
+        out = ss_proposed(experiment_model, 10, 0.05, delta_split=(0.1, 0.5))
         assert out.ss[0] == pytest.approx(math.sqrt(20.0 * math.log(10.0)), rel=1e-12)
 
     def test_sequential_split_must_recover_delta(self, experiment_model):
         with pytest.raises(ValueError, match="multiply back"):
-            ss_proposed(
-                experiment_model, 10, 0.05, allocation="sequential", delta_split=(0.5, 0.5)
-            )
+            ss_proposed(experiment_model, 10, 0.05, delta_split=(0.5, 0.5))
 
     def test_sequential_rejects_three_commodities(self):
         model = GaussianModel(np.zeros(3), np.eye(3))
-        with pytest.raises(ValueError, match="sequential allocation covers two commodities"):
-            ss_proposed(model, 10, 0.05, allocation="sequential")
+        with pytest.raises(ValueError, match="two Gaussian commodities"):
+            ss_proposed(model, 10, 0.05, delta_split=(0.05 ** (1 / 3),) * 3)
+
+    def test_split_on_one_commodity_is_rejected(self):
+        # one commodity takes the whole delta: a split is an error, not ignored
+        with pytest.raises(ValueError, match="two Gaussian commodities"):
+            ss_proposed(GaussianModel.univariate(1.0), 10, 0.05, delta_split=(0.5, 0.1))
 
     def test_sequential_certifies_asymmetric_pair(self):
         # unequal variances: the certified stock must keep the exact
         # all-exceed probability at or below the target
         model = GaussianModel.bivariate(1.0, 2.0, 0.6)
         lead = 8
-        out = ss_proposed(model, lead, 0.05, allocation="sequential")
+        out = ss_proposed(model, lead, 0.05, delta_split=(math.sqrt(0.05),) * 2)
         query = TailQuery.from_margins(model, out.ss[0], out.ss[1], lead)
         assert bivariate_joint_tail(query).probability <= 0.05
-
-    def test_symmetric_rejects_explicit_split(self, experiment_model):
-        with pytest.raises(ValueError, match="fixes its own split"):
-            ss_proposed(experiment_model, 10, 0.05, delta_split=(0.1, 0.5))
-
-    def test_unknown_allocation(self, experiment_model):
-        with pytest.raises(ValueError, match="unknown allocation"):
-            ss_proposed(experiment_model, 10, 0.05, allocation="waterfall")
 
     def test_three_independent_commodities_split_evenly(self):
         # independent unit commodities: the equal margin carries delta^(1/3) each
@@ -187,14 +180,8 @@ class TestProposedRule:
 
     def test_evaluator_rejects_options_it_cannot_use(self):
         cgf = weibull_cgf(WeibullModel(2.0, 1.0))
-        with pytest.raises(ValueError, match="unknown allocation"):
-            ss_proposed(cgf, 10, 0.05, allocation="bogus")
         with pytest.raises(ValueError, match="whole delta"):
             ss_proposed(cgf, 10, 0.05, delta_split=(0.5, 0.1))
-        with pytest.raises(ValueError, match="sequential allocation sizes a Gaussian"):
-            ss_proposed(cgf, 10, 0.05, allocation="sequential")
-        with pytest.raises(ValueError, match="sequential allocation sizes a Gaussian"):
-            ss_proposed([cgf, cgf], 10, 0.05, allocation="sequential")
 
     def test_rejects_other_inputs(self):
         with pytest.raises(TypeError, match="Gaussian model or CGF evaluator"):
