@@ -213,18 +213,23 @@ def validate_lead_time(lead_time: int) -> int:
 
 
 def covariance_factor(model: GaussianModel) -> np.ndarray:
-    """Matrix square root ``B`` of the covariance with ``B @ B.T == covariance``.
+    """Lower-triangular ``B`` with ``B @ B.T == covariance``.
 
-    Uses the Cholesky factor when the covariance is positive definite and an
-    eigendecomposition otherwise, so singular models (perfectly correlated or
-    deterministic commodities) are handled too.
+    A positive-definite covariance gives its Cholesky factor.  A singular one
+    (perfectly correlated or deterministic commodities) has none; there the
+    eigen factor ``E = V sqrt(Lambda)`` is triangularized through the QR
+    decomposition ``E.T = Q R``: ``B = R.T`` has ``B @ B.T == E @ E.T``, and
+    since ``Q.T z`` is again standard normal, ``B z`` has the same
+    distribution as ``E z``.  Row ``j`` of ``B`` reads the first ``j + 1``
+    normals only, so commodities can be drawn one at a time.
     """
     cov = model.covariance
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         eigvals, eigvecs = np.linalg.eigh(cov)
-        return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+        eigen = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+        return np.linalg.qr(eigen.T, mode="r").T
 
 
 # Blank records hold only whitespace, commas and quotes.

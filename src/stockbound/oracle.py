@@ -10,7 +10,10 @@ handles any dimension and the full set of stockout patterns, and is the only
 oracle offered beyond two commodities.  It splits its trials into fixed
 chunks of 32 768, each drawn from its own stream spawned from the seed, and
 counts the chunks on a thread per usable core; the hit count depends on the
-seed and the trial count only.
+seed and the trial count only.  Each pattern is a test per commodity joined
+by AND, so trials are drawn one commodity at a time through the
+lower-triangular covariance factor, and a trial stops drawing once a test
+has decided it.
 
 Thresholds are standardized: a demand margin of ``L * eps`` over a lead time
 of ``L`` periods with per-period variance ``s2`` corresponds to
@@ -209,9 +212,9 @@ def bivariate_joint_tail(query: TailQuery) -> OracleResult:
 # Trials per chunk.  Chunk i draws from the i-th stream spawned from the
 # seed, so the hit count does not depend on how many threads count chunks.
 _CHUNK = 1 << 15
-# Rows of normals drawn per block: small enough that the block and its
-# product stay in cache.  The generator fills normals in sequence whatever
-# the block size, so the hit count does not depend on it.
+# Trials per block: small enough that a block's normals stay in cache.  The
+# generator fills normals in sequence whatever the call size, so the hit
+# count depends on the block size only through the order of the draws.
 _BLOCK = 1 << 13
 
 
@@ -227,13 +230,26 @@ def joint_tail_monte_carlo(
     """Empirical probability of a stockout pattern over lead-time demand.
 
     Lead-time demand deviations are sums of ``L`` i.i.d. centered Gaussian
-    periods, drawn here in one shot from their exact distribution
-    N(0, L * covariance).  The trials run in fixed chunks of ``2**15`` (the
-    last may be shorter); chunk ``i`` draws from its own generator, seeded by
-    the ``i``-th child of ``numpy.random.SeedSequence(seed).spawn``, and the
-    calling thread and one helper per further usable core take chunks until
-    none is left.  So the hit count depends on ``seed`` and ``trials`` only,
-    not on the number of cores, and memory does not grow with ``trials``.  The
+    periods, drawn here from their exact distribution N(0, L * covariance)
+    as ``x = sqrt(L) B z``, with ``B`` the lower-triangular
+    ``covariance_factor`` and ``z`` standard normal.  Every pattern is a
+    test on each commodity joined by AND: ``x_j >= t_j`` for ``all_exceed``,
+    ``x_j >= t_j`` or ``x_j <= t_j`` by sign for ``orthant``, and
+    ``x_j < t_j`` for the complement of ``union``, whose hits are the trials
+    that fail it.  The pooled demand of ``fungible`` is exactly normal, so it is
+    one column with scale ``sqrt(L * 1' Sigma 1)``.  Since ``x_j`` reads only
+    ``z_0 .. z_j``, the trials are drawn one commodity at a time, and normal
+    ``z_j`` is drawn only for the trials that the commodities before it have
+    not yet decided; a trial that fails a test draws nothing more.  The hit
+    count is Binomial(trials, p) as for whole draws.
+
+    The trials run in fixed chunks of ``2**15`` (the last may be shorter),
+    and each chunk in blocks of ``2**13``, commodity by commodity within a
+    block; chunk ``i`` draws from its own generator, seeded by the ``i``-th
+    child of ``numpy.random.SeedSequence(seed).spawn``, and the calling
+    thread and one helper per further usable core take chunks until none is
+    left.  So the hit count depends on ``seed`` and ``trials`` only, not on
+    the number of cores, and memory does not grow with ``trials``.  The
     reported error is a three-standard-error half width; when no trial (or
     every trial) hits, where that width is 0, it is the distance to the far
     end of the Wilson score interval at three standard errors instead.
@@ -245,16 +261,24 @@ def joint_tail_monte_carlo(
     if trials < 10_000:
         raise ValueError("at least 10000 trials are required")
     signs_arr = events.check_pattern(pattern, model.dim, signs)
-    thresholds = (
-        float(np.asarray(l_eps, dtype=float).reshape(()))
-        if pattern == events.FUNGIBLE
-        else np.asarray(l_eps, dtype=float).reshape(-1)
-    )
-    if pattern != events.FUNGIBLE and np.shape(thresholds) != (model.dim,):
-        raise ValueError("one threshold per commodity is required")
+    if pattern == events.FUNGIBLE:
+        thresholds = np.asarray(l_eps, dtype=float).reshape(1)
+        factor = np.array([[math.sqrt(lead * max(float(model.covariance.sum()), 0.0))]])
+    else:
+        thresholds = np.asarray(l_eps, dtype=float).reshape(-1)
+        if thresholds.shape != (model.dim,):
+            raise ValueError("one threshold per commodity is required")
+        factor = math.sqrt(lead) * covariance_factor(model)
     if not np.all(np.isfinite(thresholds)):
         raise ValueError("thresholds must be finite")
-    factor = math.sqrt(lead) * covariance_factor(model)
+    # The test a trial must pass on each commodity to stay undecided.
+    dim = thresholds.size
+    if pattern == events.UNION:
+        keep = [np.less] * dim
+    elif pattern == events.ORTHANT:
+        keep = [np.greater_equal if s > 0.0 else np.less_equal for s in signs_arr]
+    else:
+        keep = [np.greater_equal] * dim
     root = np.random.SeedSequence(seed)
     chunks = -(-trials // _CHUNK)
     chunk_ids = iter(range(chunks))
@@ -263,22 +287,34 @@ def joint_tail_monte_carlo(
     def count() -> int:
         # Each worker takes the next chunk until none is left, so memory does
         # not grow with the trial count.  Chunk i's stream is the i-th child
-        # of the root, the one root.spawn(chunks)[i] would return.
-        z = np.empty((min(_BLOCK, trials), model.dim))
-        draws = np.empty_like(z)
-        hits = 0
+        # of the root, the one root.spawn(chunks)[i] would return.  Row j of
+        # z holds the normals of commodity j for the block's m undecided
+        # trials, in trial order.
+        z = np.empty((dim, _BLOCK))
+        x = np.empty(_BLOCK)
+        passed = 0
         while True:
             with lock:
                 i = next(chunk_ids, chunks)
             if i == chunks:
-                return hits
+                return passed
             rng = np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(i,)))
             size = min(_CHUNK, trials - i * _CHUNK)
             for start in range(0, size, _BLOCK):
-                n = min(_BLOCK, size - start)
-                rng.standard_normal(out=z[:n])
-                np.matmul(z[:n], factor.T, out=draws[:n])
-                hits += int(np.count_nonzero(events.event_mask(draws[:n], thresholds, pattern, signs_arr)))
+                m = min(_BLOCK, size - start)
+                for j in range(dim):
+                    rng.standard_normal(out=z[j, :m])
+                    np.dot(factor[j, : j + 1], z[: j + 1, :m], out=x[:m])
+                    met = keep[j](x[:m], thresholds[j])
+                    if j == dim - 1:
+                        passed += int(np.count_nonzero(met))
+                        break
+                    live = np.flatnonzero(met)
+                    m = live.size
+                    if m == 0:
+                        break
+                    # take buffers its output, so it may overwrite its input
+                    np.take(z[: j + 1], live, axis=1, out=z[: j + 1, :m])
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(chunks, cpus)
@@ -286,7 +322,8 @@ def joint_tail_monte_carlo(
     # helper only, so one usable CPU starts none.
     with ThreadPoolExecutor(workers) as pool:
         helpers = [pool.submit(count) for _ in range(workers - 1)]
-        hits = count() + sum(h.result() for h in helpers)
+        passed = count() + sum(h.result() for h in helpers)
+    hits = trials - passed if pattern == events.UNION else passed
     p = hits / trials
     if 0 < hits < trials:
         error = MC_Z * math.sqrt(p * (1.0 - p) / trials)

@@ -62,6 +62,13 @@ def _check_delta(delta: float) -> float:
     return delta
 
 
+def _split_rates(delta_split, n: int) -> tuple[float, ...]:
+    split = np.atleast_1d(np.asarray(delta_split, dtype=float))
+    if split.shape != (n,):
+        raise ValueError("one split rate per commodity is required")
+    return tuple(float(d) for d in split)
+
+
 def _check_split(split, delta: float) -> None:
     if abs(math.prod(split) - delta) > 1e-12 * delta:
         raise ValueError("rate split must multiply back to delta")
@@ -114,7 +121,7 @@ def _sequential(model: GaussianModel, lead: int, delta: float, delta_split) -> P
     """Commodity x alone at ``delta_x``, then y at the root of the joint exponent."""
     if model.dim != 2:
         raise ValueError("a rate split sizes two Gaussian commodities")
-    dx, dy = delta_split
+    dx, dy = _split_rates(delta_split, 2)
     if not (0.0 < dx < 1.0 and 0.0 < dy < 1.0):
         raise ValueError("split rates must lie strictly between 0 and 1")
     _check_split((dx, dy), delta)
@@ -169,9 +176,7 @@ def ss_proposed(model, lead_time: int, delta: float, delta_split=None) -> Propos
         raise TypeError("expected a Gaussian model or CGF evaluator(s)")
     n = len(evaluators)
     if delta_split is not None:
-        split = tuple(float(d) for d in delta_split)
-        if len(split) != n:
-            raise ValueError("one split rate per commodity is required")
+        split = _split_rates(delta_split, n)
     else:
         split = (delta ** (1.0 / n),) * n
     # Per-commodity inversion certifies the product rate for independent demand.
@@ -180,13 +185,21 @@ def ss_proposed(model, lead_time: int, delta: float, delta_split=None) -> Propos
 
 
 def ss_fungible(model: GaussianModel, lead_time: int, delta: float) -> float:
-    """Certified stock ``sqrt(2 L * sum(Sigma) * log(1 / delta))`` for pooled demand."""
+    """Certified stock ``sqrt(2 L * sum(Sigma) * log(1 / delta))`` for pooled demand.
+
+    Pooled demand with no variance (``sum(Sigma) <= 0``, as for two
+    antithetic commodities) raises ``ValueError``: its deviation is always 0,
+    so a stock of 0 runs out every time, every positive stock is certified,
+    and no least stock exists.
+    """
     lead = validate_lead_time(lead_time)
     delta = _check_delta(delta)
     if not isinstance(model, GaussianModel):
         raise TypeError("the pooled rule is defined for Gaussian demand")
     pooled = float(model.covariance.sum())
-    return math.sqrt(max(2.0 * lead * pooled * math.log(1.0 / delta), 0.0))
+    if not pooled > 0.0:
+        raise ValueError("pooled demand has no variance, so no least certified stock exists")
+    return math.sqrt(2.0 * lead * pooled * math.log(1.0 / delta))
 
 
 def ss_rigorous(model: GaussianModel, lead_time: int, delta: float) -> float:

@@ -320,23 +320,48 @@ def event_mask_reference(x, thresholds, pattern: str, signs=None):
 
 
 # Trials per Monte Carlo chunk; chunk i draws from the i-th stream spawned
-# from the seed.
+# from the seed.  Each chunk is drawn in blocks of MC_BLOCK trials.
 MC_CHUNK = 1 << 15
+MC_BLOCK = 1 << 13
 
 
 def monte_carlo_hits_reference(model, thresholds, lead: int, trials: int, seed, pattern: str, signs=None) -> int:
-    """Hit count of ``joint_tail_monte_carlo`` by whole chunks and whole-array masks.
+    """Hit count of ``joint_tail_monte_carlo`` by whole-array masks over each block.
 
-    Chunk ``i`` of ``MC_CHUNK`` trials (the last may be shorter) draws all its
-    normals in one call from ``default_rng(SeedSequence(seed).spawn(k)[i])``,
-    one chunk after another on one thread.
+    Chunk ``i`` of ``MC_CHUNK`` trials (the last may be shorter) draws from
+    ``default_rng(SeedSequence(seed).spawn(k)[i])``, one chunk after another
+    on one thread, in blocks of ``MC_BLOCK`` trials.  Within a block,
+    commodity ``j``'s normals are drawn, in trial order, for the trials that
+    the first ``j`` commodities leave undecided: for ``union`` those below
+    every threshold so far, else those meeting the event so far.  With the
+    factor ``B`` lower-triangular, ``z[:, :j+1] @ B[:j+1, :j+1].T`` is the
+    demand of the first ``j + 1`` commodities.  A decided trial keeps zeros
+    for the normals it never drew, which cannot change its event, so the
+    block's hits are counted on ``z @ B.T``.  Fungible demand is one pooled
+    normal with scale ``sqrt(L * 1' Sigma 1)``, counted as a one-commodity
+    ``all_exceed``.
     """
-    factor = math.sqrt(lead) * covariance_factor(model)
+    if pattern == "fungible":
+        factor = np.array([[math.sqrt(lead * max(float(model.covariance.sum()), 0.0))]])
+        pattern = "all_exceed"
+    else:
+        factor = math.sqrt(lead) * covariance_factor(model)
+    t = np.asarray(thresholds, dtype=float).reshape(-1)
+    s = None if signs is None else np.asarray(signs, dtype=float).reshape(-1)
+    dim = t.size
     sizes = [min(MC_CHUNK, trials - start) for start in range(0, trials, MC_CHUNK)]
     hits = 0
     for stream, size in zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes):
-        draws = np.random.default_rng(stream).standard_normal((size, model.dim)) @ factor.T
-        hits += int(event_mask_reference(draws, thresholds, pattern, signs).sum())
+        rng = np.random.default_rng(stream)
+        for start in range(0, size, MC_BLOCK):
+            z = np.zeros((min(MC_BLOCK, size - start), dim))
+            live = np.ones(z.shape[0], dtype=bool)
+            for j in range(dim):
+                z[live, j] = rng.standard_normal(live.sum())
+                prefix = z[:, : j + 1] @ factor[: j + 1, : j + 1].T
+                met = event_mask_reference(prefix, t[: j + 1], pattern, None if s is None else s[: j + 1])
+                live = ~met if pattern == "union" else met
+            hits += int(event_mask_reference(z @ factor.T, t, pattern, s).sum())
     return hits
 
 

@@ -144,11 +144,17 @@ class TestCovarianceFactor:
             factor = covariance_factor(model)
             tol = 1e-10 * max(np.trace(cov), 1.0)
             assert np.abs(factor @ factor.T - cov).max() <= tol
+            assert np.allclose(np.triu(factor, 1), 0)
 
     def test_handles_singular_covariance(self):
-        m = GaussianModel.bivariate(1.0, 1.0, 1.0)
-        factor = covariance_factor(m)
-        assert np.abs(factor @ factor.T - m.covariance).max() <= 1e-10
+        for m in (
+            GaussianModel.bivariate(1.0, 1.0, 1.0),
+            GaussianModel.bivariate(1.0, 2.0, -1.0),
+            GaussianModel(np.zeros(2), np.diag([1.0, 0.0])),
+        ):
+            factor = covariance_factor(m)
+            assert np.abs(factor @ factor.T - m.covariance).max() <= 1e-10
+            assert np.allclose(np.triu(factor, 1), 0)
 
 
 def draw_with_factor(model: GaussianModel, count: int, seed: int) -> np.ndarray:

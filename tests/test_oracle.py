@@ -41,6 +41,14 @@ from oracles import (
     sample_bivariate_exceed,
 )
 
+# A three-commodity model and its Monte Carlo patterns.
+THREE_COV = np.array([[1.0, 0.6, 0.3], [0.6, 1.0, 0.8], [0.3, 0.8, 2.0]])
+THREE_CASES = [
+    (ALL_EXCEED, [1.0, 0.5, 1.5], None),
+    (ORTHANT, [1.0, -0.5, 2.0], [1.0, -1.0, 1.0]),
+    (FUNGIBLE, 3.0, None),
+]
+
 
 class TestNormalTail:
     def test_median(self):
@@ -311,18 +319,63 @@ class TestMonteCarlo:
         assert everyone.hits == 10_000 and everyone.error == result.error
 
     def test_hit_counts_match_whole_array_masks(self):
-        # same spawned streams, same comparisons: the per-column count is
-        # exact; 300000 trials end in a short chunk
-        model = GaussianModel(np.zeros(3), np.array([[1.0, 0.6, 0.3], [0.6, 1.0, 0.8], [0.3, 0.8, 2.0]]))
-        cases = [
-            (ALL_EXCEED, [1.0, 0.5, 1.5], None),
-            (ORTHANT, [1.0, -0.5, 2.0], [1.0, -1.0, 1.0]),
-            (FUNGIBLE, 3.0, None),
-        ]
-        for pattern, thresholds, signs in cases:
+        # same spawned streams, same draw order, same comparisons: the
+        # count is exact; 300000 trials end in a short chunk
+        model = GaussianModel(np.zeros(3), THREE_COV)
+        for pattern, thresholds, signs in THREE_CASES:
             got = joint_tail_monte_carlo(model, thresholds, 4, 300_000, 23, pattern, signs)
             want = monte_carlo_hits_reference(model, thresholds, 4, 300_000, 23, pattern, signs)
             assert got.hits == want, pattern
+
+    @pytest.mark.parametrize("rho", [-0.95, -0.5, 0.0, 0.5, 0.95, 1.0, -1.0])
+    def test_every_pattern_matches_its_exact_tail(self, rho):
+        # draws stop once a trial is decided; the count must stay unbiased
+        # for each pattern, including the singular factors at rho = +-1
+        model, lead, trials = GaussianModel.bivariate(1.0, 2.0, rho), 4, 400_000
+        a, b = 0.8, 1.2
+        t = [a * math.sqrt(lead), b * math.sqrt(2.0 * lead)]
+        both = bivariate_joint_tail(TailQuery(a, b, rho)).probability
+        pooled = math.sqrt(lead * float(model.covariance.sum()))
+        exact = {
+            ALL_EXCEED: both,
+            # P(X >= a, Y <= b) = P(X >= a, -Y >= -b), by reflection
+            ORTHANT: bivariate_joint_tail(TailQuery(a, -b, -rho)).probability,
+            UNION: normal_upper_tail(a) + normal_upper_tail(b) - both,
+            FUNGIBLE: normal_upper_tail(1.5 / pooled),
+        }
+        for pattern, p in exact.items():
+            signs = [1.0, -1.0] if pattern == ORTHANT else None
+            level = 1.5 if pattern == FUNGIBLE else t
+            got = joint_tail_monte_carlo(model, level, lead, trials, 41, pattern, signs)
+            assert abs(got.probability - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials), pattern
+
+    def test_every_pattern_is_exact_with_a_deterministic_commodity(self):
+        # the second commodity is always 0, which ties its threshold 0: it
+        # meets >= and <= alike, so only the first decides all_exceed and
+        # orthant, and every trial is a union stockout
+        model, lead, trials = GaussianModel(np.zeros(2), np.diag([1.0, 0.0])), 4, 400_000
+        tail = normal_upper_tail(0.8)
+        exact = {ALL_EXCEED: tail, ORTHANT: tail, UNION: 1.0, FUNGIBLE: normal_upper_tail(0.6)}
+        for pattern, p in exact.items():
+            signs = [1.0, -1.0] if pattern == ORTHANT else None
+            level = 1.2 if pattern == FUNGIBLE else [1.6, 0.0]
+            got = joint_tail_monte_carlo(model, level, lead, trials, 41, pattern, signs)
+            assert abs(got.probability - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials), pattern
+
+    def test_three_commodity_patterns_match_genz(self):
+        from scipy.stats import multivariate_normal
+
+        model, lead, trials = GaussianModel(np.zeros(3), THREE_COV), 4, 400_000
+        for pattern, thresholds, signs in THREE_CASES:
+            if pattern == FUNGIBLE:
+                p = normal_upper_tail(thresholds / math.sqrt(lead * THREE_COV.sum()))
+            else:
+                # Y = -s * X is at most -s * t exactly when X meets the pattern
+                flip = -np.ones(3) if signs is None else -np.asarray(signs)
+                genz = multivariate_normal(cov=lead * THREE_COV * np.outer(flip, flip), seed=3, abseps=1e-7)
+                p = float(genz.cdf(flip * np.asarray(thresholds)))
+            got = joint_tail_monte_carlo(model, thresholds, lead, trials, 41, pattern, signs)
+            assert abs(got.probability - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials), pattern
 
     @pytest.mark.parametrize("trials", [10_000, MC_CHUNK, MC_CHUNK + 1, 300_000])
     def test_hits_do_not_depend_on_the_thread_count(self, monkeypatch, trials):
@@ -344,6 +397,14 @@ class TestMonteCarlo:
                 got = joint_tail_monte_carlo(model, thresholds, 2, trials, 31, pattern, signs)
                 assert threading.active_count() == threads
                 assert got.hits == want, (pattern, cpus)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_fungible_hit_counts_match_the_pooled_normal(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        model = GaussianModel(np.zeros(dim), (q * rng.uniform(0.2, 2.0, dim)) @ q.T)
+        got = joint_tail_monte_carlo(model, 2.0, 3, 300_000, 29, FUNGIBLE)
+        assert got.hits == monte_carlo_hits_reference(model, 2.0, 3, 300_000, 29, FUNGIBLE) > 0
 
     def test_one_helper_thread_per_further_cpu(self, monkeypatch):
         # the calling thread counts too, and helpers take chunks in turn, so
@@ -424,14 +485,6 @@ class TestEventMask:
         x = np.round(rng.standard_normal((50_000, dim)), 1)
         for level in (0.0, 0.3, 1.1):
             assert np.array_equal(event_mask(x, level, FUNGIBLE), event_mask_reference(x, level, FUNGIBLE))
-
-    @pytest.mark.parametrize("dim", [2, 3, 8])
-    def test_fungible_hit_counts_match_row_sums(self, dim):
-        rng = np.random.default_rng(100 + dim)
-        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        model = GaussianModel(np.zeros(dim), (q * rng.uniform(0.2, 2.0, dim)) @ q.T)
-        got = joint_tail_monte_carlo(model, 2.0, 3, 300_000, 29, FUNGIBLE)
-        assert got.hits == monte_carlo_hits_reference(model, 2.0, 3, 300_000, 29, FUNGIBLE) > 0
 
     def test_unknown_pattern(self):
         with pytest.raises(ValueError, match="unknown stockout pattern"):

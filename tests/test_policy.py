@@ -178,6 +178,11 @@ class TestProposedRule:
         with pytest.raises(ValueError, match="multiply back"):
             ss_proposed(evaluators, 6, 0.01, delta_split=(0.5, 0.5))
 
+    @pytest.mark.parametrize("split", [(0.5, 0.1, 1.0), (0.3,), 0.5])
+    def test_gaussian_split_needs_one_rate_per_commodity(self, split):
+        with pytest.raises(ValueError, match="one split rate per commodity"):
+            ss_proposed(GaussianModel.bivariate(1.0, 1.0, 0.5), 10, 0.05, delta_split=split)
+
     def test_evaluator_rejects_options_it_cannot_use(self):
         cgf = weibull_cgf(WeibullModel(2.0, 1.0))
         with pytest.raises(ValueError, match="whole delta"):
@@ -209,8 +214,13 @@ class TestFungibleRule:
         with pytest.raises(TypeError, match="Gaussian"):
             ss_fungible(WeibullModel(2.0, 1.0), 10, 0.05)
 
-    def test_antithetic_demand_needs_no_stock(self):
-        assert ss_fungible(GaussianModel.bivariate(1.0, 1.0, -1.0), 10, 0.05) == 0.0
+    def test_antithetic_demand_has_no_least_stock(self):
+        # the pooled deviation is always 0, so a stock of 0 runs out every
+        # time while every positive stock is certified
+        model = GaussianModel.bivariate(1.0, 1.0, -1.0)
+        with pytest.raises(ValueError, match="no least certified stock"):
+            ss_fungible(model, 10, 0.05)
+        assert chernoff_bound(gaussian_cgf(model), 0.0, 10, pattern=FUNGIBLE) == 1.0
 
     def test_independent_pair_formula(self):
         got = ss_fungible(GaussianModel.bivariate(1.0, 1.0, 0.0), 10, math.exp(-1.0))
