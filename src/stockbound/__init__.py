@@ -30,7 +30,7 @@ from .demand import (
     model_from_dict,
     validate_lead_time,
 )
-from .events import ALL_EXCEED, FUNGIBLE, ORTHANT, PATTERNS, UNION, event_mask
+from .events import ALL_EXCEED, FUNGIBLE, ORTHANT, PATTERNS, UNION
 from .oracle import (
     OracleResult,
     TailQuery,
@@ -85,7 +85,6 @@ __all__ = [
     "empirical_cgf",
     "empirical_cgf_estimate",
     "estimation_certificate",
-    "event_mask",
     "gaussian_cgf",
     "invert_joint_tail",
     "invert_rate",

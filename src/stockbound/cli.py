@@ -14,10 +14,11 @@ Four commands, all emitting CSV or a small text report:
 
 Each command accepts only the flags it reads (``_LEAF_FLAGS``), so argparse
 rejects any other with exit 2.  Every option can also come from a
-``--config`` JSON file or from the environment (``STOCKBOUND_<NAME>``, e.g.
-``STOCKBOUND_SEED``); command-line flags win over the environment, which
-wins over the file.  One config file may serve every command, so it may hold
-any command's keys, but a key that no command reads is an error.  Sampling uses
+``--config`` JSON file; a command-line flag wins over the file.  One config
+file may serve every command, so it may hold any command's keys, but a key
+that no command reads is an error.  Every value in the file is parsed when the
+file is read, as its flag's text would be (so 1.7 is not an int); only
+``model`` may be a mapping, and null is an error.  Sampling uses
 numpy's default generator (PCG64), so a run is reproducible from its config
 plus seed.  Exit status: 0 on success or a passing validation, 1 when a
 validation run exceeds its limit, 2 for usage or configuration errors.
@@ -29,7 +30,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -48,7 +48,6 @@ from .policy import compare_policies, ss_proposed
 
 __all__ = ["main", "entrypoint"]
 
-ENV_PREFIX = "STOCKBOUND_"
 DEFAULT_SIGMA = 1.0
 DEFAULT_RHO = 0.9
 DEFAULT_LEAD = 10
@@ -114,68 +113,42 @@ def _write_csv(out, header, rows) -> None:
 
 
 class _Options:
-    """Layered option lookup: CLI flag, then environment, then config file."""
+    """Option lookup: CLI flag, then config file, then default."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config: dict = {}
         self.base_dir = None
-        path = self._raw("config", str)
-        if path is not None:
+        if args.config is not None:
             try:
-                with open(path) as fh:
-                    self.config = json.load(fh)
+                with open(args.config) as fh:
+                    config = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise UsageError(f"could not read config file: {exc}") from None
-            if not isinstance(self.config, dict):
+            if not isinstance(config, dict):
                 raise UsageError("config file must hold a JSON object")
-            unknown = next((key for key in self.config if key not in _FLAGS), None)
-            if unknown is not None:
-                raise UsageError(f"unknown config key {unknown!r}")
-            self.base_dir = Path(path).parent
+            self.config = {key: _parse_config_value(key, value) for key, value in config.items()}
+            self.base_dir = Path(args.config).parent
 
-    def _raw(self, name: str, cast):
+    def get(self, name: str, default=None, required=False):
         value = getattr(self.args, name, None)
-        if value is not None:
-            return value
-        env = os.environ.get(ENV_PREFIX + name.upper())
-        if env is not None and env != "":
-            try:
-                return cast(env)
-            except ValueError:
-                raise UsageError(
-                    f"environment variable {ENV_PREFIX}{name.upper()}={env!r} "
-                    f"is not a valid {cast.__name__}"
-                ) from None
-        return None
-
-    def get(self, name: str, cast, default=None, required=False):
-        value = self._raw(name, cast)
-        if value is None and name in self.config:
-            raw = self.config[name]
-            if not isinstance(raw, dict):
-                try:
-                    raw = cast(raw)
-                except (TypeError, ValueError):
-                    raise UsageError(f"config key {name!r} is not a valid {cast.__name__}")
-            value = raw
         if value is None:
-            value = default
+            value = self.config.get(name, default)
         if value is None and required:
-            raise UsageError(f"--{name.replace('_', '-')} is required")
+            raise UsageError(f"--{name} is required")
         return value
 
     def model(self, default: str = "gauss2", allow: tuple[type, ...] = (GaussianModel,)):
         """Demand model from --model/--sigma/--rho or a config mapping."""
-        spec = self.get("model", str, default=default)
+        spec = self.get("model", default=default)
         if isinstance(spec, dict):
             model = model_from_dict(spec, base_dir=self.base_dir)
         elif spec == "gauss1":
-            sigma = self.get("sigma", float, default=DEFAULT_SIGMA)
+            sigma = self.get("sigma", default=DEFAULT_SIGMA)
             model = GaussianModel.univariate(sigma * sigma)
         elif spec == "gauss2":
-            sigma = self.get("sigma", float, default=DEFAULT_SIGMA)
-            rho = self.get("rho", float, default=DEFAULT_RHO)
+            sigma = self.get("sigma", default=DEFAULT_SIGMA)
+            rho = self.get("rho", default=DEFAULT_RHO)
             model = GaussianModel.bivariate(sigma * sigma, sigma * sigma, rho)
         else:
             raise UsageError(f"unknown model {spec!r} (expected gauss1 or gauss2)")
@@ -186,8 +159,8 @@ class _Options:
 
     def delta_grid(self, required: bool) -> np.ndarray:
         """The single --delta, a log-spaced --grid, or the default grid if not ``required``."""
-        delta = self.get("delta", float)
-        grid = self.get("grid", str)
+        delta = self.get("delta")
+        grid = self.get("grid")
         if delta is not None and grid is not None:
             raise UsageError("give either --delta or --grid, not both")
         if delta is not None:
@@ -196,10 +169,26 @@ class _Options:
             raise UsageError("--delta is required (or give --grid for a sweep)")
         lo, hi, count = DEFAULT_GRID
         if grid is not None:
-            lo, hi, count = _parse_grid(str(grid), lo, hi)
+            lo, hi, count = _parse_grid(grid, lo, hi)
         if not 0.0 < lo < hi < 1.0:
             raise UsageError("grid rates must satisfy 0 < lo < hi < 1")
         return np.geomspace(lo, hi, count)
+
+
+def _parse_config_value(key: str, value):
+    """A config value read as its flag's text would be; only ``model`` may be a mapping."""
+    if key not in _FLAGS or key == "config":
+        raise UsageError(f"unknown config key {key!r}")
+    if key == "model" and isinstance(value, dict):
+        return value
+    cast = _FLAGS[key][0]
+    try:
+        # JSON true is no number and null, lists and mappings are no flag text
+        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            return cast(str(value))
+    except ValueError:
+        pass
+    raise UsageError(f"config key {key!r} is not a valid {cast.__name__}")
 
 
 def _parse_grid(text: str, lo: float, hi: float) -> tuple[float, float, int]:
@@ -239,10 +228,10 @@ def cmd_policy(opts: _Options) -> int:
     """``compute``, ``figure fig1|fig2``: a row per rate computes only its table's columns."""
     leaf = opts.args.leaf
     model = opts.model()
-    lead = validate_lead_time(opts.get("L", int, default=DEFAULT_LEAD))
+    lead = validate_lead_time(opts.get("L", default=DEFAULT_LEAD))
     rows = compare_policies(model, lead, opts.delta_grid(required=leaf == "compute"))
     columns = _POLICY_COLUMNS[leaf]
-    _write_csv(opts.get("out", str), columns, [[_cell(r, c) for c in columns] for r in rows])
+    _write_csv(opts.get("out"), columns, [[_cell(r, c) for c in columns] for r in rows])
     return 0
 
 
@@ -262,8 +251,8 @@ def cmd_figest(opts: _Options) -> int:
     Each cell is the median error over a few independent replicate draws;
     u = 0 is skipped because every estimate is exact there.
     """
-    seed = opts.get("seed", int, required=True)
-    grid = _u_grid(opts.get("points", int, default=21), keep_zero=False)
+    seed = opts.get("seed", required=True)
+    grid = _u_grid(opts.get("points", default=21), keep_zero=False)
     errors = np.empty((len(ESTIMATE_M_VALUES), ESTIMATE_SUBSEEDS, len(grid)))
     for i, m in enumerate(ESTIMATE_M_VALUES):
         for s in range(ESTIMATE_SUBSEEDS):
@@ -274,21 +263,21 @@ def cmd_figest(opts: _Options) -> int:
     median = np.median(errors, axis=1)
     header = ["u"] + [f"err_m{m}" for m in ESTIMATE_M_VALUES]
     rows = [(u, *median[:, j]) for j, u in enumerate(grid)]
-    _write_csv(opts.get("out", str), header, rows)
+    _write_csv(opts.get("out"), header, rows)
     return 0
 
 
 def cmd_validate(opts: _Options) -> int:
     model = opts.model()
-    lead = validate_lead_time(opts.get("L", int, default=DEFAULT_LEAD))
-    delta = opts.get("delta", float, default=0.05)
+    lead = validate_lead_time(opts.get("L", default=DEFAULT_LEAD))
+    delta = opts.get("delta", default=0.05)
     if not 0.0 < delta < 1.0:
         raise UsageError("delta must lie strictly between 0 and 1")
-    trials = opts.get("trials", int, default=1_000_000)
+    trials = opts.get("trials", default=1_000_000)
     if trials < 10_000:
         raise UsageError("validation needs at least 10000 trials")
-    seed = opts.get("seed", int, required=True)
-    forced = opts.get("ss", float)
+    seed = opts.get("seed", required=True)
+    forced = opts.get("ss")
     if forced is None:
         stock = ss_proposed(model, lead, delta).ss
     else:
@@ -299,7 +288,7 @@ def cmd_validate(opts: _Options) -> int:
     limit = delta + 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
     passed = rate <= limit
     _write_lines(
-        opts.get("out", str),
+        opts.get("out"),
         [
             "command: validate",
             f"model: {_describe_model(model)}",
@@ -320,10 +309,10 @@ def cmd_validate(opts: _Options) -> int:
 def _scalar_samples(opts: _Options, model, lead: int) -> EmpiricalDemand:
     if isinstance(model, EmpiricalDemand):
         return model
-    count = opts.get("trials", int, default=1_000)
+    count = opts.get("trials", default=1_000)
     if count < 2:
         raise UsageError("estimation needs at least 2 replicates")
-    seed = opts.get("seed", int, required=True)
+    seed = opts.get("seed", required=True)
     rng = np.random.default_rng(seed)
     if isinstance(model, GaussianModel):
         if model.dim != 1:
@@ -337,9 +326,9 @@ def _scalar_samples(opts: _Options, model, lead: int) -> EmpiricalDemand:
 
 def cmd_estimate_cgf(opts: _Options) -> int:
     model = opts.model("gauss1", allow=(GaussianModel, WeibullModel, EmpiricalDemand))
-    lead = validate_lead_time(opts.get("L", int, default=1))
+    lead = validate_lead_time(opts.get("L", default=1))
     data = _scalar_samples(opts, model, lead)
-    grid = _u_grid(opts.get("points", int, default=21), keep_zero=True)
+    grid = _u_grid(opts.get("points", default=21), keep_zero=True)
 
     exact = None
     if isinstance(model, GaussianModel):
@@ -361,7 +350,7 @@ def cmd_estimate_cgf(opts: _Options) -> int:
             truth = exact(u)
             row += [truth, abs(est - truth)]
         rows.append(row)
-    _write_csv(opts.get("out", str), header, rows)
+    _write_csv(opts.get("out"), header, rows)
     return 0
 
 

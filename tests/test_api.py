@@ -42,7 +42,7 @@ def test_package_exports_come_from_the_submodules():
 
 @pytest.mark.parametrize(
     "module, name",
-    [("rates", "rate_gaussian_closed"), ("demand", "sample_correlated")],
+    [("rates", "rate_gaussian_closed"), ("demand", "sample_correlated"), ("events", "event_mask")],
 )
 def test_removed_names_are_gone(module, name):
     assert not hasattr(stockbound, name)

@@ -106,12 +106,6 @@ def readme_commands():
     ]
 
 
-def clear_environment(monkeypatch):
-    for key in list(os.environ):
-        if key.startswith("STOCKBOUND_"):
-            monkeypatch.delenv(key)
-
-
 def parse_csv(text):
     lines = text.strip().split("\n")
     header = lines[0].split(",")
@@ -235,8 +229,7 @@ class TestFlagSets:
 
 class TestReadmeCommands:
     @pytest.mark.parametrize("line", readme_commands())
-    def test_readme_command_runs(self, capsys, monkeypatch, line):
-        clear_environment(monkeypatch)
+    def test_readme_command_runs(self, capsys, line):
         command, _, comment = line.partition("#")
         code, _, err = run_cli(capsys, *shlex.split(command))
         assert code == (1 if "fails" in comment else 0), err
@@ -245,6 +238,22 @@ class TestReadmeCommands:
         lines = readme_commands()
         assert len(lines) >= 7
         assert sum("#" in line for line in lines) == 1
+
+    def test_readme_config_example_runs(self, capsys, tmp_path):
+        section = readme_section("Command line")
+        start = section.index("```json\n") + len("```json\n")
+        example = json.loads(section[start:section.index("```", start)])
+        assert example["model"]["path"] == "demand.csv"
+        rng = np.random.default_rng(4)
+        demand = rng.uniform(0, 2, (20, example["L"]))
+        lines = (",".join(f"{v:.4f}" for v in row) for row in demand)
+        (tmp_path / "demand.csv").write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(example))
+        code, out, err = run_cli(capsys, "estimate-cgf", "--config", str(cfg), "--points", "3")
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        assert header == ["u", "estimate", "half_width"] and len(rows) == 3
 
 
 class TestCompute:
@@ -461,8 +470,7 @@ class TestGoldenOutputs:
             ("figure_fig2.csv", ["figure", "fig2"]),
         ],
     )
-    def test_default_output_is_byte_identical(self, capsys, monkeypatch, name, argv):
-        clear_environment(monkeypatch)
+    def test_default_output_is_byte_identical(self, capsys, name, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out.encode() == (DATA / name).read_bytes()
@@ -562,9 +570,8 @@ class TestEstimateCgf:
         assert header == ["u", "estimate", "half_width"]
         assert len(rows) == 3
 
-    def test_default_model_is_gauss1(self, capsys, monkeypatch):
+    def test_default_model_is_gauss1(self, capsys):
         # the shared default gauss2 was always rejected here
-        clear_environment(monkeypatch)
         code, out, err = run_cli(capsys, "estimate-cgf", "--seed", "2")
         assert code == 0, err
         assert run_cli(capsys, "estimate-cgf", "--model", "gauss1", "--seed", "2") == (0, out, "")
@@ -578,30 +585,20 @@ class TestEstimateCgf:
 
 
 class TestOptionLayering:
-    def test_environment_supplies_missing_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv("STOCKBOUND_SEED", "5")
-        monkeypatch.setenv("STOCKBOUND_TRIALS", "20000")
-        code, out, _ = run_cli(capsys, "validate")
-        assert code == 0
-        record = dict(line.split(": ", 1) for line in out.strip().split("\n"))
-        assert record["seed"] == "5"
-        assert record["trials"] == "20000"
-
-    def test_flag_beats_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("STOCKBOUND_DELTA", "0.2")
-        code, out, _ = run_cli(capsys, "compute", "--delta", "0.05")
+    def test_flag_beats_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 0.2}))
+        code, out, _ = run_cli(capsys, "compute", "--config", str(cfg), "--delta", "0.05")
         assert code == 0
         _, rows = parse_csv(out)
         assert rows[0][0] == 0.05
 
-    def test_environment_beats_config(self, capsys, monkeypatch, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"delta": 0.1}))
+    def test_environment_is_not_read(self, capsys, monkeypatch):
+        # a STOCKBOUND_<NAME> variable once supplied any option
         monkeypatch.setenv("STOCKBOUND_DELTA", "0.2")
-        code, out, _ = run_cli(capsys, "compute", "--config", str(cfg))
+        code, out, _ = run_cli(capsys, "validate", "--seed", "1", "--trials", "20000")
         assert code == 0
-        _, rows = parse_csv(out)
-        assert rows[0][0] == 0.2
+        assert "delta: 0.05\n" in out
 
     def test_config_supplies_missing_flag(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -610,12 +607,6 @@ class TestOptionLayering:
         assert code == 0
         _, rows = parse_csv(out)
         assert rows[0][0] == 0.07
-
-    def test_invalid_environment_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("STOCKBOUND_TRIALS", "many")
-        code, _, err = run_cli(capsys, "validate", "--seed", "1")
-        assert code == 2
-        assert "STOCKBOUND_TRIALS" in err
 
     def test_unreadable_config(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "compute", "--config", str(tmp_path / "missing.json"))
@@ -629,9 +620,8 @@ class TestOptionLayering:
         assert code == 2 and out == ""
         assert "unknown config key 'trails'" in err
 
-    def test_config_may_hold_keys_of_other_commands(self, capsys, monkeypatch, tmp_path):
+    def test_config_may_hold_keys_of_other_commands(self, capsys, tmp_path):
         # one file serves every command: compute leaves seed and ss to others
-        clear_environment(monkeypatch)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"delta": 0.05, "seed": 3, "ss": 1.0}))
         code, out, _ = run_cli(capsys, "compute", "--config", str(cfg))
@@ -644,6 +634,30 @@ class TestOptionLayering:
         code, out, err = run_cli(capsys, "estimate-cgf", "--config", str(cfg), "--seed", "1")
         assert code == 2 and out == ""
         assert "weibull config has unknown key 'mean'" in err
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            # each config value is read as its flag's text would be
+            ({"seed": 1.7, "trials": 20000.9}, "config key 'seed' is not a valid int"),
+            ({"trials": 20000.9}, "config key 'trials' is not a valid int"),
+            ({"seed": True}, "config key 'seed' is not a valid int"),
+            ({"delta": {"a": 1}}, "config key 'delta' is not a valid float"),
+            ({"rho": [0.5]}, "config key 'rho' is not a valid float"),
+            ({"out": None}, "config key 'out' is not a valid str"),
+            ({"config": "other.json"}, "unknown config key 'config'"),
+        ],
+        ids=["float-seed", "float-trials", "bool-seed", "mapping-delta", "list-rho", "null-out",
+             "config-key"],
+    )
+    def test_config_value_must_parse_as_its_flag(self, capsys, monkeypatch, tmp_path, config, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "validate", "--config", str(cfg), "--seed", "1", "--trials", "20000")
+        assert code == 2 and out == ""
+        assert message in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_config_must_be_an_object(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -18,7 +18,6 @@ from stockbound import (
     TailQuery,
     bivariate_joint_tail,
     chernoff_bound,
-    event_mask,
     gaussian_cgf,
     invert_joint_tail,
     joint_tail_monte_carlo,
@@ -33,7 +32,6 @@ from stockbound.oracle import QUADRATURE_TARGET
 from oracles import (
     MC_CHUNK,
     density_joint_tail,
-    event_mask_reference,
     monte_carlo_hits_reference,
     mpmath_joint_tail,
     owens_t_joint_tail,
@@ -454,43 +452,6 @@ class TestMonteCarlo:
         assert first.probability != other.probability
 
 
-class TestEventMask:
-    @pytest.mark.parametrize(
-        "pattern, thresholds, signs",
-        [
-            (ALL_EXCEED, [0.2, -0.1], None),
-            (UNION, [0.2, -0.1], None),
-            (ORTHANT, [0.2, -0.1], [-1.0, 1.0]),
-            (FUNGIBLE, 0.3, None),
-            (ALL_EXCEED, [0.2, -0.1, 0.4], None),
-            (ORTHANT, [0.2, -0.1, 0.4], [1.0, -1.0, 1.0]),
-            (ORTHANT, [0.0, 0.0, 0.0], [-1.0, -1.0, 1.0]),
-        ],
-    )
-    def test_matches_whole_array_form(self, pattern, thresholds, signs):
-        rng = np.random.default_rng(5)
-        dim = 2 if np.ndim(thresholds) == 0 else len(thresholds)
-        # one decimal, so many draws tie with a threshold and >= / <= matter
-        x = np.round(rng.standard_normal((50_000, dim)), 1)
-        got = event_mask(x, thresholds, pattern, signs)
-        want = event_mask_reference(x, thresholds, pattern, signs)
-        assert got.dtype == bool and got.shape == (50_000,)
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("dim", [2, 3, 7, 8, 9])
-    def test_fungible_pooled_sum_matches_row_sum(self, dim):
-        rng = np.random.default_rng(dim)
-        # one decimal, so many pooled sums tie with the threshold and a
-        # different addition order would flip some of them
-        x = np.round(rng.standard_normal((50_000, dim)), 1)
-        for level in (0.0, 0.3, 1.1):
-            assert np.array_equal(event_mask(x, level, FUNGIBLE), event_mask_reference(x, level, FUNGIBLE))
-
-    def test_unknown_pattern(self):
-        with pytest.raises(ValueError, match="unknown stockout pattern"):
-            event_mask(np.zeros((3, 2)), [0.0, 0.0], "sometimes")
-
-
 class TestSignsOnlyForOrthant:
     # Signs were once dropped for every pattern but the orthant: at rho = 0.5,
     # margins (0.5, 0.5) and L = 10, all_exceed with signs [1, -1] gave the
@@ -509,13 +470,17 @@ class TestSignsOnlyForOrthant:
             chernoff_bound(gaussian_cgf(model), thresholds, 10, pattern, signs=signs)
         with pytest.raises(ValueError, match=match):
             joint_tail_monte_carlo(model, thresholds, 10, 10_000, 1, pattern, signs)
-        with pytest.raises(ValueError, match=match):
-            event_mask(np.zeros((3, 2)), thresholds, pattern, signs)
 
     def test_orthant_mask_needs_signs(self):
-        # without signs the mask once compared the first column only
-        with pytest.raises(ValueError, match="requires a sign vector"):
-            event_mask(np.zeros((3, 2)), [0.0, 0.0], ORTHANT)
+        # without signs the event mask once compared the first column only
+        model = GaussianModel.bivariate(1.0, 1.0, 0.5)
+        match = "the orthant pattern requires a sign vector"
+        with pytest.raises(ValueError, match=match):
+            check_pattern(ORTHANT, 2)
+        with pytest.raises(ValueError, match=match):
+            chernoff_bound(gaussian_cgf(model), [0.5, 0.5], 10, ORTHANT)
+        with pytest.raises(ValueError, match=match):
+            joint_tail_monte_carlo(model, [0.5, 0.5], 10, 10_000, 1, ORTHANT)
 
 
 class TestInvertJointTail:
