@@ -18,10 +18,12 @@ rejects any other with exit 2.  Every option can also come from a
 file may serve every command, so it may hold any command's keys, but a key
 that no command reads is an error.  Every value in the file is parsed when the
 file is read, as its flag's text would be (so 1.7 is not an int); only
-``model`` may be a mapping, and null is an error.  Sampling uses
-numpy's default generator (PCG64), so a run is reproducible from its config
-plus seed.  Exit status: 0 on success or a passing validation, 1 when a
-validation run exceeds its limit, 2 for usage or configuration errors.
+``model`` may be a mapping, whose type and keys are checked then too (its
+demand file is read only by a command that builds the model), and null is
+an error.  Sampling uses numpy's default generator (PCG64), so a run is
+reproducible from its config plus seed.  Exit status: 0 on success or a
+passing validation, 1 when a validation run exceeds its limit, 2 for usage
+or configuration errors.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .demand import (
     EmpiricalDemand,
     GaussianModel,
     WeibullModel,
+    _model_kind,
     model_from_dict,
     validate_lead_time,
 )
@@ -180,6 +183,10 @@ def _parse_config_value(key: str, value):
     if key not in _FLAGS or key == "config":
         raise UsageError(f"unknown config key {key!r}")
     if key == "model" and isinstance(value, dict):
+        try:
+            _model_kind(value)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         return value
     cast = _FLAGS[key][0]
     try:

@@ -184,6 +184,14 @@ class EmpiricalDemand:
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", arr)
 
+    @classmethod
+    def _adopt(cls, samples: np.ndarray) -> "EmpiricalDemand":
+        """Wrap a finite 2-d float array that no one else holds, with no copy or re-check."""
+        samples.setflags(write=False)
+        demand = cls.__new__(cls)
+        object.__setattr__(demand, "samples", samples)
+        return demand
+
     @property
     def n_replicates(self) -> int:
         return self.samples.shape[0]
@@ -287,7 +295,8 @@ def load_demand_csv(path, skip_header: bool = False) -> EmpiricalDemand:
         data = None
     if data is None or not np.isfinite(data).all():
         raise _first_bad_row(path, lines, kept)
-    demand = EmpiricalDemand(data)
+    # data is the parser's own finite 2-d array, so it is frozen in place
+    demand = EmpiricalDemand._adopt(data)
     _last_parse = (key, demand)
     return demand
 
@@ -326,12 +335,29 @@ def _first_bad_row(path: Path, lines: list[str], kept: list[int]) -> DemandDataE
     raise AssertionError("the demand rows parse one by one but not together")
 
 
-# Model type -> the keys its config reads besides "type".
+# Model type -> (keys its config must hold, keys it may hold) besides "type".
 _MODEL_KEYS = {
-    "gaussian": ("mu", "sigma"),
-    "weibull": ("shape", "scale"),
-    "empirical": ("path", "skip_header"),
+    "gaussian": (("mu", "sigma"), ()),
+    "weibull": (("shape", "scale"), ()),
+    "empirical": (("path",), ("skip_header",)),
 }
+
+
+def _model_kind(spec) -> str:
+    """The type of a model config mapping, once its keys are checked; reads no file."""
+    if not isinstance(spec, dict) or "type" not in spec:
+        raise ValueError("model config must be a mapping with a 'type' key")
+    kind = spec["type"]
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+        raise ValueError(f"unknown model type {kind!r}")
+    required, optional = _MODEL_KEYS[kind]
+    unknown = next((key for key in spec if key != "type" and key not in required + optional), None)
+    if unknown is not None:
+        raise ValueError(f"{kind} config has unknown key {unknown!r}")
+    missing = next((key for key in required if key not in spec), None)
+    if missing is not None:
+        raise ValueError(f"{kind} config is missing {missing!r}")
+    return kind
 
 
 def model_from_dict(spec: dict, base_dir=None):
@@ -343,29 +369,14 @@ def model_from_dict(spec: dict, base_dir=None):
         {"type": "weibull", "shape": a, "scale": b}
         {"type": "empirical", "path": "demand.csv", "skip_header": false}
 
-    A key that the type does not read is an error, not ignored.
+    A key that the type does not read, or one it needs and lacks, is an
+    error; both are checked before any file is read.
     """
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ValueError("model config must be a mapping with a 'type' key")
-    kind = spec["type"]
-    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
-        raise ValueError(f"unknown model type {kind!r}")
-    unknown = next((key for key in spec if key != "type" and key not in _MODEL_KEYS[kind]), None)
-    if unknown is not None:
-        raise ValueError(f"{kind} config has unknown key {unknown!r}")
+    kind = _model_kind(spec)
     if kind == "gaussian":
-        try:
-            return GaussianModel(spec["mu"], spec["sigma"])
-        except KeyError as missing:
-            raise ValueError(f"gaussian config is missing {missing}") from None
+        return GaussianModel(spec["mu"], spec["sigma"])
     if kind == "weibull":
-        try:
-            return WeibullModel(float(spec["shape"]), float(spec["scale"]))
-        except KeyError as missing:
-            raise ValueError(f"weibull config is missing {missing}") from None
-    # the type is known, so what is left is "empirical"
-    if "path" not in spec:
-        raise ValueError("empirical config is missing 'path'")
+        return WeibullModel(float(spec["shape"]), float(spec["scale"]))
     path = Path(spec["path"])
     if base_dir is not None and not path.is_absolute():
         path = Path(base_dir) / path

@@ -13,7 +13,9 @@ counts the chunks on a thread per usable core; the hit count depends on the
 seed and the trial count only.  Each pattern is a test per commodity joined
 by AND, so trials are drawn one commodity at a time through the
 lower-triangular covariance factor, and a trial stops drawing once a test
-has decided it.
+has decided it.  The first test reads one normal alone, so a block's count
+of trials that pass it is one binomial draw, and only those trials draw
+their first normal, from the normal truncated to the passing side.
 
 Thresholds are standardized: a demand margin of ``L * eps`` over a lead time
 of ``L`` periods with per-period variance ``s2`` corresponds to
@@ -33,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import erfc, erfcinv, log_ndtr
+from scipy.special import erfc, erfcinv, log_ndtr, ndtri
 
 from . import events
 from .demand import GaussianModel, covariance_factor, validate_lead_time
@@ -240,8 +242,15 @@ def joint_tail_monte_carlo(
     one column with scale ``sqrt(L * 1' Sigma 1)``.  Since ``x_j`` reads only
     ``z_0 .. z_j``, the trials are drawn one commodity at a time, and normal
     ``z_j`` is drawn only for the trials that the commodities before it have
-    not yet decided; a trial that fails a test draws nothing more.  The hit
-    count is Binomial(trials, p) as for whole draws.
+    not yet decided; a trial that fails a test draws nothing more.  The first
+    test reads ``z_0`` alone, as ``side * z_0 >= c`` with probability
+    ``p = H(c)``, so the number of a block's trials that pass it is one
+    Binomial(block, p) draw, and each passing trial's ``z_0`` is drawn from
+    the normal truncated to that side by inverse CDF,
+    ``side * H^-1(U p)`` with ``U`` uniform in (0, 1].  A one-column event
+    (``fungible``, or one commodity) is that binomial count alone and draws
+    no normals.  This is exact sequential sampling, not variance reduction:
+    the hit count is Binomial(trials, p) as for whole draws.
 
     The trials run in fixed chunks of ``2**15`` (the last may be shorter),
     and each chunk in blocks of ``2**13``, commodity by commodity within a
@@ -279,6 +288,18 @@ def joint_tail_monte_carlo(
         keep = [np.greater_equal if s > 0.0 else np.less_equal for s in signs_arr]
     else:
         keep = [np.greater_equal] * dim
+    # The first test, on x_0 = f z_0, as side * z_0 >= c; for union's strict
+    # test the two differ on a null set.  With f = 0, x_0 is 0 for every z_0.
+    f, t = float(factor[0, 0]), float(thresholds[0])
+    if f == 0.0:
+        side, c = 1.0, (-math.inf if keep[0](0.0, t) else math.inf)
+    else:
+        flip = 1.0 if keep[0] is np.greater_equal else -1.0
+        side, c = flip * math.copysign(1.0, f), flip * t / abs(f)
+    p_first = float(normal_upper_tail(c))
+    # U p_first = 1 would give z_0 = -inf; capping p at the largest double
+    # below 1 keeps every z_0 finite.
+    p_top = min(p_first, 1.0 - _EPS / 2.0)
     root = np.random.SeedSequence(seed)
     chunks = -(-trials // _CHUNK)
     chunk_ids = iter(range(chunks))
@@ -289,7 +310,8 @@ def joint_tail_monte_carlo(
         # not grow with the trial count.  Chunk i's stream is the i-th child
         # of the root, the one root.spawn(chunks)[i] would return.  Row j of
         # z holds the normals of commodity j for the block's m undecided
-        # trials, in trial order.
+        # trials, in trial order; the m trials that pass the first test are
+        # a binomial count, and their z_0 follow it.
         z = np.empty((dim, _BLOCK))
         x = np.empty(_BLOCK)
         passed = 0
@@ -301,8 +323,17 @@ def joint_tail_monte_carlo(
             rng = np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(i,)))
             size = min(_CHUNK, trials - i * _CHUNK)
             for start in range(0, size, _BLOCK):
-                m = min(_BLOCK, size - start)
-                for j in range(dim):
+                m = int(rng.binomial(min(_BLOCK, size - start), p_first))
+                if dim == 1 or m == 0:
+                    passed += m
+                    continue
+                first = z[0, :m]
+                rng.random(out=first)
+                np.subtract(1.0, first, out=first)  # (0, 1], so ndtri never sees 0
+                np.multiply(first, p_top, out=first)
+                ndtri(first, out=first)
+                np.multiply(first, -side, out=first)
+                for j in range(1, dim):
                     rng.standard_normal(out=z[j, :m])
                     np.dot(factor[j, : j + 1], z[: j + 1, :m], out=x[:m])
                     met = keep[j](x[:m], thresholds[j])

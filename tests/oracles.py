@@ -12,7 +12,8 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, stats
+from scipy.special import ndtri
 
 from stockbound import DemandDataError, EmpiricalDemand, covariance_factor
 
@@ -330,16 +331,22 @@ def monte_carlo_hits_reference(model, thresholds, lead: int, trials: int, seed, 
 
     Chunk ``i`` of ``MC_CHUNK`` trials (the last may be shorter) draws from
     ``default_rng(SeedSequence(seed).spawn(k)[i])``, one chunk after another
-    on one thread, in blocks of ``MC_BLOCK`` trials.  Within a block,
-    commodity ``j``'s normals are drawn, in trial order, for the trials that
-    the first ``j`` commodities leave undecided: for ``union`` those below
-    every threshold so far, else those meeting the event so far.  With the
-    factor ``B`` lower-triangular, ``z[:, :j+1] @ B[:j+1, :j+1].T`` is the
-    demand of the first ``j + 1`` commodities.  A decided trial keeps zeros
-    for the normals it never drew, which cannot change its event, so the
-    block's hits are counted on ``z @ B.T``.  Fungible demand is one pooled
-    normal with scale ``sqrt(L * 1' Sigma 1)``, counted as a one-commodity
-    ``all_exceed``.
+    on one thread, in blocks of ``MC_BLOCK`` trials.  Within a block of
+    ``n`` trials, the count ``m`` that pass the first commodity's test is
+    drawn as Binomial(n, p), with ``p`` that test's probability under the
+    first demand's normal law (``scipy.stats.norm``).  A one-column event
+    stops there.  Otherwise the ``m`` passing trials draw ``z_0`` from the
+    normal truncated to the passing side, ``side * H^-1(U p)`` with
+    ``U = 1 - rng.random()`` and ``p`` capped at the largest double below 1;
+    then commodity ``j >= 1``'s normals are drawn, in trial order, for the
+    trials that the first ``j`` commodities leave undecided: for ``union``
+    those below every threshold so far, else those meeting the event so far.
+    With the factor ``B`` lower-triangular, ``z[:, :j+1] @ B[:j+1, :j+1].T``
+    is the demand of the first ``j + 1`` commodities.  A decided trial keeps
+    zeros for the normals it never drew, which cannot change its event, so
+    the passing trials are counted on ``z @ B.T``.  Fungible demand is one
+    pooled normal with scale ``sqrt(L * 1' Sigma 1)``, counted as a
+    one-commodity ``all_exceed``.
     """
     if pattern == "fungible":
         factor = np.array([[math.sqrt(lead * max(float(model.covariance.sum()), 0.0))]])
@@ -349,20 +356,37 @@ def monte_carlo_hits_reference(model, thresholds, lead: int, trials: int, seed, 
     t = np.asarray(thresholds, dtype=float).reshape(-1)
     s = None if signs is None else np.asarray(signs, dtype=float).reshape(-1)
     dim = t.size
+
+    def undecided(x, j):
+        met = event_mask_reference(x, t[: j + 1], pattern, None if s is None else s[: j + 1])
+        return ~met if pattern == "union" else met
+
+    # The first demand is f z_0; "above" is whether its test keeps x_0 >= t_0.
+    f = float(factor[0, 0])
+    above = pattern != "union" and (s is None or s[0] > 0)
+    if f == 0.0:
+        side, p = 1.0, float(undecided(np.zeros((1, 1)), 0)[0])
+    elif above:
+        side, p = np.sign(f), float(stats.norm.sf(t[0] / abs(f)))
+    else:
+        side, p = -np.sign(f), float(stats.norm.cdf(t[0] / abs(f)))
     sizes = [min(MC_CHUNK, trials - start) for start in range(0, trials, MC_CHUNK)]
-    hits = 0
+    passed = 0
     for stream, size in zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes):
         rng = np.random.default_rng(stream)
         for start in range(0, size, MC_BLOCK):
-            z = np.zeros((min(MC_BLOCK, size - start), dim))
-            live = np.ones(z.shape[0], dtype=bool)
-            for j in range(dim):
+            m = int(rng.binomial(min(MC_BLOCK, size - start), p))
+            if dim == 1 or m == 0:
+                passed += m
+                continue
+            z = np.zeros((m, dim))
+            z[:, 0] = side * -ndtri((1.0 - rng.random(m)) * min(p, np.nextafter(1.0, 0.0)))
+            live = np.ones(m, dtype=bool)
+            for j in range(1, dim):
                 z[live, j] = rng.standard_normal(live.sum())
-                prefix = z[:, : j + 1] @ factor[: j + 1, : j + 1].T
-                met = event_mask_reference(prefix, t[: j + 1], pattern, None if s is None else s[: j + 1])
-                live = ~met if pattern == "union" else met
-            hits += int(event_mask_reference(z @ factor.T, t, pattern, s).sum())
-    return hits
+                live = undecided(z[:, : j + 1] @ factor[: j + 1, : j + 1].T, j)
+            passed += int(undecided(z @ factor.T, dim - 1).sum())
+    return trials - passed if pattern == "union" else passed
 
 
 def load_demand_csv_reference(path, skip_header: bool = False) -> EmpiricalDemand:

@@ -636,6 +636,32 @@ class TestOptionLayering:
         assert "weibull config has unknown key 'mean'" in err
 
     @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"type": "bogus"}, "unknown model type 'bogus'"),
+            ({"type": "weibull", "shape": 2, "scale": 1, "mean": 3}, "weibull config has unknown key 'mean'"),
+            ({"type": "gaussian", "mu": [0.0]}, "gaussian config is missing 'sigma'"),
+            ({"type": "empirical", "skip_header": True}, "empirical config is missing 'path'"),
+            ({"mu": [0.0]}, "model config must be a mapping with a 'type' key"),
+        ],
+    )
+    def test_model_config_is_checked_when_read(self, capsys, tmp_path, model, message):
+        # figest builds no model; the mapping was once checked only by
+        # commands that did, so figest ran and exited 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model}))
+        code, out, err = run_cli(capsys, "figure", "figest", "--config", str(cfg), "--seed", "1")
+        assert code == 2 and out == ""
+        assert message in err
+
+    def test_model_config_check_reads_no_demand_file(self, monkeypatch, tmp_path):
+        # an empirical model's file is loaded only when a command builds it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"type": "empirical", "path": "absent.csv"}, "seed": 1}))
+        monkeypatch.setattr("stockbound.cli.cmd_figest", lambda opts: 0)
+        assert main(["figure", "figest", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize(
         "config, message",
         [
             # each config value is read as its flag's text would be

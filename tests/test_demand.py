@@ -113,6 +113,30 @@ class TestEmpiricalDemand:
         with pytest.raises(ValueError):
             sums[0] = 0.0
 
+    def test_caller_array_is_copied_and_stays_writable(self):
+        mine = np.array([[1.0, 2.0], [3.0, 5.0]])
+        d = EmpiricalDemand(mine)
+        assert mine.flags.writeable and not d.samples.flags.writeable
+        assert mine.tolist() == [[1.0, 2.0], [3.0, 5.0]]
+        mine[0, 0] = 9.0
+        assert d.samples[0, 0] == 1.0
+
+    def test_loaded_array_is_frozen_not_copied(self, monkeypatch, tmp_path):
+        # the parse was once copied and checked again by __post_init__
+        parsed = []
+        loadtxt = np.loadtxt
+
+        def kept(*args, **kwargs):
+            parsed.append(loadtxt(*args, **kwargs))
+            return parsed[-1]
+
+        monkeypatch.setattr(demand.np, "loadtxt", kept)
+        path = tmp_path / "d.csv"
+        path.write_text("7,2\n3,4.5\n")
+        d = load_demand_csv(path)
+        assert d.samples is parsed[-1] and not d.samples.flags.writeable
+        assert d.samples.tolist() == [[7.0, 2.0], [3.0, 4.5]] and d.row_sums.tolist() == [9.0, 7.5]
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             EmpiricalDemand([[1.0, math.inf]])

@@ -18,6 +18,7 @@ from stockbound import (
     TailQuery,
     bivariate_joint_tail,
     chernoff_bound,
+    covariance_factor,
     gaussian_cgf,
     invert_joint_tail,
     joint_tail_monte_carlo,
@@ -46,6 +47,21 @@ THREE_CASES = [
     (ORTHANT, [1.0, -0.5, 2.0], [1.0, -1.0, 1.0]),
     (FUNGIBLE, 3.0, None),
 ]
+
+
+@pytest.fixture
+def first_normals(monkeypatch):
+    """Every first-commodity normal that Monte Carlo draws by inverse CDF, up to sign."""
+    drawn = []
+    ndtri = oracle.ndtri
+
+    def recorded(q, out):
+        ndtri(q, out=out)
+        drawn.append(out.copy())
+        return out
+
+    monkeypatch.setattr(oracle, "ndtri", recorded)
+    return drawn
 
 
 class TestNormalTail:
@@ -359,6 +375,88 @@ class TestMonteCarlo:
             level = 1.2 if pattern == FUNGIBLE else [1.6, 0.0]
             got = joint_tail_monte_carlo(model, level, lead, trials, 41, pattern, signs)
             assert abs(got.probability - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials), pattern
+
+    @pytest.mark.parametrize(
+        "variances, pattern, level, signs, p",
+        [
+            # the QR factor of diag(1, 0) starts with -1: z_0 is drawn on the
+            # side opposite the test's, and a <= test flips it back
+            ((1.0, 0.0), ORTHANT, [1.6, 0.0], [-1.0, 1.0], 1.0 - normal_upper_tail(0.8)),
+            ((1.0, 0.0), UNION, [1.6, 0.5], None, normal_upper_tail(0.8)),
+            # diag(0, 1) starts with 0: the first test holds for every trial
+            # or for none, and union's test is strict
+            ((0.0, 1.0), ALL_EXCEED, [0.0, 1.6], None, normal_upper_tail(0.8)),
+            ((0.0, 1.0), ALL_EXCEED, [0.5, 1.6], None, 0.0),
+            ((0.0, 1.0), UNION, [0.5, 1.6], None, normal_upper_tail(0.8)),
+            ((0.0, 1.0), UNION, [0.0, 1.6], None, 1.0),
+            ((0.0, 1.0), ORTHANT, [0.0, 1.6], [-1.0, 1.0], normal_upper_tail(0.8)),
+            ((0.0, 1.0), ORTHANT, [-0.5, 1.6], [-1.0, 1.0], 0.0),
+        ],
+    )
+    def test_first_factor_entry_negative_or_zero(self, first_normals, variances, pattern, level, signs, p):
+        model, lead, trials = GaussianModel(np.zeros(2), np.diag(variances)), 4, 400_000
+        assert covariance_factor(model)[0, 0] == -variances[0]
+        got = joint_tail_monte_carlo(model, level, lead, trials, 41, pattern, signs)
+        assert abs(got.probability - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials)
+        assert all(np.isfinite(z).all() for z in first_normals)
+
+    @pytest.mark.parametrize(
+        "pattern, level, hits, drawn",
+        [
+            # H(40) underflows to 0: no trial passes the first test
+            (ALL_EXCEED, [40.0, 0.0], 0, 0),
+            (ORTHANT, [-40.0, 0.0], 0, 0),
+            (UNION, [-40.0, 0.0], 20_000, 0),
+            (FUNGIBLE, 60.0, 0, 0),
+            # H(-20) rounds to 1: every trial passes it and draws a finite z_0
+            (ALL_EXCEED, [-20.0, -20.0], 20_000, 20_000),
+            (ORTHANT, [20.0, -20.0], 20_000, 20_000),
+            (UNION, [20.0, 20.0], 0, 20_000),
+        ],
+    )
+    def test_first_tail_of_zero_or_one(self, first_normals, pattern, level, hits, drawn):
+        model = GaussianModel.bivariate(1.0, 1.0, 0.5)
+        signs = [-1.0, 1.0] if pattern == ORTHANT else None
+        got = joint_tail_monte_carlo(model, level, 1, 20_000, 5, pattern, signs)
+        assert got.hits == hits and got.probability == hits / 20_000
+        assert math.isfinite(got.error) and got.error > 0.0
+        assert sum(z.size for z in first_normals) == drawn
+        assert all(np.isfinite(z).all() for z in first_normals)
+
+    @pytest.mark.parametrize("case", ["all_exceed", "union", "orthant", "fungible", "three"])
+    def test_seed_scan_is_unbiased(self, case):
+        # 200 seeds of 1e5 trials: the z-scores of the hit counts against the
+        # exact tail have mean 0 (within 4 / sqrt(200)) and unit spread
+        lead, trials, seeds = 4, 100_000, 200
+        model, signs = GaussianModel.bivariate(1.0, 2.0, 0.5), None
+        a, b = 0.8, 1.2
+        level = [a * math.sqrt(lead), b * math.sqrt(2.0 * lead)]
+        if case == "all_exceed":
+            p = bivariate_joint_tail(TailQuery(a, b, 0.5)).probability
+        elif case == "union":
+            p = normal_upper_tail(a) + normal_upper_tail(b) - bivariate_joint_tail(TailQuery(a, b, 0.5)).probability
+        elif case == "orthant":
+            # P(X <= a, Y >= b) = P(-X >= -a, Y >= b): the first test is <=
+            signs = [-1.0, 1.0]
+            p = bivariate_joint_tail(TailQuery(-a, b, -0.5)).probability
+        elif case == "fungible":
+            level = 1.5
+            p = normal_upper_tail(level / math.sqrt(lead * float(model.covariance.sum())))
+        else:
+            from scipy.stats import multivariate_normal
+
+            model, signs = GaussianModel(np.zeros(3), THREE_COV), [1.0, -1.0, 1.0]
+            level = np.array([1.0, -0.5, 2.0])
+            flip = -np.asarray(signs)
+            genz = multivariate_normal(cov=lead * THREE_COV * np.outer(flip, flip), seed=3, abseps=1e-8)
+            p = float(genz.cdf(flip * level))
+        pattern = case if case != "three" else ORTHANT
+        hits = np.array(
+            [joint_tail_monte_carlo(model, level, lead, trials, seed, pattern, signs).hits for seed in range(seeds)]
+        )
+        z = (hits - trials * p) / math.sqrt(trials * p * (1.0 - p))
+        assert abs(z.mean()) <= 4.0 / math.sqrt(seeds)
+        assert 0.8 <= z.std(ddof=1) <= 1.2
 
     def test_three_commodity_patterns_match_genz(self):
         from scipy.stats import multivariate_normal
