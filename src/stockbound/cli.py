@@ -146,13 +146,15 @@ class _Options:
         spec = self.get("model", default=default)
         if isinstance(spec, dict):
             model = model_from_dict(spec, base_dir=self.base_dir)
-        elif spec == "gauss1":
+        elif spec in ("gauss1", "gauss2"):
             sigma = self.get("sigma", default=DEFAULT_SIGMA)
-            model = GaussianModel.univariate(sigma * sigma)
-        elif spec == "gauss2":
-            sigma = self.get("sigma", default=DEFAULT_SIGMA)
-            rho = self.get("rho", default=DEFAULT_RHO)
-            model = GaussianModel.bivariate(sigma * sigma, sigma * sigma, rho)
+            if not sigma > 0.0:
+                raise UsageError("--sigma must be positive")
+            if spec == "gauss1":
+                model = GaussianModel.univariate(sigma * sigma)
+            else:
+                rho = self.get("rho", default=DEFAULT_RHO)
+                model = GaussianModel.bivariate(sigma * sigma, sigma * sigma, rho)
         else:
             raise UsageError(f"unknown model {spec!r} (expected gauss1 or gauss2)")
         if not isinstance(model, allow):
@@ -281,8 +283,6 @@ def cmd_validate(opts: _Options) -> int:
     if not 0.0 < delta < 1.0:
         raise UsageError("delta must lie strictly between 0 and 1")
     trials = opts.get("trials", default=1_000_000)
-    if trials < 10_000:
-        raise UsageError("validation needs at least 10000 trials")
     seed = opts.get("seed", required=True)
     forced = opts.get("ss")
     if forced is None:

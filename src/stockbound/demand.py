@@ -221,23 +221,20 @@ def validate_lead_time(lead_time: int) -> int:
 
 
 def covariance_factor(model: GaussianModel) -> np.ndarray:
-    """Lower-triangular ``B`` with ``B @ B.T == covariance``.
+    """Lower-triangular ``B`` with ``B @ B.T == covariance`` and a nonnegative diagonal.
 
-    A positive-definite covariance gives its Cholesky factor.  A singular one
-    (perfectly correlated or deterministic commodities) has none; there the
-    eigen factor ``E = V sqrt(Lambda)`` is triangularized through the QR
-    decomposition ``E.T = Q R``: ``B = R.T`` has ``B @ B.T == E @ E.T``, and
-    since ``Q.T z`` is again standard normal, ``B z`` has the same
-    distribution as ``E z``.  Row ``j`` of ``B`` reads the first ``j + 1``
-    normals only, so commodities can be drawn one at a time.
+    ``B = R.T`` from the QR decomposition ``E.T = Q R`` of the eigen factor
+    ``E = V sqrt(Lambda)``, which every covariance has, singular or not; since
+    ``Q.T z`` is again standard normal, ``B z`` is distributed as ``E z``.
+    Columns are signed so that the diagonal is nonnegative, which makes ``B``
+    the Cholesky factor of a positive-definite covariance.  Row ``j`` reads
+    the first ``j + 1`` normals only, so commodities can be drawn one at a time.
     """
-    cov = model.covariance
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        eigen = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-        return np.linalg.qr(eigen.T, mode="r").T
+    eigvals, eigvecs = np.linalg.eigh(model.covariance)
+    eigen = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    factor = np.linalg.qr(eigen.T, mode="r").T
+    # C order: Monte Carlo reads the factor a row at a time
+    return np.multiply(factor, np.where(np.diag(factor) < 0.0, -1.0, 1.0), order="C")
 
 
 # Blank records hold only whitespace, commas and quotes.

@@ -232,25 +232,26 @@ def joint_tail_monte_carlo(
     """Empirical probability of a stockout pattern over lead-time demand.
 
     Lead-time demand deviations are sums of ``L`` i.i.d. centered Gaussian
-    periods, drawn here from their exact distribution N(0, L * covariance)
-    as ``x = sqrt(L) B z``, with ``B`` the lower-triangular
-    ``covariance_factor`` and ``z`` standard normal.  Every pattern is a
-    test on each commodity joined by AND: ``x_j >= t_j`` for ``all_exceed``,
-    ``x_j >= t_j`` or ``x_j <= t_j`` by sign for ``orthant``, and
-    ``x_j < t_j`` for the complement of ``union``, whose hits are the trials
-    that fail it.  The pooled demand of ``fungible`` is exactly normal, so it is
-    one column with scale ``sqrt(L * 1' Sigma 1)``.  Since ``x_j`` reads only
-    ``z_0 .. z_j``, the trials are drawn one commodity at a time, and normal
-    ``z_j`` is drawn only for the trials that the commodities before it have
-    not yet decided; a trial that fails a test draws nothing more.  The first
-    test reads ``z_0`` alone, as ``side * z_0 >= c`` with probability
-    ``p = H(c)``, so the number of a block's trials that pass it is one
-    Binomial(block, p) draw, and each passing trial's ``z_0`` is drawn from
-    the normal truncated to that side by inverse CDF,
-    ``side * H^-1(U p)`` with ``U`` uniform in (0, 1].  A one-column event
-    (``fungible``, or one commodity) is that binomial count alone and draws
-    no normals.  This is exact sequential sampling, not variance reduction:
-    the hit count is Binomial(trials, p) as for whole draws.
+    periods, drawn here from their exact distribution N(0, L * covariance) as
+    ``x = sqrt(L) B z``, with ``B`` the lower-triangular ``covariance_factor``
+    (whose diagonal is nonnegative) and ``z`` standard normal.  Every pattern
+    is a test on each commodity joined by AND: ``x_j >= t_j`` for
+    ``all_exceed``, ``x_j >= t_j`` or ``x_j <= t_j`` by sign for ``orthant``,
+    and ``x_j < t_j`` for the complement of ``union``, whose hits are the
+    trials that fail it.  The pooled demand of ``fungible`` is exactly normal,
+    so it is one column with scale ``sqrt(L * 1' Sigma 1)``.  Since ``x_j``
+    reads only ``z_0 .. z_j``, the trials are drawn one commodity at a time,
+    and normal ``z_j`` is drawn only for the trials that the commodities
+    before it have not yet decided; a trial that fails a test draws nothing
+    more.  The first test reads ``z_0`` alone, as ``side * z_0 >= c``, ``side``
+    being -1 for a ``<=`` or ``<`` test, with probability ``p = H(c)``, so the
+    number of a block's trials that pass it is one Binomial(block, p) draw,
+    and each passing trial's ``z_0`` is drawn from the normal truncated to
+    that side by inverse CDF, ``side * H^-1(U p)`` with ``U`` uniform in
+    (0, 1].  A one-column event (``fungible``, or one commodity) is that
+    binomial count alone and draws no normals.  This is exact sequential
+    sampling, not variance reduction: the hit count is Binomial(trials, p)
+    as for whole draws.
 
     The trials run in fixed chunks of ``2**15`` (the last may be shorter),
     and each chunk in blocks of ``2**13``, commodity by commodity within a
@@ -288,14 +289,11 @@ def joint_tail_monte_carlo(
         keep = [np.greater_equal if s > 0.0 else np.less_equal for s in signs_arr]
     else:
         keep = [np.greater_equal] * dim
-    # The first test, on x_0 = f z_0, as side * z_0 >= c; for union's strict
-    # test the two differ on a null set.  With f = 0, x_0 is 0 for every z_0.
+    # The first test, on x_0 = f z_0 with f >= 0, as side * z_0 >= c; for
+    # union's strict test the two differ on a null set.  With f = 0, x_0 = 0.
     f, t = float(factor[0, 0]), float(thresholds[0])
-    if f == 0.0:
-        side, c = 1.0, (-math.inf if keep[0](0.0, t) else math.inf)
-    else:
-        flip = 1.0 if keep[0] is np.greater_equal else -1.0
-        side, c = flip * math.copysign(1.0, f), flip * t / abs(f)
+    side = 1.0 if keep[0] is np.greater_equal else -1.0
+    c = side * t / f if f > 0.0 else (-math.inf if keep[0](0.0, t) else math.inf)
     p_first = float(normal_upper_tail(c))
     # U p_first = 1 would give z_0 = -inf; capping p at the largest double
     # below 1 keeps every z_0 finite.
@@ -393,11 +391,15 @@ def invert_joint_tail(model: GaussianModel, delta: float, lead_time: int) -> Joi
     at most ``delta``, within a relative ``INVERSION_RTOL`` of the root.  So
     the exact ``P(ss)`` is at most ``delta`` and, in the tested range (delta
     down to 1e-12), at least ``delta * (1 - 1e-9)``.  Every tail evaluation
-    goes through ``bivariate_joint_tail``.
+    goes through ``bivariate_joint_tail``.  A commodity with no variance
+    raises ``ValueError``: every positive stock empties the event, so no
+    least positive stock exists.
     """
     lead = validate_lead_time(lead_time)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
+    if not (model.covariance.diagonal() > 0.0).all():
+        raise ValueError("a commodity has no variance, so no least certified stock exists")
     if model.dim == 1:
         if delta >= 0.5:
             return JointTailInverse(0.0, True)

@@ -153,9 +153,9 @@ def ss_proposed(model, lead_time: int, delta: float, delta_split=None) -> Propos
     sizes them sequentially: commodity one alone at ``delta_x``, then
     commodity two as the least margin that brings the joint exponent to
     ``log(1 / delta)``; the paper's rule is ``(sqrt(delta), sqrt(delta))``.
-    A scalar CGF evaluator is sized by numeric rate inversion at ``delta``;
-    a sequence of them, one per independent commodity, at the rates of
-    ``delta_split`` (``delta ** (1 / N)`` each by default).  A stock sized
+    Scalar CGF evaluators, one per independent commodity (a single one is a
+    sequence of one), are each sized by numeric rate inversion at their rate
+    of ``delta_split``, ``delta ** (1 / N)`` each by default.  A stock sized
     from ``empirical_cgf`` is certified only for the plug-in estimate of the
     CGF: the estimation error is not covered, and ``estimation_certificate``
     does not enter the stock.
@@ -167,11 +167,7 @@ def ss_proposed(model, lead_time: int, delta: float, delta_split=None) -> Propos
             return _sequential(model, lead, delta, delta_split)
         ss = _ray_stocks(model, lead)(delta)
         return ProposedStock(np.full(model.dim, ss), delta, None)
-    if isinstance(model, CgfEvaluator):
-        if delta_split is not None:
-            raise ValueError("a single commodity takes the whole delta")
-        return ProposedStock(np.array([invert_rate(model, delta, lead)]), delta, None)
-    evaluators = list(model)
+    evaluators = [model] if isinstance(model, CgfEvaluator) else list(model)
     if not all(isinstance(e, CgfEvaluator) for e in evaluators):
         raise TypeError("expected a Gaussian model or CGF evaluator(s)")
     n = len(evaluators)
@@ -262,6 +258,8 @@ class PolicyOutput:
 
 
 def _exact_all_exceed(model: GaussianModel, ss: float, lead: int) -> float:
+    if not (model.covariance.diagonal() > 0.0).all():
+        raise ValueError("a commodity has no variance, so its standardized threshold is not finite")
     if model.dim == 1:
         return normal_upper_tail(ss / math.sqrt(lead * float(model.covariance[0, 0])))
     return bivariate_joint_tail(TailQuery.from_margins(model, ss, ss, lead)).probability

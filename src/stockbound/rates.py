@@ -161,44 +161,34 @@ def rate_numeric(cgf: CgfEvaluator, epsilon, signs=None) -> RateResult:
 def _increasing_root(cgf: CgfEvaluator, f) -> tuple[float, bool]:
     """Root in ``u >= 0`` of ``f(u, phi(u), phi'(u))``, increasing in ``u``, for a scalar CGF.
 
-    Returns the root and ``True``.  ``f`` must be negative at ``u = 0``.  The
-    bracket stays inside the CGF's domain in one of three ways:
-
-    - no edge: it doubles upward from ``u = 1``;
-    - an open edge where the CGF has a pole: it approaches the edge;
-    - a closed edge (the empirical window): when ``f`` is still negative
-      there, the edge itself is returned, as the constrained solution.
-
-    When ``f`` stays negative all the way out to an open or missing edge,
-    there is no root: the farthest point tried is returned with ``False`` (0
-    for a domain with no positive part).  A CGF is strictly convex unless
-    demand is constant, so a slope at a trial point equal to the slope at 0
-    means the CGF is affine: ``f`` then stays negative for good, and ``inf``
-    is returned with ``False``.
+    Returns the root and ``True``; ``f`` must be negative at ``u = 0``.  The
+    bracket ends at the edge of ``_cone_box`` (closed, or just inside a
+    pole); where ``f`` is still negative there, the edge is returned as the
+    constrained solution.  With no edge the bracket doubles upward from
+    ``u = 1``.  Without a root, ``False`` comes with 0 for a domain with no
+    positive part, ``inf`` for an affine CGF (a slope equal to the slope at
+    0: demand is constant, since any other CGF is strictly convex), and
+    otherwise the farthest point tried before the float range ends.
     """
-    edge = math.inf if cgf.domain is None else float(cgf.domain[0][1])
-    if edge <= 0.0:
-        return 0.0, False
+    ((_, edge),) = _cone_box(cgf, np.ones(1))
 
     def g(v: float) -> float:
         value, grad = cgf.value_and_gradient([v])
         return f(v, value, float(grad[0]))
 
-    if math.isfinite(edge) and math.isfinite(cgf.value([edge])):
-        if g(edge) < 0.0:
-            return edge, True
-        lo, hi = 0.0, edge
-    else:
-        lo, hi = 0.0, (0.5 * edge if math.isfinite(edge) else 1.0)
-        flat = float(cgf.gradient([0.0])[0])
+    lo, hi = 0.0, edge
+    if math.isfinite(edge) and g(edge) < 0.0:
+        return edge, edge > 0.0
+    if edge == math.inf:
+        hi, flat = 1.0, float(cgf.gradient([0.0])[0])
         while True:
             value, grad = cgf.value_and_gradient([hi])
             if f(hi, value, float(grad[0])) >= 0.0:
                 break
             if grad[0] == flat:
                 return math.inf, False
-            lo, hi = hi, (2.0 * hi if edge == math.inf else 0.5 * (hi + edge))
-            if not lo < hi < edge:
+            lo, hi = hi, 2.0 * hi
+            if hi == math.inf:
                 return lo, False
     return brentq(g, lo, hi, xtol=1e-15, maxiter=300), True
 
@@ -206,12 +196,12 @@ def _increasing_root(cgf: CgfEvaluator, f) -> tuple[float, bool]:
 def _scalar_rate(cgf: CgfEvaluator, eps: float) -> float:
     """Exact 1-d rate ``max_{u>=0} (u*eps - phi(u))`` for a scalar CGF.
 
-    The maximizer is the root of ``phi'(u) = eps``, or the closed domain edge
-    when the slope stays below ``eps`` up to it.  An affine CGF (zero
-    variance) whose slope stays below ``eps`` has an infinite rate.  When the
-    slope otherwise never reaches ``eps``, the rate at the farthest point
-    tried is returned: every ``u >= 0`` certifies a bound, so it is still
-    conservative.
+    The maximizer is the root of ``phi'(u) = eps``, or the domain edge
+    (closed, or just inside a pole) when the slope stays below ``eps`` up to
+    it.  An affine CGF (zero variance) whose slope stays below ``eps`` has an
+    infinite rate.  When the slope otherwise never reaches ``eps``, the rate
+    at the farthest point tried is returned: every ``u >= 0`` certifies a
+    bound, so it is still conservative.
     """
     if eps <= 0.0:
         return 0.0
@@ -242,8 +232,9 @@ def invert_rate(cgf: CgfEvaluator, delta: float, lead_time: int) -> float:
     is ``eps = min_{u > 0} (r + phi(u)) / u``, since ``R(eps) >= r`` exactly
     when some ``u > 0`` has ``u * eps - phi(u) >= r``.  The minimizer is the
     one root of the increasing ``u * phi'(u) - phi(u) - r``, where
-    ``eps = phi'(u)``; past a closed domain edge the rate is linear in the
-    margin and the minimizer is the edge.  Any ``u`` gives a margin at least
+    ``eps = phi'(u)``; past the domain edge (closed, or just inside a pole)
+    the rate is linear in the margin and the minimizer is the edge.  Any
+    ``u`` gives a margin at least
     the exact one, so the stock ``L * eps`` errs on the safe side, by an
     amount second order in the root's error.
 

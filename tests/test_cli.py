@@ -149,6 +149,34 @@ class TestUsageErrors:
         assert code == 2
         assert "at least 10000" in err
 
+    @pytest.mark.parametrize("sigma", ["-1", "0"])
+    @pytest.mark.parametrize("model", ["gauss1", "gauss2"])
+    @pytest.mark.parametrize(
+        "command",
+        [["compute", "--delta", "0.05"], ["validate", "--trials", "10000", "--seed", "1"], ["estimate-cgf", "--seed", "1"]],
+    )
+    def test_sigma_must_be_positive(self, capsys, command, model, sigma):
+        # sigma enters the model squared, so -1 would run as 1
+        code, out, err = run_cli(capsys, *command, "--model", model, "--sigma", sigma)
+        assert code == 2 and out == ""
+        assert "--sigma must be positive" in err
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["compute", "--delta", "0.05"], "no least certified stock exists"),
+            (["figure", "fig1", "--grid", "3"], "no least certified stock exists"),
+            (["figure", "fig2", "--grid", "3"], "no variance"),
+        ],
+    )
+    def test_zero_variance_model_is_a_usage_error(self, capsys, tmp_path, command, message):
+        # an error, not a traceback (exit 1 would read as a failed validation)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"type": "gaussian", "mu": [0.0], "sigma": [[0.0]]}}))
+        code, out, err = run_cli(capsys, *command, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_validate_rejects_a_nan_stock(self, capsys):
         # NaN compares false, so a NaN stock would count no stockout and pass
         code, out, err = run_cli(capsys, "validate", "--ss", "nan", "--trials", "10000", "--seed", "1")

@@ -180,6 +180,35 @@ class TestCovarianceFactor:
             assert np.abs(factor @ factor.T - m.covariance).max() <= 1e-10
             assert np.allclose(np.triu(factor, 1), 0)
 
+    def test_diagonal_is_nonnegative(self, rng):
+        # the QR triangle of diag(1, 0) starts with -1; its column is flipped
+        v = rng.standard_normal(3)
+        models = [
+            GaussianModel.bivariate(1.0, 2.0, 0.6),
+            GaussianModel.bivariate(1.0, 2.0, -0.9),
+            GaussianModel(np.zeros(3), [[1.0, 0.6, 0.3], [0.6, 1.0, 0.8], [0.3, 0.8, 2.0]]),
+            GaussianModel.bivariate(1.0, 1.0, 1.0),
+            GaussianModel.bivariate(1.0, 2.0, -1.0),
+            GaussianModel(np.zeros(2), np.diag([1.0, 0.0])),
+            GaussianModel(np.zeros(2), np.diag([0.0, 1.0])),
+            GaussianModel(np.zeros(3), np.outer(v, v)),
+        ]
+        for m in models:
+            factor = covariance_factor(m)
+            assert np.all(np.diag(factor) >= 0.0)
+            assert np.abs(factor @ factor.T - m.covariance).max() <= 1e-10 * max(np.trace(m.covariance), 1.0)
+        assert covariance_factor(models[5])[0, 0] == 1.0
+
+    def test_equals_cholesky_on_positive_definite(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            a = rng.standard_normal((n, n))
+            cov = a @ a.T + 0.1 * np.eye(n)
+            cov = 0.5 * (cov + cov.T)
+            chol = np.linalg.cholesky(cov)
+            factor = covariance_factor(GaussianModel(np.zeros(n), cov))
+            assert np.abs(factor - chol).max() <= 1e-12 * np.abs(chol).max()
+
 
 def draw_with_factor(model: GaussianModel, count: int, seed: int) -> np.ndarray:
     """``count`` draws of N(mean, covariance) through ``covariance_factor``."""

@@ -379,8 +379,9 @@ class TestMonteCarlo:
     @pytest.mark.parametrize(
         "variances, pattern, level, signs, p",
         [
-            # the QR factor of diag(1, 0) starts with -1: z_0 is drawn on the
-            # side opposite the test's, and a <= test flips it back
+            # the QR triangle of diag(1, 0) starts with -1, and its column is
+            # flipped to +1: z_0 is drawn on the test's own side, the lower
+            # one for a <= or < test
             ((1.0, 0.0), ORTHANT, [1.6, 0.0], [-1.0, 1.0], 1.0 - normal_upper_tail(0.8)),
             ((1.0, 0.0), UNION, [1.6, 0.5], None, normal_upper_tail(0.8)),
             # diag(0, 1) starts with 0: the first test holds for every trial
@@ -395,7 +396,7 @@ class TestMonteCarlo:
     )
     def test_first_factor_entry_negative_or_zero(self, first_normals, variances, pattern, level, signs, p):
         model, lead, trials = GaussianModel(np.zeros(2), np.diag(variances)), 4, 400_000
-        assert covariance_factor(model)[0, 0] == -variances[0]
+        assert covariance_factor(model)[0, 0] == variances[0]
         got = joint_tail_monte_carlo(model, level, lead, trials, 41, pattern, signs)
         assert abs(got.probability - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials)
         assert all(np.isfinite(z).all() for z in first_normals)
@@ -582,6 +583,18 @@ class TestSignsOnlyForOrthant:
 
 
 class TestInvertJointTail:
+    @pytest.mark.parametrize("variances", [(0.0,), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)])
+    def test_zero_variance_commodity_raises(self, variances):
+        # that commodity's deviation is always 0: it runs out at stock 0 and
+        # at no positive stock, so P(0) is the others' tail at 0 (1 or 1/2)
+        model = GaussianModel(np.zeros(len(variances)), np.diag(variances))
+        for delta in (1e-6, 0.05, 0.6, 0.99):
+            with pytest.raises(ValueError, match="no least certified stock exists"):
+                invert_joint_tail(model, delta, 10)
+        p_zero = 0.5 if max(variances) > 0.0 else 1.0
+        at_zero = joint_tail_monte_carlo(model, np.zeros(model.dim), 10, 10_000, seed=1)
+        assert abs(at_zero.probability - p_zero) <= at_zero.error
+
     @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.9])
     @pytest.mark.parametrize("delta", [0.2, 1e-3, 1e-6, 1e-12])
     def test_certified_to_relative_precision(self, rho, delta):

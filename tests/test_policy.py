@@ -185,8 +185,19 @@ class TestProposedRule:
 
     def test_evaluator_rejects_options_it_cannot_use(self):
         cgf = weibull_cgf(WeibullModel(2.0, 1.0))
-        with pytest.raises(ValueError, match="whole delta"):
+        with pytest.raises(ValueError, match="one split rate per commodity"):
             ss_proposed(cgf, 10, 0.05, delta_split=(0.5, 0.1))
+
+    def test_single_evaluator_is_a_sequence_of_one(self):
+        cgf = weibull_cgf(WeibullModel(2.0, 1.0))
+        out = ss_proposed(cgf, 10, 0.05)
+        assert out.delta_split == (0.05,)
+        assert out.ss.tolist() == [invert_rate(cgf, 0.05, 10)]
+        for split in ((0.05,), 0.05):
+            same = ss_proposed([cgf], 10, 0.05, delta_split=split)
+            assert same.ss.tolist() == out.ss.tolist() and same.delta_split == (0.05,)
+        with pytest.raises(ValueError, match="multiply back"):
+            ss_proposed(cgf, 10, 0.05, delta_split=(0.5,))
 
     def test_rejects_other_inputs(self):
         with pytest.raises(TypeError, match="Gaussian model or CGF evaluator"):
@@ -253,6 +264,15 @@ class TestRigorousRule:
     def test_floored_at_zero(self):
         assert ss_rigorous(GaussianModel.bivariate(1.0, 1.0, 0.0), 10, 0.25) == 0.0
 
+    @pytest.mark.parametrize("variances", [(0.0,), (1.0, 0.0), (0.0, 1.0)])
+    def test_zero_variance_commodity_has_no_least_stock(self, variances):
+        # that commodity runs out at stock 0 and at no positive stock: every
+        # positive stock is certified, and none is least
+        model = GaussianModel(np.zeros(len(variances)), np.diag(variances))
+        for delta in (0.05, 0.6):
+            with pytest.raises(ValueError, match="no least certified stock exists"):
+                ss_rigorous(model, 10, delta)
+
 
 class TestPolicyOutput:
     def test_ratios(self, experiment_model):
@@ -281,6 +301,17 @@ class TestPolicyOutput:
         assert calls == ["rig"]
         assert (row.p_pre, row.p_pro, row.ss_rig, row.p_pre) == (0.01, 0.01, 3.0, 0.01)
         assert calls == ["rig", "p", "p"]
+
+    @pytest.mark.parametrize("variances", [(0.0,), (0.0, 0.0)])
+    def test_exact_columns_refuse_a_zero_variance_commodity(self, variances):
+        model = GaussianModel(np.zeros(len(variances)), np.diag(variances))
+        row = PolicyOutput(delta=0.05, ss_pre=0.0, ss_pro=1e-3, lead_time=10, model=model)
+        for column in ("p_pre", "p_pro"):
+            with pytest.raises(ValueError, match="no variance"):
+                getattr(row, column)
+        for column in ("ss_rig", "p_rig", "ratio_pro", "ratio_pre"):
+            with pytest.raises(ValueError, match="no least certified stock exists"):
+                getattr(row, column)
 
     def test_order_point_adds_lead_time_mean(self):
         model = GaussianModel.bivariate(1.0, 1.0, 0.9, mean=(2.0, 3.0))

@@ -350,6 +350,40 @@ class TestInvertRate:
         x = ss / (lead * scale)
         assert x - math.log1p(x) == pytest.approx(-math.log(delta) / lead, rel=1e-12)
 
+    def test_exponential_inversion_stays_below_the_pole(self):
+        # the bracket ends just inside the pole: past the one probe that
+        # finds it, no evaluation reaches u = 1 / scale
+        base = weibull_cgf(WeibullModel(1.0, 1.7))
+        pole = base.domain[0][1]
+        seen = []
+
+        def recorded(u):
+            seen.append(float(u[0]))
+            return base.value_and_gradient(u)
+
+        cgf = CgfEvaluator(dim=1, domain=base.domain, model=base.model, _value_and_grad=recorded)
+        calls = [lambda d: invert_rate(cgf, d, 5), lambda d: chernoff_bound(cgf, -math.log(d), 5, pattern=FUNGIBLE)]
+        for call in calls:
+            for delta in (0.5, 1e-2, 1e-12, 1e-300):
+                seen.clear()
+                assert math.isfinite(call(delta))
+                assert seen[0] == pole and max(seen[1:]) < pole
+
+    def test_bounded_slope_without_an_edge_is_unreachable(self):
+        # log cosh: the slope tends to 1 and u * phi'(u) - phi(u) to log 2,
+        # so the doubling bracket must stop at the end of the float range
+        calls = []
+
+        def log_cosh(u):
+            calls.append(u)
+            v = abs(float(u[0]))
+            return v + math.log1p(math.exp(-2.0 * v)) - math.log(2.0), np.array([math.tanh(float(u[0]))])
+
+        cgf = CgfEvaluator(dim=1, domain=None, _value_and_grad=log_cosh)
+        with pytest.raises(UnreachableRateError, match="unreachable"):
+            invert_rate(cgf, 1e-3, 1)
+        assert len(calls) <= 1100
+
     def test_heavy_tail_unreachable(self):
         # Positive transform arguments blow up: no margin reaches the rate.
         heavy = CgfEvaluator(
