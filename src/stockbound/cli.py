@@ -23,7 +23,8 @@ demand file is read only by a command that builds the model), and null is
 an error.  Sampling uses numpy's default generator (PCG64), so a run is
 reproducible from its config plus seed.  Exit status: 0 on success or a
 passing validation, 1 when a validation run exceeds its limit, 2 for usage
-or configuration errors.
+or configuration errors, 3 for an internal error (any other exception,
+reported with its traceback).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import functools
 import json
 import math
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +416,11 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, TypeError, OSError) as exc:
         print(f"stockbound: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # not exit 1, which means a failed validation
+        print(f"stockbound: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 def entrypoint() -> None:

@@ -9,6 +9,7 @@ enters only at ingestion and when order points are reported.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -242,10 +243,11 @@ _BLANK = re.compile(r'[\s,"]*')
 # numpy's C tokenizer and float converter; the fast parse and the error rescan
 # both go through these settings, so they cannot disagree.
 _LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}
-# ((text, skip_header), parse) of the last file load_demand_csv parsed.  The
-# parse reads nothing but the text, so equal text gives an equal parse; the
-# comparison is a memcmp, where hashing the file would slow every first load.
-_last_parse: tuple[tuple[str, bool], EmpiricalDemand] | None = None
+# ((bytes, skip_header), parse) of the last file load_demand_csv parsed.  The
+# parse reads nothing but the decoded bytes, so equal bytes give an equal
+# parse; the comparison is a memcmp, where hashing the file would slow every
+# first load, and reading bytes skips the decode on a hit.
+_last_parse: tuple[tuple[bytes, bool], EmpiricalDemand] | None = None
 
 
 def load_demand_csv(path, skip_header: bool = False) -> EmpiricalDemand:
@@ -263,19 +265,22 @@ def load_demand_csv(path, skip_header: bool = False) -> EmpiricalDemand:
     exponent forms Python's ``float`` reads but not digit-group underscores
     (``1_000``) or non-ASCII digits; those cells are rejected as not numbers.
 
-    A load whose text (and ``skip_header``) is identical to the last file
+    A load whose bytes (and ``skip_header``) are identical to the last file
     parsed returns that parse's ``EmpiricalDemand`` again, read-only and
-    shared.  The whole text is compared, not the file's name, size or time
-    stamp, so the last file's text and data stay in memory until another
-    file is parsed.  Errors are not kept: a bad file is parsed, and raises,
-    on every load.
+    shared.  The whole file is compared, not its name, size or time stamp,
+    so the last file's bytes and data stay in memory until another file is
+    parsed; a file with the same text in other bytes (CRLF line ends, say)
+    is parsed again, to the same data.  Errors are not kept: a bad file is
+    parsed, and raises, on every load.
     """
     global _last_parse
     path = Path(path)
-    text = path.read_text()
-    key = (text, bool(skip_header))
+    content = path.read_bytes()
+    key = (content, bool(skip_header))
     if _last_parse is not None and _last_parse[0] == key:
         return _last_parse[1]
+    # decoded as Path.read_text would: locale encoding, universal newlines
+    text = io.TextIOWrapper(io.BytesIO(content)).read()
     raw = text.splitlines()
     kept = [i for i, line in enumerate(raw) if not _BLANK.fullmatch(line)]
     if skip_header and kept and kept[0] == 0:

@@ -5,7 +5,9 @@
 lead-time demands both exceed their thresholds by one-dimensional quadrature
 of the conditional tail, to a relative error target, and
 ``invert_joint_tail`` finds the equal stock at which that probability meets
-``delta`` by one bracketed root of its logarithm.  The Monte Carlo estimator
+``delta`` by a bracketed Halley iteration on its logarithm, which is concave
+in the stock, with the first two derivatives in closed form; every stock it
+returns is certified by an evaluated tail.  The Monte Carlo estimator
 handles any dimension and the full set of stockout patterns, and is the only
 oracle offered beyond two commodities.  It splits its trials into fixed
 chunks of 32 768, each drawn from its own stream spawned from the seed, and
@@ -34,7 +36,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import erfc, erfcinv, log_ndtr, ndtri
 
 from . import events
@@ -50,15 +51,17 @@ __all__ = [
     "normal_upper_tail_inverse",
 ]
 
-# The conditional-tail integral stops this many standard units past its lower
-# limit, or further where a deep tail needs it; the mass beyond is bounded
-# analytically and counted in the error.
+# For rho < 0 the conditional-tail integral stops this many standard units
+# past its lower limit; for rho >= 0 it stops where Slepian's floor on P puts
+# the error budget.  The mass beyond is bounded analytically and counted in
+# the error.
 TRUNCATION_WIDTH = 10.0
 # bivariate_joint_tail guarantees a reported error of at most this share of P.
 QUADRATURE_TARGET = 1e-9
-# Relative stock tolerance of the root in invert_joint_tail.  The log tail
-# changes by at most ~100 times the stock's relative change in the tested
-# range (delta down to 1e-12), so this keeps P within 1e-9 of delta.
+# Relative stock tolerance of the root in invert_joint_tail (relative to the
+# stock plus the smaller scale).  The log tail changes by at most ~100 times
+# the stock's relative change in the tested range (delta down to 1e-12), so
+# this keeps P within 1e-9 of delta.
 INVERSION_RTOL = 1e-12
 # Half width of the Monte Carlo error, in standard errors.
 MC_Z = 3.0
@@ -161,13 +164,13 @@ def _conditional_quadrature(query: TailQuery) -> tuple[float, float]:
 
     top = max(a, 0.0) + TRUNCATION_WIDTH
     if rho >= 0.0:
-        # Slepian: P >= H(a) H(b).  Where the fixed width leaves more than a
-        # thousandth of the target share of that floor past the cut, widen it
-        # until the bound H(top) <= phi(top) does not.  A share below the
-        # smallest float would be lost to rounding, so the cut stays.
+        # Slepian: P >= H(a) H(b).  The cut goes where the bound
+        # H(top) <= phi(top) leaves a thousandth of the target share of that
+        # floor past it; that point lies past a.  A share below the smallest
+        # float would be lost to rounding, so there the fixed width stays.
         log_share = math.log(1e-3 * QUADRATURE_TARGET) + float(log_ndtr(-a) + log_ndtr(-b))
         if log_share > math.log(_TINY):
-            top = max(top, math.sqrt(-2.0 * log_share - math.log(2.0 * math.pi)))
+            top = math.sqrt(-2.0 * log_share - math.log(2.0 * math.pi))
     value, abserr, *_ = quad(integrand, a, top, epsabs=0.0, epsrel=1e-12, limit=500, full_output=1)
     # Past ``top`` the outer density leaves H(top); for rho < 0 the conditional
     # tail falls with u, so it is at most its value at ``top``.
@@ -372,29 +375,33 @@ class JointTailInverse(NamedTuple):
     floored: bool
 
 
-def invert_joint_tail(model: GaussianModel, delta: float, lead_time: int) -> JointTailInverse:
-    """Smallest equal stock whose exact all-exceed probability is at most ``delta``.
+def _ray_derivatives(query: TailQuery, alpha: float, beta: float) -> tuple[float, float]:
+    """First and second derivatives of ``P`` along ``(a, b) = (alpha, beta) * ss``.
 
-    When even zero stock already meets the target (``delta >= P(0)``, from
-    the closed-form orthant probability) the result is floored at zero and
-    flagged.  Otherwise one Brent root (``scipy.optimize.brentq``) of
-    ``log P(ss) - log delta`` runs inside an analytic bracket:
-
-    - ``hi``: ``P`` is at most the tail of the larger standardized threshold
-      and at most the tail of the pooled demand, so the tighter of the two
-      is at most ``delta`` at ``hi``;
-    - ``lo``: for ``rho >= 0``, ``P >= H(a) H(b)`` (Slepian), which is at
-      least ``delta`` at ``min(scale) * H^-1(sqrt(delta))``; otherwise 0.
-
-    The root is taken on ``P + error``, the upper end of the quadrature's
-    error interval, and the returned stock is the bracket end where that is
-    at most ``delta``, within a relative ``INVERSION_RTOL`` of the root.  So
-    the exact ``P(ss)`` is at most ``delta`` and, in the tested range (delta
-    down to 1e-12), at least ``delta * (1 - 1e-9)``.  Every tail evaluation
-    goes through ``bivariate_joint_tail``.  A commodity with no variance
-    raises ``ValueError``: every positive stock empties the event, so no
-    least positive stock exists.
+    ``dP/da = -phi(a) H(za)`` with ``za = (b - rho a) / w``, and likewise for
+    ``b`` with ``zb = (a - rho b) / w``.  The second derivative adds the
+    bivariate density ``phi(a) phi(za) / w`` times
+    ``2 alpha beta - rho (alpha^2 + beta^2)``.  ``w^2 = 1 - rho^2`` is kept
+    at 2e-12 or more, its value where ``bivariate_joint_tail`` turns to the
+    closed form, so the derivatives stay finite at ``rho = +-1``.
     """
+    a, b, rho = query.a, query.b, query.rho
+    inv_w = 1.0 / math.sqrt(max(1.0 - rho * rho, 2e-12))
+    za, zb = (b - rho * a) * inv_w, (a - rho * b) * inv_w
+    norm = 1.0 / math.sqrt(2.0 * math.pi)
+    phi_a = norm * math.exp(-0.5 * a * a)
+    edge_a = alpha * phi_a * 0.5 * math.erfc(za / _SQRT2)
+    edge_b = beta * norm * math.exp(-0.5 * b * b) * 0.5 * math.erfc(zb / _SQRT2)
+    density = phi_a * norm * math.exp(-0.5 * za * za) * inv_w
+    curvature = alpha * a * edge_a + beta * b * edge_b
+    curvature += density * (2.0 * alpha * beta - rho * (alpha * alpha + beta * beta))
+    return -(edge_a + edge_b), curvature
+
+
+def _invert_joint_tail(
+    model: GaussianModel, delta: float, lead_time: int
+) -> tuple[JointTailInverse, OracleResult | None]:
+    """``invert_joint_tail``, with the tail it evaluated at the returned stock, if any."""
     lead = validate_lead_time(lead_time)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
@@ -402,35 +409,92 @@ def invert_joint_tail(model: GaussianModel, delta: float, lead_time: int) -> Joi
         raise ValueError("a commodity has no variance, so no least certified stock exists")
     if model.dim == 1:
         if delta >= 0.5:
-            return JointTailInverse(0.0, True)
+            return JointTailInverse(0.0, True), None
         scale = math.sqrt(lead * float(model.covariance[0, 0]))
-        return JointTailInverse(scale * normal_upper_tail_inverse(delta), False)
+        return JointTailInverse(scale * normal_upper_tail_inverse(delta), False), None
     if model.dim != 2:
         raise ValueError("exact inversion is available for one or two commodities")
     scale_x = math.sqrt(lead * model.var_x)
     scale_y = math.sqrt(lead * model.var_y)
     rho = model.correlation
     if delta >= 0.25 + math.asin(rho) / (2.0 * math.pi):
-        return JointTailInverse(0.0, True)
-
-    log_delta = math.log(delta)
-    excess: dict[float, float] = {}
-
-    def log_excess(ss: float) -> float:
-        if ss not in excess:
-            tail = bivariate_joint_tail(TailQuery(ss / scale_x, ss / scale_y, rho))
-            # A tail that underflows reads as the smallest double, below delta.
-            excess[ss] = math.log(max(tail.probability + tail.error, _TINY)) - log_delta
-        return excess[ss]
+        return JointTailInverse(0.0, True), None
 
     smaller = min(scale_x, scale_y)
     pooled = (1.0 / scale_x + 1.0 / scale_y) / math.sqrt(2.0 + 2.0 * rho)
     hi = normal_upper_tail_inverse(delta) / max(1.0 / smaller, pooled)
     root_delta = math.sqrt(delta)
     lo = smaller * normal_upper_tail_inverse(root_delta) if rho >= 0.0 and root_delta < 0.5 else 0.0
-    # Both ends hold analytically; a computed value on the wrong side differs
-    # from delta by rounding only, and that end is the answer.
-    if log_excess(lo) > 0.0 > log_excess(hi):
-        brentq(log_excess, lo, hi, xtol=INVERSION_RTOL * smaller, rtol=INVERSION_RTOL)
-    ss = min((s for s, f in excess.items() if f <= 0.0), default=hi)
-    return JointTailInverse(ss, False)
+    log_delta = math.log(delta)
+    # hi holds analytically, but rounding can put P + error above delta
+    # there; the upper end is then open until a step past hi finds a stock
+    # that meets delta.
+    ss, x = math.inf, hi
+    while True:
+        query = TailQuery(x / scale_x, x / scale_y, rho)
+        tail = bivariate_joint_tail(query)
+        # A tail that underflows reads as the smallest double, below delta.
+        upper = max(float(tail.probability + tail.error), _TINY)
+        g = math.log(upper) - log_delta
+        slope, curvature = _ray_derivatives(query, 1.0 / scale_x, 1.0 / scale_y)
+        d1 = slope / upper
+        d2 = curvature / upper - d1 * d1
+        # Halley's step; a denominator of 0 or below gives none.
+        den = 2.0 * d1 * d1 - g * d2
+        step = -2.0 * g * d1 / den if den > 0.0 else math.nan
+        # Relative to the stock, and to the smaller scale for a root near 0.
+        tol = INVERSION_RTOL * (x + smaller)
+        if upper <= delta:
+            ss, at_ss = x, tail
+            if abs(step) <= tol:
+                break
+        else:
+            # From below, aim half a tolerance past the root's estimate.
+            lo, step = x, step + 0.5 * tol
+        if ss - lo <= tol:
+            break
+        x += step
+        if not lo < x < ss:
+            x = 0.5 * (lo + ss)
+    return JointTailInverse(ss, False), at_ss
+
+
+def invert_joint_tail(model: GaussianModel, delta: float, lead_time: int) -> JointTailInverse:
+    """Smallest equal stock whose exact all-exceed probability is at most ``delta``.
+
+    When even zero stock already meets the target (``delta >= P(0)``, from
+    the closed-form orthant probability) the result is floored at zero and
+    flagged.  Otherwise one Halley iteration solves
+    ``g(ss) = log(P(ss) + error) - log delta``, with ``P'`` and ``P''``
+    along the equal-stock ray in closed form (``phi`` and ``H`` of the
+    standardized thresholds, see ``_ray_derivatives``), inside an analytic
+    bracket:
+
+    - ``hi``: ``P`` is at most the tail of the larger standardized threshold
+      and at most the tail of the pooled demand, so the tighter of the two
+      is at most ``delta`` at ``hi``;
+    - ``lo``: for ``rho >= 0``, ``P >= H(a) H(b)`` (Slepian), which is at
+      least ``delta`` at ``min(scale) * H^-1(sqrt(delta))``; otherwise 0.
+
+    The joint tail is log-concave in the stock (Prekopa 1973: the Gaussian
+    density is log-concave, and so is its mass over a shifted orthant), so
+    ``g`` is concave and decreasing, and the iteration, started at ``hi``,
+    reaches the root in a few steps.  Each evaluated sign of
+    ``P + error - delta`` moves one end of the bracket; a step that is not
+    finite or leaves the bracket (as where the tail underflows) bisects it
+    instead.  Where rounding puts ``P + error`` above ``delta`` at ``hi``,
+    the upper end stays open until a step past ``hi`` meets ``delta``.  A
+    step from a stock that misses ``delta`` aims half a tolerance past the
+    root's estimate, so that the next one meets it.  The tolerance is
+    ``INVERSION_RTOL * (ss + min(scale))``: relative to the stock, and to
+    the scale for a root near 0.  The iteration stops at a stock that meets
+    ``delta`` and whose own step is within the tolerance, or when the
+    bracket is that narrow, and returns the least evaluated stock with
+    ``P + error <= delta``.  So the exact ``P(ss)`` is at most ``delta``
+    and, in the tested range (delta down to 1e-12), at least
+    ``delta * (1 - 1e-9)``.  Every tail evaluation goes through
+    ``bivariate_joint_tail``.  A commodity with no variance raises
+    ``ValueError``: every positive stock empties the event, so no least
+    positive stock exists.
+    """
+    return _invert_joint_tail(model, delta, lead_time)[0]

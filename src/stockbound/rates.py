@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from . import events
-from .cgf import CgfEvaluator
+from .cgf import CgfDomainError, CgfEvaluator
 from .demand import validate_lead_time
 
 __all__ = [
@@ -89,8 +89,9 @@ class RateResult:
 def _cone_box(cgf: CgfEvaluator, signs: np.ndarray) -> list[tuple[float, float]]:
     """Bounds on ``v = signs * u``: nonnegative and inside the CGF's domain.
 
-    Where the CGF is infinite at a domain edge (a pole), the bound stays just
-    inside it; a closed edge is used as it is.
+    Where the CGF is infinite at a domain edge, or raises ``CgfDomainError``
+    there (a pole), the bound stays just inside it; a closed edge is used as
+    it is.
     """
     if cgf.domain is None:
         return [(0.0, math.inf)] * cgf.dim
@@ -100,7 +101,11 @@ def _cone_box(cgf: CgfEvaluator, signs: np.ndarray) -> list[tuple[float, float]]
         if 0.0 < edge < math.inf:
             point = np.zeros(cgf.dim)
             point[i] = signs[i] * edge
-            if not math.isfinite(cgf.value(point)):
+            try:
+                closed = math.isfinite(cgf.value(point))
+            except CgfDomainError:
+                closed = False
+            if not closed:
                 edge *= 1.0 - _POLE_GAP
         box.append((0.0, edge))
     return box

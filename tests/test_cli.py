@@ -28,6 +28,7 @@ from stockbound import (
     joint_tail_monte_carlo,
     weibull_log_mgf,
 )
+from stockbound import cli
 from stockbound.cli import build_parser, main
 
 from oracles import mpmath_weibull_log_mgf
@@ -225,6 +226,26 @@ class TestUsageErrors:
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_3_with_traceback(self, capsys, monkeypatch):
+        # exit 1 means a failed validation, so a bug must not end with it
+        def broken(options):
+            return 1.0 / 0.0
+
+        monkeypatch.setattr(cli, "cmd_policy", broken)
+        code, out, err = run_cli(capsys, "compute", "--delta", "0.05")
+        assert code == 3 and out == ""
+        assert "stockbound: internal error: ZeroDivisionError: float division by zero" in err
+        assert "Traceback (most recent call last)" in err
+
+    def test_failed_validation_still_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "validate", "--ss", "0", "--delta", "0.01", "--trials", "20000", "--seed", "3"
+        )
+        assert code == 1 and err == ""
+        assert "result: FAIL" in out
 
 
 class TestFlagSets:
@@ -488,8 +509,11 @@ class TestValidate:
 
 
 class TestGoldenOutputs:
-    # Written by the CLI at default flags (rho 0.9, sigma 1, L 10), e.g.
-    # ``python -m stockbound.cli compute --grid 40 > tests/data/compute_grid40.csv``.
+    # Written by the CLI at default flags (rho 0.9, sigma 1, L 10), from the
+    # repository root with ``src`` on PYTHONPATH:
+    #   python -m stockbound.cli compute --grid 40 > tests/data/compute_grid40.csv
+    #   python -m stockbound.cli figure fig1 > tests/data/figure_fig1.csv
+    #   python -m stockbound.cli figure fig2 > tests/data/figure_fig2.csv
     @pytest.mark.parametrize(
         "name, argv",
         [

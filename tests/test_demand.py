@@ -423,6 +423,19 @@ class TestCsvReuse:
         assert not second.samples.flags.writeable
         assert not second.row_sums.flags.writeable
 
+    def test_same_text_in_other_bytes_parses_to_equal_data(self, tmp_path, loadtxt_calls):
+        # the key is the file's bytes: CRLF line ends are parsed again, and
+        # decode to the same text, so the data are equal
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"1.25,2\n3,4.5\n")
+        first = load_demand_csv(path)
+        parsed = len(loadtxt_calls)
+        path.write_bytes(b"1.25,2\r\n3,4.5\r\n")
+        second = load_demand_csv(path)
+        assert len(loadtxt_calls) > parsed
+        assert second is not first
+        assert second.samples.tolist() == first.samples.tolist() == [[1.25, 2.0], [3.0, 4.5]]
+
     def test_same_size_rewrite_with_old_time_stamp_is_read(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,2\n3,4\n")

@@ -191,8 +191,8 @@ class TestBivariateJointTail:
             assert abs(result.probability - want) <= result.error + 1e-15 * want
 
     def test_deep_tail_past_the_fixed_cut(self):
-        # P = H(25)^2 ~ 9e-276, but the fixed cut at a + 10 only bounds the
-        # mass past it by H(35) ~ 1e-268; for rho >= 0 the cut widens from
+        # P = H(25)^2 ~ 9e-276, but a fixed cut at a + 10 would only bound the
+        # mass past it by H(35) ~ 1e-268; for rho >= 0 the cut is placed from
         # Slepian's floor P >= H(a) H(b).
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
@@ -205,6 +205,29 @@ class TestBivariateJointTail:
             want = mpmath_joint_tail(a, b, rho, dps=330)
             assert result.probability == pytest.approx(want, rel=1e-9)
             assert abs(result.probability - want) <= result.error
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.99])
+    def test_nonnegative_correlation_stops_at_the_slepian_budget(self, monkeypatch, rho):
+        # the integral ends where the floor's error budget does, short of a + 10
+        pytest.importorskip("mpmath")
+        limits = []
+        original = oracle.quad
+
+        def recorded(func, lower, upper, **kwargs):
+            limits.append(upper)
+            return original(func, lower, upper, **kwargs)
+
+        monkeypatch.setattr(oracle, "quad", recorded)
+        for a in (0.0, 1.0, 3.0, 5.0, 7.0):
+            for b in ((a, 0.5 * a) if a > 0.0 else (a,)):
+                result = bivariate_joint_tail(TailQuery(a, b, rho))
+                if a == 0.0:
+                    want = 0.25 + math.asin(rho) / (2.0 * math.pi)
+                else:
+                    want = mpmath_joint_tail(a, b, rho)
+                assert result.probability == pytest.approx(want, rel=1e-12), (a, b)
+                assert result.error <= QUADRATURE_TARGET * result.probability
+                assert a < limits[-1] < a + oracle.TRUNCATION_WIDTH
 
     def test_closed_form_error_is_relative(self):
         # A fixed absolute error of 1e-15 was 7.8e-4 P at (7, 7, 1).
@@ -582,6 +605,17 @@ class TestSignsOnlyForOrthant:
             joint_tail_monte_carlo(model, [0.5, 0.5], 10, 10_000, 1, ORTHANT)
 
 
+def assert_certified_by_mpmath(variances, rho, delta, lead=10):
+    pytest.importorskip("mpmath")
+    out = invert_joint_tail(GaussianModel.bivariate(*variances, rho), delta, lead)
+    if out.floored:
+        assert 0.25 + math.asin(rho) / (2.0 * math.pi) <= delta
+        return
+    a, b = (out.ss / math.sqrt(lead * v) for v in variances)
+    prob = mpmath_joint_tail(a, b, rho)
+    assert delta * (1.0 - 1e-9) <= prob <= delta
+
+
 class TestInvertJointTail:
     @pytest.mark.parametrize("variances", [(0.0,), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)])
     def test_zero_variance_commodity_raises(self, variances):
@@ -595,18 +629,17 @@ class TestInvertJointTail:
         at_zero = joint_tail_monte_carlo(model, np.zeros(model.dim), 10, 10_000, seed=1)
         assert abs(at_zero.probability - p_zero) <= at_zero.error
 
-    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.9])
+    @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.5, 0.9, 0.99])
     @pytest.mark.parametrize("delta", [0.2, 1e-3, 1e-6, 1e-12])
     def test_certified_to_relative_precision(self, rho, delta):
-        pytest.importorskip("mpmath")
-        lead = 10
-        out = invert_joint_tail(GaussianModel.bivariate(1.0, 1.0, rho), delta, lead)
-        if out.floored:
-            assert 0.25 + math.asin(rho) / (2.0 * math.pi) <= delta
-            return
-        a = out.ss / math.sqrt(lead)
-        prob = mpmath_joint_tail(a, a, rho)
-        assert delta * (1.0 - 1e-9) <= prob <= delta
+        assert_certified_by_mpmath((1.0, 1.0), rho, delta)
+
+    @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("delta", [0.2, 1e-3, 1e-6, 1e-12])
+    def test_unequal_variances_certified_to_relative_precision(self, rho, delta):
+        # at rho = 0.99, rounding can put P + error above delta at the analytic
+        # upper end, so the iteration has to step past it
+        assert_certified_by_mpmath((1.0, 4.0), rho, delta)
 
     def test_small_delta_stock(self):
         # the absolute 1e-9 stop of a bisection returned 18.97 here (P = 156 delta)
@@ -620,6 +653,23 @@ class TestInvertJointTail:
             out = invert_joint_tail(model, delta, 6)
             prob = mpmath_joint_tail(out.ss / math.sqrt(6.0), out.ss / math.sqrt(24.0), -0.5)
             assert delta * (1.0 - 1e-9) <= prob <= delta
+
+    @pytest.mark.parametrize("variances", [(1.0, 1.0), (1.0, 4.0), (4.0, 1.0)])
+    def test_perfect_correlation(self, variances, monkeypatch):
+        # rho = 1: P = H(ss / smaller scale), and the closed-form tail at the
+        # analytic upper end can exceed delta by rounding alone
+        calls = []
+        original = oracle.bivariate_joint_tail
+        monkeypatch.setattr(oracle, "bivariate_joint_tail", lambda q: calls.append(q) or original(q))
+        delta = 1e-6
+        model = GaussianModel.bivariate(*variances, 1.0)
+        out = invert_joint_tail(model, delta, 10)
+        smaller = math.sqrt(10.0 * min(variances))
+        assert type(out.ss) is float
+        assert out.ss == pytest.approx(smaller * normal_upper_tail_inverse(delta), rel=1e-11)
+        tail = original(TailQuery.from_margins(model, out.ss, out.ss, 10))
+        assert tail.probability + tail.error <= delta
+        assert len(calls) <= 3
 
     def test_underflowing_bracket_end(self):
         # the tail at the upper bracket end underflows to 0 here
@@ -645,8 +695,8 @@ class TestInvertJointTail:
                     calls.clear()
                     if not invert_joint_tail(GaussianModel.bivariate(1.0, 1.0, rho), delta, lead).floored:
                         counts.append(len(calls))
-        assert max(counts) <= 16
-        assert np.mean(counts) <= 12
+        assert max(counts) <= 6
+        assert np.mean(counts) <= 4
 
     def test_probability_at_returned_stock(self, experiment_model):
         lead = 10

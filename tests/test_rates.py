@@ -10,6 +10,7 @@ from stockbound import (
     FUNGIBLE,
     ORTHANT,
     UNION,
+    CgfDomainError,
     CgfEvaluator,
     EmpiricalDemand,
     GaussianModel,
@@ -368,6 +369,23 @@ class TestInvertRate:
                 seen.clear()
                 assert math.isfinite(call(delta))
                 assert seen[0] == pole and max(seen[1:]) < pole
+
+    def test_pole_that_raises_is_a_pole(self):
+        # a CGF that raises CgfDomainError at and past u = 1 / scale, instead
+        # of returning inf, sizes the same stock and bound
+        base = weibull_cgf(WeibullModel(1.0, 1.7))
+        pole = base.domain[0][1]
+
+        def raising(u):
+            if u[0] >= pole:
+                raise CgfDomainError("the exponential MGF is infinite here")
+            return base.value_and_gradient(u)
+
+        cgf = CgfEvaluator(dim=1, domain=base.domain, model=base.model, _value_and_grad=raising)
+        for delta in (0.5, 1e-2, 1e-12, 1e-300):
+            assert invert_rate(cgf, delta, 5) == invert_rate(base, delta, 5)
+            bound = chernoff_bound(cgf, -math.log(delta), 5, pattern=FUNGIBLE)
+            assert bound == chernoff_bound(base, -math.log(delta), 5, pattern=FUNGIBLE)
 
     def test_bounded_slope_without_an_edge_is_unreachable(self):
         # log cosh: the slope tends to 1 and u * phi'(u) - phi(u) to log 2,
