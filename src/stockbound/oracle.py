@@ -481,14 +481,12 @@ def invert_joint_tail(model: GaussianModel, delta: float, lead_time: int) -> Joi
     ``g`` is concave and decreasing, and the iteration, started at ``hi``,
     reaches the root in a few steps.  Each evaluated sign of
     ``P + error - delta`` moves one end of the bracket; a step that is not
-    finite or leaves the bracket (as where the tail underflows) bisects it
-    instead.  Where rounding puts ``P + error`` above ``delta`` at ``hi``,
-    the upper end stays open until a step past ``hi`` meets ``delta``.  A
-    step from a stock that misses ``delta`` aims half a tolerance past the
-    root's estimate, so that the next one meets it.  The tolerance is
-    ``INVERSION_RTOL * (ss + min(scale))``: relative to the stock, and to
-    the scale for a root near 0.  The iteration stops at a stock that meets
-    ``delta`` and whose own step is within the tolerance, or when the
+    finite or leaves the bracket (as where the tail underflows) bisects it.
+    Where rounding puts ``P + error`` above ``delta`` at ``hi`` itself, the
+    iteration steps past it.  A step from a stock that misses ``delta`` aims
+    half a tolerance past the root's estimate.  The tolerance is
+    ``INVERSION_RTOL * (ss + min(scale))``; the iteration stops at a stock
+    that meets ``delta`` and whose own step is within it, or when the
     bracket is that narrow, and returns the least evaluated stock with
     ``P + error <= delta``.  So the exact ``P(ss)`` is at most ``delta``
     and, in the tested range (delta down to 1e-12), at least
