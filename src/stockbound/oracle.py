@@ -63,6 +63,9 @@ QUADRATURE_TARGET = 1e-9
 # the stock's relative change in the tested range (delta down to 1e-12), so
 # this keeps P within 1e-9 of delta.
 INVERSION_RTOL = 1e-12
+# invert_joint_tail raises RuntimeError after this many tail evaluations
+# without a stop, so an iteration that creeps fails loudly.
+INVERSION_MAX_EVALS = 100
 # Half width of the Monte Carlo error, in standard errors.
 MC_Z = 3.0
 _SQRT2 = math.sqrt(2.0)
@@ -398,67 +401,6 @@ def _ray_derivatives(query: TailQuery, alpha: float, beta: float) -> tuple[float
     return -(edge_a + edge_b), curvature
 
 
-def _invert_joint_tail(
-    model: GaussianModel, delta: float, lead_time: int
-) -> tuple[JointTailInverse, OracleResult | None]:
-    """``invert_joint_tail``, with the tail it evaluated at the returned stock, if any."""
-    lead = validate_lead_time(lead_time)
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly between 0 and 1")
-    if not (model.covariance.diagonal() > 0.0).all():
-        raise ValueError("a commodity has no variance, so no least certified stock exists")
-    if model.dim == 1:
-        if delta >= 0.5:
-            return JointTailInverse(0.0, True), None
-        scale = math.sqrt(lead * float(model.covariance[0, 0]))
-        return JointTailInverse(scale * normal_upper_tail_inverse(delta), False), None
-    if model.dim != 2:
-        raise ValueError("exact inversion is available for one or two commodities")
-    scale_x = math.sqrt(lead * model.var_x)
-    scale_y = math.sqrt(lead * model.var_y)
-    rho = model.correlation
-    if delta >= 0.25 + math.asin(rho) / (2.0 * math.pi):
-        return JointTailInverse(0.0, True), None
-
-    smaller = min(scale_x, scale_y)
-    pooled = (1.0 / scale_x + 1.0 / scale_y) / math.sqrt(2.0 + 2.0 * rho)
-    hi = normal_upper_tail_inverse(delta) / max(1.0 / smaller, pooled)
-    root_delta = math.sqrt(delta)
-    lo = smaller * normal_upper_tail_inverse(root_delta) if rho >= 0.0 and root_delta < 0.5 else 0.0
-    log_delta = math.log(delta)
-    # hi holds analytically, but rounding can put P + error above delta
-    # there; the upper end is then open until a step past hi finds a stock
-    # that meets delta.
-    ss, x = math.inf, hi
-    while True:
-        query = TailQuery(x / scale_x, x / scale_y, rho)
-        tail = bivariate_joint_tail(query)
-        # A tail that underflows reads as the smallest double, below delta.
-        upper = max(float(tail.probability + tail.error), _TINY)
-        g = math.log(upper) - log_delta
-        slope, curvature = _ray_derivatives(query, 1.0 / scale_x, 1.0 / scale_y)
-        d1 = slope / upper
-        d2 = curvature / upper - d1 * d1
-        # Halley's step; a denominator of 0 or below gives none.
-        den = 2.0 * d1 * d1 - g * d2
-        step = -2.0 * g * d1 / den if den > 0.0 else math.nan
-        # Relative to the stock, and to the smaller scale for a root near 0.
-        tol = INVERSION_RTOL * (x + smaller)
-        if upper <= delta:
-            ss, at_ss = x, tail
-            if abs(step) <= tol:
-                break
-        else:
-            # From below, aim half a tolerance past the root's estimate.
-            lo, step = x, step + 0.5 * tol
-        if ss - lo <= tol:
-            break
-        x += step
-        if not lo < x < ss:
-            x = 0.5 * (lo + ss)
-    return JointTailInverse(ss, False), at_ss
-
-
 def invert_joint_tail(model: GaussianModel, delta: float, lead_time: int) -> JointTailInverse:
     """Smallest equal stock whose exact all-exceed probability is at most ``delta``.
 
@@ -491,8 +433,67 @@ def invert_joint_tail(model: GaussianModel, delta: float, lead_time: int) -> Joi
     ``P + error <= delta``.  So the exact ``P(ss)`` is at most ``delta``
     and, in the tested range (delta down to 1e-12), at least
     ``delta * (1 - 1e-9)``.  Every tail evaluation goes through
-    ``bivariate_joint_tail``.  A commodity with no variance raises
-    ``ValueError``: every positive stock empties the event, so no least
-    positive stock exists.
+    ``bivariate_joint_tail``; after ``INVERSION_MAX_EVALS`` of them without
+    a stop the inversion raises ``RuntimeError``.  A commodity with no
+    variance raises ``ValueError``: every positive stock empties the event,
+    so no least positive stock exists.
     """
-    return _invert_joint_tail(model, delta, lead_time)[0]
+    lead = validate_lead_time(lead_time)
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie strictly between 0 and 1")
+    if not (model.covariance.diagonal() > 0.0).all():
+        raise ValueError("a commodity has no variance, so no least certified stock exists")
+    if model.dim == 1:
+        if delta >= 0.5:
+            return JointTailInverse(0.0, True)
+        scale = math.sqrt(lead * float(model.covariance[0, 0]))
+        return JointTailInverse(scale * normal_upper_tail_inverse(delta), False)
+    if model.dim != 2:
+        raise ValueError("exact inversion is available for one or two commodities")
+    scale_x = math.sqrt(lead * model.var_x)
+    scale_y = math.sqrt(lead * model.var_y)
+    rho = model.correlation
+    if delta >= 0.25 + math.asin(rho) / (2.0 * math.pi):
+        return JointTailInverse(0.0, True)
+
+    smaller = min(scale_x, scale_y)
+    pooled = (1.0 / scale_x + 1.0 / scale_y) / math.sqrt(2.0 + 2.0 * rho)
+    hi = normal_upper_tail_inverse(delta) / max(1.0 / smaller, pooled)
+    root_delta = math.sqrt(delta)
+    lo = smaller * normal_upper_tail_inverse(root_delta) if rho >= 0.0 and root_delta < 0.5 else 0.0
+    log_delta = math.log(delta)
+    # hi holds analytically, but rounding can put P + error above delta
+    # there; the upper end is then open until a step past hi finds a stock
+    # that meets delta.
+    ss, x = math.inf, hi
+    for _ in range(INVERSION_MAX_EVALS):
+        query = TailQuery(x / scale_x, x / scale_y, rho)
+        tail = bivariate_joint_tail(query)
+        # A tail that underflows reads as the smallest double, below delta.
+        upper = max(float(tail.probability + tail.error), _TINY)
+        g = math.log(upper) - log_delta
+        slope, curvature = _ray_derivatives(query, 1.0 / scale_x, 1.0 / scale_y)
+        d1 = slope / upper
+        d2 = curvature / upper - d1 * d1
+        # Halley's step; a denominator of 0 or below gives none.  (Newton's
+        # step, without P'', took 4.9 evaluations per inversion on the
+        # benchmark's policy grid, 6 at most; Halley's takes 3.7 and 5.)
+        den = 2.0 * d1 * d1 - g * d2
+        step = -2.0 * g * d1 / den if den > 0.0 else math.nan
+        # Relative to the stock, and to the smaller scale for a root near 0.
+        tol = INVERSION_RTOL * (x + smaller)
+        if upper <= delta:
+            ss = x
+            if abs(step) <= tol:
+                break
+        else:
+            # From below, aim half a tolerance past the root's estimate.
+            lo, step = x, step + 0.5 * tol
+        if ss - lo <= tol:
+            break
+        x += step
+        if not lo < x < ss:
+            x = 0.5 * (lo + ss)
+    else:
+        raise RuntimeError(f"no certified stock within {INVERSION_MAX_EVALS} tail evaluations")
+    return JointTailInverse(ss, False)

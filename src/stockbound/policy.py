@@ -36,9 +36,7 @@ from scipy.optimize import brentq
 from .cgf import CgfEvaluator, gaussian_cgf
 from .demand import GaussianModel, validate_lead_time
 from .oracle import (
-    OracleResult,
     TailQuery,
-    _invert_joint_tail,
     bivariate_joint_tail,
     invert_joint_tail,
     normal_upper_tail,
@@ -216,9 +214,7 @@ class PolicyOutput:
 
     The rigorous stock and the three exact probabilities are computed on
     first access and then kept, so a caller pays only for the columns it
-    reads.  ``p_rig`` is the tail that the inversion evaluated at
-    ``ss_rig``, so reading it costs no further quadrature; only a floored or
-    one-commodity stock, where the inversion evaluated none, computes it.
+    reads.
     """
 
     delta: float
@@ -228,14 +224,8 @@ class PolicyOutput:
     model: GaussianModel
 
     @functools.cached_property
-    def _rigorous(self) -> tuple[float, OracleResult | None]:
-        """The rigorous stock, and the exact tail the inversion evaluated there."""
-        (ss, _), tail = _invert_joint_tail(self.model, self.delta, self.lead_time)
-        return ss, tail
-
-    @property
     def ss_rig(self) -> float:
-        return self._rigorous[0]
+        return ss_rigorous(self.model, self.lead_time, self.delta)
 
     @functools.cached_property
     def p_pre(self) -> float:
@@ -247,10 +237,7 @@ class PolicyOutput:
 
     @functools.cached_property
     def p_rig(self) -> float:
-        ss, tail = self._rigorous
-        if tail is None:  # floored, or one commodity: the inversion evaluated no tail
-            return _exact_all_exceed(self.model, ss, self.lead_time)
-        return tail.probability
+        return _exact_all_exceed(self.model, self.ss_rig, self.lead_time)
 
     @property
     def ratio_pro(self) -> float:

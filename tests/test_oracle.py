@@ -678,6 +678,24 @@ class TestInvertJointTail:
         prob = mpmath_joint_tail(out.ss / math.sqrt(0.1), out.ss / math.sqrt(1000.0), -0.5, dps=400)
         assert 1e-300 * (1.0 - 1e-9) <= prob <= 1e-300
 
+    def test_creeping_iteration_raises(self, monkeypatch):
+        # every stock meets delta, but a slope far too steep makes each step
+        # about 5e-7, far above the tolerance and far below the distance to
+        # the lower end: the iteration stops at its evaluation cap, loudly
+        delta = 0.01
+        calls = []
+
+        def flat(query):
+            calls.append(query)
+            return oracle.OracleResult(probability=delta / 2, method="quadrature", error=0.0)
+
+        monkeypatch.setattr(oracle, "bivariate_joint_tail", flat)
+        monkeypatch.setattr(oracle, "_ray_derivatives", lambda *args: (-1e6 * delta, 0.0))
+        with pytest.raises(RuntimeError, match="100 tail evaluations"):
+            invert_joint_tail(GaussianModel.bivariate(1.0, 1.0, 0.5), delta, 10)
+        assert len(calls) == oracle.INVERSION_MAX_EVALS == 100
+        assert 0.0 < calls[0].a - calls[-1].a < 1e-4
+
     def test_tail_evaluations_per_inversion(self, monkeypatch):
         # the policy-sweep grid of the benchmark: rho 0..0.95, delta 1e-4..0.4
         calls = []

@@ -291,9 +291,7 @@ class TestPolicyOutput:
 
     def test_exact_columns_are_computed_on_first_read(self, experiment_model, monkeypatch):
         calls = []
-        monkeypatch.setattr(
-            policy, "_invert_joint_tail", lambda *args: calls.append("rig") or ((3.0, False), None)
-        )
+        monkeypatch.setattr(policy, "ss_rigorous", lambda *args: calls.append("rig") or 3.0)
         monkeypatch.setattr(policy, "_exact_all_exceed", lambda *args: calls.append("p") or 0.01)
         row = PolicyOutput(
             delta=0.05, ss_pre=2.0, ss_pro=4.0, lead_time=10, model=experiment_model
@@ -368,28 +366,16 @@ class TestComparePolicies:
         ).probability
         assert row.p_pro == pytest.approx(want, rel=1e-12)
 
-    def test_rigorous_probability_is_the_inversions_tail(self, monkeypatch):
-        # p_rig is the tail the inversion evaluated at ss_rig, bit for bit,
-        # and reading it runs no further quadrature
-        calls = []
-        quadrature = policy.bivariate_joint_tail
-        monkeypatch.setattr(policy, "bivariate_joint_tail", lambda q: calls.append(q) or quadrature(q))
+    def test_rigorous_probability_is_the_tail_at_the_rigorous_stock(self):
+        # bit for bit, and at most delta
         for rho, variances in ((0.9, (1.0, 1.0)), (-0.5, (1.0, 4.0)), (0.99, (1.0, 4.0))):
             model = GaussianModel.bivariate(*variances, rho)
             for delta in (1e-6, 1e-3, 0.05, 0.2):
                 row = PolicyOutput(delta, ss_pre=1.0, ss_pro=1.0, lead_time=10, model=model)
                 if row.ss_rig == 0.0:
                     continue
-                p_rig = row.p_rig
-                assert calls == []
                 query = TailQuery.from_margins(model, row.ss_rig, row.ss_rig, 10)
-                assert p_rig == bivariate_joint_tail(query).probability
-
-    def test_floored_rigorous_probability_is_computed(self, experiment_model):
-        # a floored stock evaluated no tail, so p_rig is the tail at 0
-        row = compare_policies(experiment_model, 10, [0.45])[0]
-        assert row.ss_rig == 0.0
-        assert row.p_rig == bivariate_joint_tail(TailQuery(0.0, 0.0, 0.9)).probability
+                assert row.p_rig == bivariate_joint_tail(query).probability <= delta
 
     def test_single_commodity_grid(self):
         model = GaussianModel.univariate(1.0)
