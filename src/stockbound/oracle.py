@@ -2,8 +2,9 @@
 
 ``normal_upper_tail`` is the standard normal upper tail H(k).
 ``bivariate_joint_tail`` evaluates the probability that two correlated
-lead-time demands both exceed their thresholds by one-dimensional quadrature
-of the conditional tail, to a relative error target, and
+lead-time demands both exceed their thresholds as one Plackett integral of
+the bivariate density over the correlation, from 0 or from -1 (so
+``rho = +-1`` is no special case), to a relative error target, and
 ``invert_joint_tail`` finds the equal stock at which that probability meets
 ``delta`` by a bracketed Halley iteration on its logarithm, which is concave
 in the stock, with the first two derivatives in closed form; every stock it
@@ -36,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erfc, erfcinv, log_ndtr, ndtri
+from scipy.special import erfc, erfcinv, ndtri
 
 from . import events
 from .demand import GaussianModel, covariance_factor, validate_lead_time
@@ -51,17 +52,11 @@ __all__ = [
     "normal_upper_tail_inverse",
 ]
 
-# For rho < 0 the conditional-tail integral stops this many standard units
-# past its lower limit; for rho >= 0 it stops where Slepian's floor on P puts
-# the error budget.  The mass beyond is bounded analytically and counted in
-# the error.
-TRUNCATION_WIDTH = 10.0
 # bivariate_joint_tail guarantees a reported error of at most this share of P.
 QUADRATURE_TARGET = 1e-9
 # Relative stock tolerance of the root in invert_joint_tail (relative to the
-# stock plus the smaller scale).  The log tail changes by at most ~100 times
-# the stock's relative change in the tested range (delta down to 1e-12), so
-# this keeps P within 1e-9 of delta.
+# stock plus the smaller scale, and cut where the log tail is steep so that
+# it moves by at most 1e-10), which keeps P within 1e-9 of delta.
 INVERSION_RTOL = 1e-12
 # invert_joint_tail raises RuntimeError after this many tail evaluations
 # without a stop, so an iteration that creeps fails loudly.
@@ -126,95 +121,97 @@ class OracleResult:
     hits: int | None = None
 
 
-def _tail_with_rounding(k: float) -> tuple[float, float]:
-    """``H(k)`` and a bound on its rounding: erfc is good to a few ulps, and a
-    slip of eps in its argument ``z = k / sqrt(2)`` moves it by ``2 z^2 eps``."""
-    tail = normal_upper_tail(k)
-    return tail, _EPS * (4.0 + 6.0 * (abs(k) / _SQRT2 + 1.0) ** 2) * tail
+def _start_value(a: float, b: float, rho: float) -> tuple[float, float]:
+    """``P`` where the Plackett integral starts, and a bound on its error.
 
-
-def _degenerate_joint_tail(query: TailQuery) -> tuple[float, float]:
-    """``P`` at ``rho = +1`` or ``-1``, and a bound on its error at ``query.rho``.
-
-    Besides rounding, the bound covers the change in ``P`` from ``query.rho``
-    to the limit: ``dP/drho``, the bivariate density at ``(a, b)``, is at most
-    ``exp(-(a^2 + b^2) / 4) / (2 pi sqrt(1 - r^2))`` there.
+    For ``rho >= 0`` that is ``rho = 0``, where ``P = H(a) H(b)``; otherwise
+    ``rho = -1``, where ``Y = -X`` and ``P`` is the band ``P(a <= X <= -b)``.
+    A difference of two tails keeps only the digits of the band's width,
+    which for a nearly antithetic pair (``a ~ -b``) is all of them, so the
+    band's density is integrated instead, scaled by its largest value.
     """
-    a, b = query.a, query.b
-    gap = math.exp(-0.25 * (a * a + b * b)) * math.acos(abs(query.rho)) / (2.0 * math.pi)
-    if query.rho > 0.0:  # comonotone: the larger threshold binds
-        p, rounding = _tail_with_rounding(max(a, b))
-        return p, rounding + gap
-    if a >= -b:  # antithetic: P(a <= X <= -b), empty here
-        return 0.0, gap
-    (upper, slip_upper), (lower, slip_lower) = _tail_with_rounding(a), _tail_with_rounding(-b)
-    return upper - lower, slip_upper + slip_lower + _EPS * (upper - lower) + gap
-
-
-def _conditional_quadrature(query: TailQuery) -> tuple[float, float]:
-    """``P`` and a bound on its absolute error, by quadrature of ``phi(u) H((b - rho u) / w)``.
-
-    ``P`` is symmetric in the thresholds, so the outer variable is the one
-    with the larger threshold, which leaves the least mass past the
-    truncation point.
-    """
-    a, b, rho = max(query.a, query.b), min(query.a, query.b), query.rho
-    width = math.sqrt(1.0 - rho * rho)
-    inner = 1.0 / (_SQRT2 * width)
-
-    def integrand(u: float) -> float:
-        return math.exp(-0.5 * u * u) * math.erfc((b - rho * u) * inner)
-
-    top = max(a, 0.0) + TRUNCATION_WIDTH
     if rho >= 0.0:
-        # Slepian: P >= H(a) H(b).  The cut goes where the bound
-        # H(top) <= phi(top) leaves a thousandth of the target share of that
-        # floor past it; that point lies past a.  A share below the smallest
-        # float would be lost to rounding, so there the fixed width stays.
-        log_share = math.log(1e-3 * QUADRATURE_TARGET) + float(log_ndtr(-a) + log_ndtr(-b))
-        if log_share > math.log(_TINY):
-            top = math.sqrt(-2.0 * log_share - math.log(2.0 * math.pi))
-    value, abserr, *_ = quad(integrand, a, top, epsabs=0.0, epsrel=1e-12, limit=500, full_output=1)
-    # Past ``top`` the outer density leaves H(top); for rho < 0 the conditional
-    # tail falls with u, so it is at most its value at ``top``.
-    truncation = normal_upper_tail(top)
-    if rho < 0.0:
-        truncation *= normal_upper_tail((b - rho * top) / width)
-    # quad's estimate does not see rounding in the integrand's arguments: a
-    # relative slip of eps in u moves exp(-u^2/2) by u^2 eps, and the few
-    # roundings in z move erfc(z) by up to about 6 z^2 eps.  Both are taken
-    # a unit past ``a``, where the mass sits.
-    z = max((b - rho * a) * inner, 0.0)
-    rounding = _EPS * (4.0 + (abs(a) + 1.0) ** 2 + 6.0 * (z + 1.0) ** 2) * value
-    norm = 0.5 / math.sqrt(2.0 * math.pi)
-    return norm * value, norm * (abserr + rounding) + float(truncation)
+        # erfc is good to a few ulps, and a slip of eps in its argument
+        # z = k / sqrt(2) moves it by 2 z^2 eps.
+        share = sum(4.0 + 6.0 * (abs(k) / _SQRT2 + 1.0) ** 2 for k in (a, b)) + 1.0
+        product = normal_upper_tail(a) * normal_upper_tail(b)
+        return product, _EPS * share * product
+    if a >= -b:
+        return 0.0, 0.0
+    floor = 0.0 if a < 0.0 < -b else 0.5 * min(a * a, b * b)
+    band, abserr, *_ = quad(
+        lambda x: math.exp(floor - 0.5 * x * x), a, -b, epsabs=0.0, epsrel=1e-12, limit=500, full_output=1
+    )
+    # a relative slip of eps in x moves the exponent by x^2 eps
+    slip = abserr + 2.0 * _EPS * (max(a * a, b * b) + 1.0) * band
+    scale = math.exp(-floor) / math.sqrt(2.0 * math.pi)
+    return scale * band, scale * slip
 
 
 def bivariate_joint_tail(query: TailQuery) -> OracleResult:
     """Probability that both standardized demands exceed their thresholds.
 
-    Adaptive quadrature integrates the first coordinate's density against the
-    second's conditional tail, to a pure relative tolerance.  ``error`` bounds
-    the quadrature and truncation error and is at most
-    ``QUADRATURE_TARGET * probability``; when that cannot be met the call
-    raises instead of returning a loose number.  A tail that underflows to 0
-    is returned only when its truncation bound underflows as well.  Perfect
-    correlation (``|rho|`` within 1e-12 of 1) collapses to a univariate tail
-    in closed form; there ``error`` bounds the rounding and the distance to
-    the exact limit, and meets the same target.
+    ``dP/drho`` is the bivariate density (Plackett 1954), so ``P`` is its
+    value at ``rho = 0``, or at ``rho = -1`` for ``rho < 0``
+    (``_start_value``), plus the density integrated from there; ``rho = +-1``
+    is an end of that integral.  With ``r = +-cos t`` (Drezner and
+    Wesolowsky 1990, Genz 2004) the integrand is
+    ``exp(-s^2 / (2 sin^2 t) - c / (1 + cos t)) / (2 pi)``, with ``s = a - b``,
+    ``c = ab`` and ``t`` from ``acos rho`` to ``pi / 2``, or ``s = a + b``,
+    ``c = -ab`` and ``t`` from 0 to ``acos(-rho)``: positive, bounded and
+    free of cancellation.  It rises from 0 near ``t = |s|``, so for
+    ``s != 0`` adaptive quadrature (to a relative tolerance) runs in
+    ``log t``, with breakpoints at ``|s|`` and ``10 |s|``.  It is scaled by
+    ``exp(max(a^2, b^2) / 2)``, which bounds the density's exponent, so deep
+    tails do not underflow inside it.
+
+    ``error`` adds quadrature's estimate and the rounding of the exponent,
+    the limits and the starting value, and is at most ``QUADRATURE_TARGET *
+    probability``; when that cannot be met the call raises instead of
+    returning a loose number.  A tail that underflows to 0 is returned with
+    an error that underflows as well.
     """
-    if 1.0 - abs(query.rho) < 1e-12:
-        value, error = _degenerate_joint_tail(query)
-        method = "closed-form"
-    else:
-        value, error = _conditional_quadrature(query)
-        method = "quadrature-conditional"
+    a, b, rho = query.a, query.b, query.rho
+    value, error = _start_value(a, b, rho)
+    edge = math.acos(abs(rho))
+    lo, hi = (edge, 0.5 * math.pi) if rho >= 0.0 else (0.0, edge)
+    if lo < hi:
+        s, c = (a - b, a * b) if rho >= 0.0 else (a + b, -a * b)
+        half_s2, shift = 0.5 * s * s, 0.5 * max(a * a, b * b)
+
+        def integrand(t: float) -> float:
+            sin_t = math.sin(t)
+            return math.exp(shift - half_s2 / sin_t / sin_t - c / (1.0 + math.cos(t)))
+
+        def in_log(u: float) -> float:
+            t = math.exp(u)
+            return integrand(t) * t
+
+        if s == 0.0:
+            f, lo_q, hi_q, points = integrand, lo, hi, None
+        else:
+            # In log t the rise of exp(-s^2 / (2 t^2)) and its slow approach
+            # to 1 are O(1) wide; below |s| / 40 it is under e^-800: cut.
+            f, lo_q, hi_q = in_log, math.log(max(lo, abs(s) / 40.0)), math.log(hi)
+            points = [p for p in (math.log(abs(s)), math.log(10.0 * abs(s))) if lo_q < p < hi_q] or None
+        area, slip = 0.0, 0.0
+        if lo_q < hi_q:
+            area, abserr, *_ = quad(f, lo_q, hi_q, points=points, epsabs=0.0, epsrel=1e-12, limit=500, full_output=1)
+            # The exponent x <= 0 carries about 32 eps (shift + |x|) of
+            # rounding, and with a Jacobian of at most 2 the integral of
+            # |x| e^x is at most 2 m area, m = max(1, log(2 span / area)).
+            m = max(1.0, math.log(2.0 * (hi_q - lo_q)) - math.log(max(area, _TINY)))
+            slip = abserr + 32.0 * _EPS * (shift + 2.0 * m + 1.0) * area
+        ends = 2.0 * _EPS * sum(t * integrand(t) for t in (lo, hi) if t > 0.0)
+        scale = math.exp(-shift) / (2.0 * math.pi)
+        value += scale * area
+        error += scale * (slip + ends)
     if not error <= QUADRATURE_TARGET * value:
         raise RuntimeError(
             f"joint tail {value:.3e} has error {error:.2e}, "
             f"above the relative target {QUADRATURE_TARGET:.0e}"
         )
-    return OracleResult(probability=min(1.0, value), method=method, error=error)
+    return OracleResult(probability=min(1.0, value), method="quadrature-plackett", error=error)
 
 
 # Trials per chunk.  Chunk i draws from the i-th stream spawned from the
@@ -384,9 +381,9 @@ def _ray_derivatives(query: TailQuery, alpha: float, beta: float) -> tuple[float
     ``dP/da = -phi(a) H(za)`` with ``za = (b - rho a) / w``, and likewise for
     ``b`` with ``zb = (a - rho b) / w``.  The second derivative adds the
     bivariate density ``phi(a) phi(za) / w`` times
-    ``2 alpha beta - rho (alpha^2 + beta^2)``.  ``w^2 = 1 - rho^2`` is kept
-    at 2e-12 or more, its value where ``bivariate_joint_tail`` turns to the
-    closed form, so the derivatives stay finite at ``rho = +-1``.
+    ``2 alpha beta - rho (alpha^2 + beta^2)``.  At ``rho = +-1`` that
+    density is infinite on the line where the mass sits, so ``w^2 = 1 -
+    rho^2`` is kept at 2e-12 or more, which keeps the derivatives finite.
     """
     a, b, rho = query.a, query.b, query.rho
     inv_w = 1.0 / math.sqrt(max(1.0 - rho * rho, 2e-12))
@@ -427,7 +424,8 @@ def invert_joint_tail(model: GaussianModel, delta: float, lead_time: int) -> Joi
     Where rounding puts ``P + error`` above ``delta`` at ``hi`` itself, the
     iteration steps past it.  A step from a stock that misses ``delta`` aims
     half a tolerance past the root's estimate.  The tolerance is
-    ``INVERSION_RTOL * (ss + min(scale))``; the iteration stops at a stock
+    ``INVERSION_RTOL * (ss + min(scale))``, or less where that would move
+    ``log P`` by more than 1e-10; the iteration stops at a stock
     that meets ``delta`` and whose own step is within it, or when the
     bracket is that narrow, and returns the least evaluated stock with
     ``P + error <= delta``.  So the exact ``P(ss)`` is at most ``delta``
@@ -480,8 +478,9 @@ def invert_joint_tail(model: GaussianModel, delta: float, lead_time: int) -> Joi
         # benchmark's policy grid, 6 at most; Halley's takes 3.7 and 5.)
         den = 2.0 * d1 * d1 - g * d2
         step = -2.0 * g * d1 / den if den > 0.0 else math.nan
-        # Relative to the stock, and to the smaller scale for a root near 0.
-        tol = INVERSION_RTOL * (x + smaller)
+        # Relative to the stock, and to the smaller scale for a root near 0,
+        # but at most what moves log P by 1e-10 (it is steep near rho = -1).
+        tol = min(INVERSION_RTOL * (x + smaller), 1e-10 / max(-d1, _TINY))
         if upper <= delta:
             ss = x
             if abs(step) <= tol:

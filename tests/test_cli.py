@@ -343,6 +343,13 @@ class TestCompute:
         assert code == 0
         _, rows = parse_csv(out)
         assert rows[0][2] == pytest.approx(math.sqrt(2 * 5 * 4 * math.log(20.0)), rel=1e-10)
+        # Nearly antithetic: a conditional-tail quadrature read P(0) as 0
+        # here and printed ss_rig 3.13e-12, whose exact tail is 71 delta.
+        code, out, _ = run_cli(capsys, "compute", "--rho", "-0.9999999", "--delta", "1e-6", "--L", "10")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0][6] <= 1e-6
+        assert rows[0][3] == pytest.approx(1.52e-3, rel=1e-2)
 
     def test_output_file_has_unix_line_endings(self, capsys, tmp_path):
         out_path = tmp_path / "rows.csv"

@@ -127,6 +127,12 @@ class TestBivariateJointTail:
         got = bivariate_joint_tail(TailQuery(0.0, 0.0, 0.9))
         assert got.probability == pytest.approx(want, rel=1e-12)
         assert density_joint_tail(0.0, 0.0, 0.9)[0] == pytest.approx(want, abs=1e-9)
+        # within 1e-7 of rho = -1, where a conditional-tail quadrature read 0
+        for rho in (-1.0 + 9e-10, -1.0 + 1e-8, -1.0 + 1e-7):
+            want = 0.25 + math.asin(rho) / (2.0 * math.pi)
+            got = bivariate_joint_tail(TailQuery(0.0, 0.0, rho))
+            assert got.probability == pytest.approx(want, rel=1e-9)
+            assert got.error <= QUADRATURE_TARGET * got.probability
 
     def test_methods_agree(self):
         # the library's conditional route against the joint-density route
@@ -144,8 +150,8 @@ class TestBivariateJointTail:
 
     def test_comonotone_collapses_to_binding_threshold(self):
         result = bivariate_joint_tail(TailQuery(0.5, 1.2, 1.0))
-        assert result.probability == normal_upper_tail(1.2)
-        assert result.method == "closed-form"
+        assert abs(result.probability - normal_upper_tail(1.2)) <= result.error
+        assert result.error <= QUADRATURE_TARGET * result.probability
 
     def test_antithetic_limits(self):
         # rho = -1: Y = -X, so the joint tail is P(a < X < -b)
@@ -155,10 +161,14 @@ class TestBivariateJointTail:
         assert overlap.probability == pytest.approx(
             normal_upper_tail(-1.0) - normal_upper_tail(0.5), rel=1e-12
         )
-
-    def test_method_tags(self):
-        assert bivariate_joint_tail(TailQuery(0.1, 0.1, 0.5)).method == "quadrature-conditional"
-        assert bivariate_joint_tail(TailQuery(0.1, 0.1, 1.0)).method == "closed-form"
+        # Just short of the limit: a conditional-tail quadrature was 1.3e-5
+        # off at 1 + rho = 5.8e-12, and a closed-form switch raised at 1e-12.
+        pytest.importorskip("mpmath")
+        for gap in (5.8e-12, 1e-12):
+            result = bivariate_joint_tail(TailQuery(-2.975, -1.244, -1.0 + gap))
+            want = mpmath_joint_tail(-2.975, -1.244, -1.0 + gap, dps=60)
+            assert result.probability == pytest.approx(want, rel=1e-9)
+            assert abs(result.probability - want) <= result.error + 1e-15 * want
 
     def test_reported_error_is_small(self):
         result = bivariate_joint_tail(TailQuery(1.0, 1.0, 0.6))
@@ -191,9 +201,9 @@ class TestBivariateJointTail:
             assert abs(result.probability - want) <= result.error + 1e-15 * want
 
     def test_deep_tail_past_the_fixed_cut(self):
-        # P = H(25)^2 ~ 9e-276, but a fixed cut at a + 10 would only bound the
-        # mass past it by H(35) ~ 1e-268; for rho >= 0 the cut is placed from
-        # Slepian's floor P >= H(a) H(b).
+        # P = H(25)^2 ~ 9e-276, where a conditional-tail integral cut at
+        # a + 10 could only bound the mass past it by H(35) ~ 1e-268; the
+        # Plackett integral has no cut, and its scaled integrand no underflow.
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
             want = float((mpmath.erfc(25 / mpmath.sqrt(2)) / 2) ** 2)
@@ -207,17 +217,8 @@ class TestBivariateJointTail:
             assert abs(result.probability - want) <= result.error
 
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.99])
-    def test_nonnegative_correlation_stops_at_the_slepian_budget(self, monkeypatch, rho):
-        # the integral ends where the floor's error budget does, short of a + 10
+    def test_nonnegative_correlation_matches_mpmath(self, rho):
         pytest.importorskip("mpmath")
-        limits = []
-        original = oracle.quad
-
-        def recorded(func, lower, upper, **kwargs):
-            limits.append(upper)
-            return original(func, lower, upper, **kwargs)
-
-        monkeypatch.setattr(oracle, "quad", recorded)
         for a in (0.0, 1.0, 3.0, 5.0, 7.0):
             for b in ((a, 0.5 * a) if a > 0.0 else (a,)):
                 result = bivariate_joint_tail(TailQuery(a, b, rho))
@@ -227,9 +228,8 @@ class TestBivariateJointTail:
                     want = mpmath_joint_tail(a, b, rho)
                 assert result.probability == pytest.approx(want, rel=1e-12), (a, b)
                 assert result.error <= QUADRATURE_TARGET * result.probability
-                assert a < limits[-1] < a + oracle.TRUNCATION_WIDTH
 
-    def test_closed_form_error_is_relative(self):
+    def test_error_is_relative_at_perfect_correlation(self):
         # A fixed absolute error of 1e-15 was 7.8e-4 P at (7, 7, 1).
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
@@ -237,13 +237,14 @@ class TestBivariateJointTail:
             band = float((mpmath.erfc(-1 / mpmath.sqrt(2)) - mpmath.erfc(0.5 / mpmath.sqrt(2))) / 2)
         for query, want in ((TailQuery(7.0, 7.0, 1.0), tail), (TailQuery(-1.0, -0.5, -1.0), band)):
             result = bivariate_joint_tail(query)
-            assert result.method == "closed-form"
             assert 0.0 < result.error <= QUADRATURE_TARGET * result.probability
             assert abs(result.probability - want) <= result.error
         # Just short of rho = 1 the tail differs from H(7) by about 1e-6 P,
-        # which no closed form can report within the target.
-        with pytest.raises(RuntimeError, match="relative target"):
-            bivariate_joint_tail(TailQuery(7.0, 7.0, 1.0 - 1e-13))
+        # which a closed form at the limit could not report within the target.
+        result = bivariate_joint_tail(TailQuery(7.0, 7.0, 1.0 - 1e-13))
+        want = mpmath_joint_tail(7.0, 7.0, 1.0 - 1e-13, dps=60)
+        assert abs(result.probability - want) <= result.error <= QUADRATURE_TARGET * result.probability
+        assert result.probability < tail * (1.0 - 1e-7)
 
     @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.5, 0.9])
     def test_matches_owens_t_route_on_moderate_tails(self, rho):
@@ -259,6 +260,34 @@ class TestBivariateJointTail:
                 assert got == pytest.approx(want, rel=QUADRATURE_TARGET), (a, b)
                 checked += 1
         assert checked >= 30
+
+    @pytest.mark.parametrize(
+        "rho", [-1.0 + 1e-12, -1.0 + 1e-9, -1.0 + 1e-6, -0.9, -0.3, 0.3, 0.9, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]
+    )
+    def test_whole_range_matches_mpmath(self, rho):
+        # Thresholds from -3 to 8, and a -+ b (whichever the integral's end
+        # feature has width of) down to 1e-9, on both sides of 0.  Near
+        # rho = +-1 a conditional-tail quadrature read some of these as 0,
+        # and a first Plackett prototype was 4.6e-8 off at (3, 3.000001)
+        # with 1 - rho = 1e-10.
+        pytest.importorskip("mpmath")
+        mirror = 1.0 if rho >= 0.0 else -1.0
+        cases = [(a, mirror * a + d) for a in (-2.0, 0.5, 3.0) for d in (1e-9, -1e-9, 1e-4)]
+        cases += [(-2.975, -1.244), (1.3, 4.1), (-3.0, 8.0), (5.0, 5.5), (3.0, 3.000001)]
+        checked = 0
+        for a, b in cases:
+            result = bivariate_joint_tail(TailQuery(a, b, rho))
+            assert result.method == "quadrature-plackett"
+            assert result.error <= QUADRATURE_TARGET * result.probability
+            try:
+                want = mpmath_joint_tail(a, b, rho, dps=60)
+            except ValueError:  # below 1e-30
+                assert result.probability < 1e-25, (a, b)
+                continue
+            assert abs(result.probability - want) <= result.error + 1e-15 * want, (a, b)
+            assert result.probability == pytest.approx(want, rel=1e-9), (a, b)
+            checked += 1
+        assert checked >= 7
 
     def test_owens_t_route_against_mpmath(self):
         pytest.importorskip("mpmath")
@@ -607,12 +636,15 @@ class TestSignsOnlyForOrthant:
 
 def assert_certified_by_mpmath(variances, rho, delta, lead=10):
     pytest.importorskip("mpmath")
-    out = invert_joint_tail(GaussianModel.bivariate(*variances, rho), delta, lead)
+    model = GaussianModel.bivariate(*variances, rho)
+    out = invert_joint_tail(model, delta, lead)
     if out.floored:
         assert 0.25 + math.asin(rho) / (2.0 * math.pi) <= delta
         return
-    a, b = (out.ss / math.sqrt(lead * v) for v in variances)
-    prob = mpmath_joint_tail(a, b, rho)
+    # the query the inversion evaluates: near rho = -1 the model's
+    # correlation, an ulp off rho, moves the tail by up to 1e-7
+    query = TailQuery.from_margins(model, out.ss, out.ss, lead)
+    prob = mpmath_joint_tail(query.a, query.b, query.rho)
     assert delta * (1.0 - 1e-9) <= prob <= delta
 
 
@@ -629,10 +661,26 @@ class TestInvertJointTail:
         at_zero = joint_tail_monte_carlo(model, np.zeros(model.dim), 10, 10_000, seed=1)
         assert abs(at_zero.probability - p_zero) <= at_zero.error
 
-    @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.5, 0.9, 0.99])
+    # 1 - 1e-7 from rho = -1, a conditional-tail quadrature read P(0) as 0
+    # and certified a stock of 3.1e-12 at delta = 1e-6, where P = 71 delta
+    @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.5, 0.9, 0.99, -1.0 + 1e-7, 1.0 - 1e-8])
     @pytest.mark.parametrize("delta", [0.2, 1e-3, 1e-6, 1e-12])
     def test_certified_to_relative_precision(self, rho, delta):
         assert_certified_by_mpmath((1.0, 1.0), rho, delta)
+
+    @pytest.mark.parametrize(
+        "variances, rho, delta, lead",
+        [
+            # a conditional-tail quadrature read 1.9e-4 high here: P / delta
+            # was 0.99981
+            ((1.0, 1.000001), 1.0 - 1e-8, 1e-3, 10),
+            # a deep nearly antithetic tail that raised "above the relative
+            # target" under that quadrature
+            ((9.257933800009042, 4.751192451978208), -0.9999995669803234, 2.170622077000378e-34, 6),
+        ],
+    )
+    def test_nearly_perfect_correlation_certified(self, variances, rho, delta, lead):
+        assert_certified_by_mpmath(variances, rho, delta, lead)
 
     @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.5, 0.9, 0.99])
     @pytest.mark.parametrize("delta", [0.2, 1e-3, 1e-6, 1e-12])
