@@ -133,9 +133,9 @@ def _start_value(a: float, b: float, rho: float) -> tuple[float, float]:
     if rho >= 0.0:
         # erfc is good to a few ulps, and a slip of eps in its argument
         # z = k / sqrt(2) moves it by 2 z^2 eps.
-        share = sum(4.0 + 6.0 * (abs(k) / _SQRT2 + 1.0) ** 2 for k in (a, b)) + 1.0
-        product = normal_upper_tail(a) * normal_upper_tail(b)
-        return product, _EPS * share * product
+        za, zb = abs(a) / _SQRT2 + 1.0, abs(b) / _SQRT2 + 1.0
+        product = 0.25 * math.erfc(a / _SQRT2) * math.erfc(b / _SQRT2)
+        return product, _EPS * (9.0 + 6.0 * (za * za + zb * zb)) * product
     if a >= -b:
         return 0.0, 0.0
     floor = 0.0 if a < 0.0 < -b else 0.5 * min(a * a, b * b)
@@ -202,7 +202,7 @@ def bivariate_joint_tail(query: TailQuery) -> OracleResult:
             # |x| e^x is at most 2 m area, m = max(1, log(2 span / area)).
             m = max(1.0, math.log(2.0 * (hi_q - lo_q)) - math.log(max(area, _TINY)))
             slip = abserr + 32.0 * _EPS * (shift + 2.0 * m + 1.0) * area
-        ends = 2.0 * _EPS * sum(t * integrand(t) for t in (lo, hi) if t > 0.0)
+        ends = 2.0 * _EPS * (hi * integrand(hi) + (lo * integrand(lo) if lo > 0.0 else 0.0))
         scale = math.exp(-shift) / (2.0 * math.pi)
         value += scale * area
         error += scale * (slip + ends)
