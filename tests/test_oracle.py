@@ -135,7 +135,7 @@ class TestBivariateJointTail:
             assert got.error <= QUADRATURE_TARGET * got.probability
 
     def test_methods_agree(self):
-        # the library's conditional route against the joint-density route
+        # the library's Plackett route against the joint-density route
         for rho in (-0.8, -0.3, 0.4, 0.9):
             for a in (-0.5, 0.3, 1.2):
                 for b in (-0.2, 0.8):
@@ -265,10 +265,10 @@ class TestBivariateJointTail:
         "rho", [-1.0 + 1e-12, -1.0 + 1e-9, -1.0 + 1e-6, -0.9, -0.3, 0.3, 0.9, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]
     )
     def test_whole_range_matches_mpmath(self, rho):
-        # Thresholds from -3 to 8, and a -+ b (whichever the integral's end
-        # feature has width of) down to 1e-9, on both sides of 0.  Near
-        # rho = +-1 a conditional-tail quadrature read some of these as 0,
-        # and a first Plackett prototype was 4.6e-8 off at (3, 3.000001)
+        # Thresholds from -3 to 8, and a - b (rho >= 0) or a + b (rho < 0),
+        # the width of the integrand's rise, down to 1e-9 on both sides of 0.
+        # Near rho = +-1 a conditional-tail quadrature read some of these as
+        # 0, and a first Plackett prototype was 4.6e-8 off at (3, 3.000001)
         # with 1 - rho = 1e-10.
         pytest.importorskip("mpmath")
         mirror = 1.0 if rho >= 0.0 else -1.0
@@ -661,8 +661,8 @@ class TestInvertJointTail:
         at_zero = joint_tail_monte_carlo(model, np.zeros(model.dim), 10, 10_000, seed=1)
         assert abs(at_zero.probability - p_zero) <= at_zero.error
 
-    # 1 - 1e-7 from rho = -1, a conditional-tail quadrature read P(0) as 0
-    # and certified a stock of 3.1e-12 at delta = 1e-6, where P = 71 delta
+    # At rho = -1 + 1e-7 a conditional-tail quadrature read P(0) as 0 and
+    # certified a stock of 3.1e-12 at delta = 1e-6, where P = 71 delta.
     @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.5, 0.9, 0.99, -1.0 + 1e-7, 1.0 - 1e-8])
     @pytest.mark.parametrize("delta", [0.2, 1e-3, 1e-6, 1e-12])
     def test_certified_to_relative_precision(self, rho, delta):
@@ -704,8 +704,8 @@ class TestInvertJointTail:
 
     @pytest.mark.parametrize("variances", [(1.0, 1.0), (1.0, 4.0), (4.0, 1.0)])
     def test_perfect_correlation(self, variances, monkeypatch):
-        # rho = 1: P = H(ss / smaller scale), and the closed-form tail at the
-        # analytic upper end can exceed delta by rounding alone
+        # rho = 1: P = H(ss / smaller scale), and the tail at the analytic
+        # upper end can exceed delta by rounding alone
         calls = []
         original = oracle.bivariate_joint_tail
         monkeypatch.setattr(oracle, "bivariate_joint_tail", lambda q: calls.append(q) or original(q))
