@@ -10,13 +10,17 @@ Three sizing rules are compared throughout:
   certificate could hope to approach.
 
 The proposed rule sizes Gaussian demand of any dimension and covariance from
-the Chernoff exponent ``L * N * R(eps)`` of ``rates.rate_numeric``.  The
-exponent is 2-homogeneous in the margin, so one solve at equal unit margins
-serves every ``delta``: ``SS = sqrt(L * log(1 / delta) / (N * R(1)))``.
-That reproduces the paper's formulas, ``sqrt(L s2 (1 + rho) log(1 / delta))``
-for two symmetric commodities and ``sqrt(2 L s2 log(1 / delta))`` for one.
-The solver returns a feasible point, so the rate is a lower bound and the
-stock errs on the safe side.  Given a rate split ``(delta_x, delta_y)``, two
+the Chernoff exponent ``L * N * R(eps)`` of ``rates.rate_numeric``, whose
+exact active-set solve takes a few small linear solves.  The exponent is
+2-homogeneous in the margin, so one solve at equal unit margins serves every
+``delta``: ``SS = sqrt(L * log(1 / delta) / (N * R(1)))``.  That reproduces
+the paper's formulas, ``sqrt(L s2 (1 + rho) log(1 / delta))`` for two
+symmetric commodities and ``sqrt(2 L s2 log(1 / delta))`` for one.  The rate
+is read at a feasible point, so it is a lower bound and the stock errs on
+the safe side.  Singular demand whose all-exceed event is empty at every
+positive margin (``rho = -1``, a commodity with no variance) has an infinite
+rate; its stock is ``math.ulp(0.0)``, the least positive float, since a stock
+of 0 may still run out.  Given a rate split ``(delta_x, delta_y)``, two
 Gaussian commodities are sized sequentially: the paper's first margin,
 ``sqrt(2 L s2_x log(1 / delta_x))``, then the second as a root of the
 exponent; the paper's conditional rule for it undersizes it where the cone
@@ -112,8 +116,14 @@ def ss_previous(model: GaussianModel, lead_time: int, delta: float) -> float:
 
 
 def _ray_stocks(model: GaussianModel, lead: int):
-    """Equal stock per ``delta``: its exponent ``N * R(1) * ss^2 / L`` is ``log(1 / delta)``."""
+    """Equal stock per ``delta``: its exponent ``N * R(1) * ss^2 / L`` is ``log(1 / delta)``.
+
+    An infinite rate means every positive stock empties the event, so the
+    stock is ``math.ulp(0.0)``, the least positive float, never 0.
+    """
     rate = rate_numeric(gaussian_cgf(model), np.ones(model.dim)).rate
+    if rate == math.inf:
+        return lambda delta: math.ulp(0.0)
     return lambda delta: math.sqrt(lead * -math.log(delta) / (model.dim * rate))
 
 
@@ -153,6 +163,8 @@ def ss_proposed(model, lead_time: int, delta: float, delta_split=None) -> Propos
     sizes them sequentially: commodity one alone at ``delta_x``, then
     commodity two as the least margin that brings the joint exponent to
     ``log(1 / delta)``; the paper's rule is ``(sqrt(delta), sqrt(delta))``.
+    Where the exponent is infinite (an event empty at every positive
+    stock), the equal stock is ``math.ulp(0.0)``, never 0.
     Scalar CGF evaluators, one per independent commodity (a single one is a
     sequence of one), are each sized by numeric rate inversion at their rate
     of ``delta_split``, ``delta ** (1 / N)`` each by default.  A stock sized

@@ -169,7 +169,11 @@ def mpmath_joint_tail(a: float, b: float, rho: float, dps: int = 120) -> float:
 
     Owen (1956): ``P = (H(a) + H(b)) / 2 - T(a, a') - T(b, b') - beta`` with
     ``a' = (b - rho a) / (a w)``, ``b' = (a - rho b) / (b w)``,
-    ``w = sqrt(1 - rho^2)``, and ``beta = 1/2`` when ``a b < 0``.  The
+    ``w = sqrt(1 - rho^2)``, and ``beta = 1/2`` when ``a b < 0``.  A slope
+    above 1 in magnitude is turned into its reciprocal by
+    ``T(h, s) + T(s h, 1 / s) = [H(h) + H(s h)] / 2 - H(h) H(s h)``, so
+    every integral spans at most ``[0, 1]``: near ``|rho| = 1`` a slope of
+    ``1 / w`` would otherwise stretch it far past the integrand's width.  The
     identity cancels catastrophically in deep tails, so it is evaluated with
     far more digits than the result needs; it refuses a tail smaller than
     ``10 ** (30 - dps)``, where fewer than 30 digits would survive.
@@ -185,6 +189,12 @@ def mpmath_joint_tail(a: float, b: float, rho: float, dps: int = 120) -> float:
             return mpmath.erfc(x / mpmath.sqrt(2)) / 2
 
         def owen_t(x, slope):
+            if abs(slope) > 1:
+                # T(h, s) + T(s h, 1 / s) = [H(h) + H(s h)] / 2 - H(h) H(s h)
+                # for h >= 0 and s > 0; T is even in h and odd in s
+                h, s = abs(x), abs(slope)
+                pair = (tail(h) + tail(s * h)) / 2 - tail(h) * tail(s * h)
+                return mpmath.sign(slope) * (pair - owen_t(s * h, 1 / s))
             integrand = lambda t: mpmath.exp(-x * x * (1 + t * t) / 2) / (1 + t * t)
             return mpmath.quad(integrand, [0, slope]) / (2 * mpmath.pi)
 

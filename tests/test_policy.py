@@ -90,6 +90,19 @@ class TestProposedRule:
         out = ss_proposed(model, 10, 0.05)
         assert out.ss == pytest.approx([math.sqrt(20.0 * math.log(20.0))] * 2, rel=1e-12)
 
+    @pytest.mark.parametrize("var_y", [1.0, 4.0, 2.0])
+    def test_antithetic_pair(self, var_y):
+        # At rho = -1, y = -sqrt(var_y) x: the all-exceed event is empty at
+        # equal positive stocks (infinite rate), so the equal stock is the
+        # least positive float, never 0.  Sequentially, y's stock sits just
+        # above its conditional mean, past which the exponent is infinite.
+        # With var_y = 2 the rounded covariance is a hair indefinite.
+        model = GaussianModel.bivariate(1.0, var_y, -1.0)
+        assert list(ss_proposed(model, 10, 1e-4).ss) == [math.ulp(0.0)] * 2
+        ss_x, ss_y = ss_proposed(model, 10, 1e-4, delta_split=(1e-1, 1e-3)).ss
+        mean_y = -math.sqrt(var_y) * ss_x
+        assert mean_y < ss_y <= mean_y + 1e-12 * abs(mean_y)
+
     def test_sequential_matches_symmetric_when_independent(self):
         model = GaussianModel.bivariate(1.0, 1.0, 0.0)
         sym = ss_proposed(model, 10, 0.05)

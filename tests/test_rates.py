@@ -25,8 +25,7 @@ from stockbound import (
     rate_numeric,
     weibull_cgf,
 )
-
-from stockbound.rates import RATE_MAX_ITER
+from stockbound import rates
 
 from oracles import (
     exact_scalar_rate,
@@ -171,23 +170,139 @@ class TestRateNumeric:
                 assert result.rate == pytest.approx(gaussian_cone_rate(cov, eps), rel=1e-9)
                 assert np.all(result.u_star >= 0.0)
 
+    def test_seeded_scan_matches_active_set_reference(self):
+        # Two to five commodities, random positive definite covariances
+        # (condition number below 40, where both routes round to about 1e-15),
+        # random signs and margins, negative ones included.  The rate is read
+        # at a feasible point, so it may exceed the optimum only by rounding.
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            cov = basis @ np.diag(rng.uniform(0.05, 2.0, size=n)) @ basis.T
+            cov = 0.5 * (cov + cov.T)
+            signs = rng.choice([-1.0, 1.0], size=n)
+            eps = rng.uniform(-1.0, 1.5, size=n)
+            result = rate_numeric(gaussian_cgf(GaussianModel(np.zeros(n), cov)), eps, signs=signs)
+            expected = gaussian_cone_rate(cov, eps, signs)
+            assert result.converged
+            assert result.iterations <= 3 * n
+            assert result.rate == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert result.rate <= expected * (1.0 + 1e-14)
+            assert np.all(signs * result.u_star >= 0.0)
+
+    @pytest.mark.parametrize("shape", [1.0, 2.0])
+    def test_weibull_stay_below_rate_is_the_reflected_rate(self, shape):
+        # Sign -1 bounds the event that demand stays below mean + eps with
+        # eps < 0: the rate of the reflected CGF v -> phi(-v) at margin -eps.
+        # Shape 1 has its pole on the other side, so the reflection has none.
+        model = WeibullModel(shape, 1.0)
+        eps = -0.4 * model.mean
+        result = rate_numeric(weibull_cgf(model), [eps], signs=[-1.0])
+
+        def grad(v: float):
+            h = 1e-6
+            lo = quad_weibull_log_mgf(shape, 1.0, -(v - h), centered=True)
+            hi = quad_weibull_log_mgf(shape, 1.0, -(v + h), centered=True)
+            return (hi - lo) / (2.0 * h), quad_weibull_log_mgf(shape, 1.0, -v, centered=True)
+
+        assert result.converged
+        assert result.u_star[0] < 0.0
+        assert result.rate == pytest.approx(exact_scalar_rate(grad, -eps), rel=1e-8)
+
+    @pytest.mark.parametrize("eps, window", [(-0.2, 5.0), (-1.5, 0.3)], ids=["root", "window-edge"])
+    def test_empirical_stay_below_rate_is_the_reflected_rate(self, eps, window):
+        # The reflected plug-in CGF in plain numpy; at margin -1.5 its slope
+        # stays below 1.5 up to the window edge, where the maximizer stops.
+        data = np.random.default_rng(17).gamma(2.0, 1.0, (4000, 10))
+        sums, periods, mean = data.sum(axis=1), data.shape[1], float(data.mean())
+        result = rate_numeric(empirical_cgf(EmpiricalDemand(data), u_window=window), [eps], signs=[-1.0])
+
+        def grad(v: float):
+            moments = np.exp(-v * sums)
+            slope = -float(moments @ sums) / float(moments.sum()) / periods + mean
+            return slope, math.log(float(moments.mean())) / periods + v * mean
+
+        assert result.converged
+        if window == 5.0:
+            assert result.rate == pytest.approx(exact_scalar_rate(grad, -eps), rel=1e-12)
+        else:
+            assert grad(window)[0] < -eps
+            assert result.u_star[0] == -window
+            assert result.rate == pytest.approx(-eps * window - grad(window)[1], rel=1e-12)
+
+    def test_degenerate_faces_end_at_a_kkt_point_or_an_exact_ray(self):
+        # Singular covariances with small whole entries, and margins built on
+        # a face of the cone (c = Qv with some v_i = 0) then moved by a few
+        # ulps: optima sit exactly on faces, and faces are singular.  The
+        # search must end, at a KKT point, or on a ray in the cone along
+        # which the CGF evaluates to 0 and the margin gains.
+        rng = np.random.default_rng(41)
+        infinite = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 5))
+            root = rng.integers(-2, 3, size=(n, int(rng.integers(1, n + 1)))).astype(float)
+            cov = root @ root.T
+            signs = rng.choice([-1.0, 1.0], size=n)
+            v = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, n))
+            c = (cov * np.outer(signs, signs)) @ v
+            c += rng.integers(-4, 5, n) * np.spacing(max(np.abs(c).max(), 1.0))
+            result = rate_numeric(gaussian_cgf(GaussianModel(np.zeros(n), cov)), signs * c, signs=signs)
+            assert result.converged
+            assert result.iterations <= 3 * n + 1
+            u = result.u_star
+            assert np.all(signs * u >= 0.0)
+            if result.rate == math.inf:
+                infinite += 1
+                assert (signs * c) @ u > 0.0 and u @ cov @ u <= 0.0
+        assert infinite > 30
+
+    def test_cycling_search_stops_at_the_step_bound(self, monkeypatch):
+        # A negative rounding allowance lets the second coordinate join though
+        # its face solution is negative; it leaves at once and joins again.
+        # The search must raise after 3 solves per commodity, not spin.
+        monkeypatch.setattr(rates, "_rounding", lambda q, c, v: np.full(c.shape, -1.0))
+        cgf = gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, 0.9))
+        with pytest.raises(RuntimeError, match="within 6 solves"):
+            rate_numeric(cgf, [1.0, 0.0])
+
+    def test_multi_commodity_evaluator_outside_the_families_is_refused(self):
+        base = gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, 0.5))
+        cgf = CgfEvaluator(dim=2, domain=None, _value_and_grad=base.value_and_gradient)
+        with pytest.raises(TypeError, match="Gaussian"):
+            rate_numeric(cgf, [1.0, 1.0])
+
     def test_near_singular_anticorrelation_converges_quickly(self):
         # Condition number 199: the solver must not slow down with it.
         cgf = gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, -0.99))
         result = rate_numeric(cgf, [1.0, 1.0])
         assert result.converged
-        assert result.iterations <= 50
+        assert result.iterations <= 3
         assert result.rate == pytest.approx(50.0, rel=1e-9)
 
-    def test_unbounded_rate_stops_at_iteration_cap(self):
-        # Perfect anticorrelation: both commodities never exceed together, so
-        # the rate is infinite and no finite point is optimal.
-        cgf = gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, -1.0))
-        result = rate_numeric(cgf, [1.0, 1.0])
-        assert not result.converged
-        assert 0 < result.iterations <= RATE_MAX_ITER
-        assert np.all(result.u_star >= 0.0)
-        assert result.rate > 0.0
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            [[1.0, -1.0], [-1.0, 1.0]],
+            [[1.0, 0.0], [0.0, 0.0]],
+            [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]],
+        ],
+        ids=["rho=-1", "diag(1,0)", "x,y,-(x+y)"],
+    )
+    def test_unbounded_rate_is_infinite_along_a_null_ray(self, cov):
+        # Perfect anticorrelation, a commodity with no variance, and a third
+        # commodity that is minus the sum of the other two: the all-exceed
+        # event is empty at positive margins, so the rate is infinite, and a
+        # nonnegative ray with Sigma d = 0 reaches it.
+        cov = np.array(cov)
+        n = cov.shape[0]
+        result = rate_numeric(gaussian_cgf(GaussianModel(np.zeros(n), cov)), np.ones(n))
+        assert result.rate == math.inf
+        assert result.converged
+        assert result.iterations <= n + 1
+        assert np.all(result.u_star >= 0.0) and result.u_star.any()
+        assert not (cov @ result.u_star).any()
+        assert chernoff_bound(gaussian_cgf(GaussianModel(np.zeros(n), cov)), np.ones(n), 5) == 0.0
 
 
 class TestRateGaussianClosed:
