@@ -144,9 +144,12 @@ def _active_set(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int, bool]:
     small whole entries, such as (1, 1), which rounding the ray to
     ``_RAY_BITS`` bits finds; below 0 where rounding leaves the covariance a
     hair indefinite.  Where ``Q`` is instead positive definite to rounding,
-    ``v`` steps to the line's maximum and the search ends there.  Where the
-    maximizer is not unique, the least-norm one is returned: the least-norm
-    solution over every coordinate whose reduced gradient is 0.
+    ``v`` steps half way to the line's maximum, its curvature taken as at
+    least its rounding allowance, and the search ends there: farther out,
+    rounding in ``v'Qv`` could lift the rate read there above the maximum.
+
+    Where the maximizer is not unique, the least-norm one is returned: the
+    least-norm solution over every coordinate whose reduced gradient is 0.
     """
     n = c.shape[0]
     v = np.zeros(n)
@@ -189,7 +192,12 @@ def _active_set(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int, bool]:
                 curve = float(step @ qf @ step)
                 if curve <= 0.0:
                     return d, steps, True
-                return v + (float(gf @ step) / curve) * d, steps, False
+                # Q is singular here only to rounding, and far out along the
+                # ray phi loses its digits: half the step to the line's
+                # maximum, with the curvature at least its rounding
+                # allowance, keeps the rate read there below the maximum
+                floor = _GRADIENT_ROUNDING * float(np.abs(step) @ np.abs(qf) @ np.abs(step))
+                return v + (float(gf @ step) / (2.0 * max(curve, floor))) * d, steps, False
             # a coordinate can round a hair below 0 on the way; clip it
             if t == limit:
                 v[idx] = np.maximum(vf + step, 0.0)

@@ -1,6 +1,7 @@
 """Tests for rate maximization, inversion, and the probability bounds."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -336,6 +337,26 @@ class TestRateGaussianClosed:
         result = rate_numeric(gaussian_cgf(model), [1.0, 1.0])
         assert result.rate == pytest.approx(0.25, rel=1e-12)
         assert result.u_star == pytest.approx([0.5, 0.5], rel=1e-9)
+
+    @pytest.mark.parametrize("var_y", [3.0, 7.0])
+    def test_singular_to_rounding_rate_stays_below_the_maximum(self, var_y):
+        # At rho = -1 the rounded covariance of variances (2, 3) is positive
+        # definite by 2e-16, and that of (2, 7) singular with no null
+        # direction of small whole entries: the rate is finite and huge.  Far
+        # out along the ray u'Sigma u loses its digits, so the rate read at
+        # the returned point must stay below the float model's maximum, and
+        # within 1e-3 of the objective there (rounding leaves about 1e-4),
+        # both in rational arithmetic.
+        model = GaussianModel.bivariate(2.0, var_y, -1.0)
+        result = rate_numeric(gaussian_cgf(model), [1.0, 1.0])
+        (a, b), (_, d) = [[Fraction(x) for x in row] for row in model.covariance]
+        det = a * d - b * b
+        assert 1e12 < result.rate < math.inf
+        if det > 0:
+            assert result.rate <= (a + d - 2 * b) / (4 * det)
+        u = [Fraction(x) for x in result.u_star]
+        exact = (u[0] + u[1] - (a * u[0] ** 2 + 2 * b * u[0] * u[1] + d * u[1] ** 2) / 2) / 2
+        assert result.rate == pytest.approx(float(exact), rel=1e-3)
 
     def test_singular_covariance_out_of_range(self):
         # The margin is outside the covariance's range, so the unconstrained
