@@ -28,6 +28,7 @@ from .demand import (
     covariance_factor,
     load_demand_csv,
     model_from_dict,
+    validate_delta,
     validate_lead_time,
 )
 from .events import ALL_EXCEED, FUNGIBLE, ORTHANT, PATTERNS, UNION
@@ -98,6 +99,7 @@ __all__ = [
     "ss_previous",
     "ss_proposed",
     "ss_rigorous",
+    "validate_delta",
     "validate_lead_time",
     "weibull_cgf",
     "weibull_log_mgf",

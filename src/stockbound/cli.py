@@ -46,6 +46,7 @@ from .demand import (
     WeibullModel,
     _model_kind,
     model_from_dict,
+    validate_delta,
     validate_lead_time,
 )
 from .oracle import joint_tail_monte_carlo
@@ -281,9 +282,7 @@ def cmd_figest(opts: _Options) -> int:
 def cmd_validate(opts: _Options) -> int:
     model = opts.model()
     lead = validate_lead_time(opts.get("L", default=DEFAULT_LEAD))
-    delta = opts.get("delta", default=0.05)
-    if not 0.0 < delta < 1.0:
-        raise UsageError("delta must lie strictly between 0 and 1")
+    delta = validate_delta(opts.get("delta", default=0.05))
     trials = opts.get("trials", default=1_000_000)
     seed = opts.get("seed", required=True)
     forced = opts.get("ss")

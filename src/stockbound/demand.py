@@ -26,6 +26,7 @@ __all__ = [
     "covariance_factor",
     "load_demand_csv",
     "model_from_dict",
+    "validate_delta",
     "validate_lead_time",
 ]
 
@@ -219,6 +220,14 @@ def validate_lead_time(lead_time: int) -> int:
     if lead_time < 1:
         raise ValueError("lead time must be at least one period")
     return int(lead_time)
+
+
+def validate_delta(delta: float) -> float:
+    """Check that an allowed stockout rate lies strictly between 0 and 1."""
+    delta = float(delta)
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie strictly between 0 and 1")
+    return delta
 
 
 def covariance_factor(model: GaussianModel) -> np.ndarray:

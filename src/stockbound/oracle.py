@@ -40,7 +40,7 @@ from scipy.integrate import quad
 from scipy.special import erfc, erfcinv, ndtri
 
 from . import events
-from .demand import GaussianModel, covariance_factor, validate_lead_time
+from .demand import GaussianModel, covariance_factor, validate_delta, validate_lead_time
 
 __all__ = [
     "OracleResult",
@@ -75,9 +75,7 @@ def normal_upper_tail(k: float) -> float:
 
 def normal_upper_tail_inverse(delta: float) -> float:
     """The threshold ``k`` with ``H(k) = delta``, for ``delta`` in (0, 1)."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly between 0 and 1")
-    return _SQRT2 * float(erfcinv(2.0 * delta))
+    return _SQRT2 * float(erfcinv(2.0 * validate_delta(delta)))
 
 
 @dataclass(frozen=True)
@@ -437,8 +435,7 @@ def invert_joint_tail(model: GaussianModel, delta: float, lead_time: int) -> Joi
     so no least positive stock exists.
     """
     lead = validate_lead_time(lead_time)
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly between 0 and 1")
+    delta = validate_delta(delta)
     if not (model.covariance.diagonal() > 0.0).all():
         raise ValueError("a commodity has no variance, so no least certified stock exists")
     if model.dim == 1:

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .cgf import CgfEvaluator, gaussian_cgf
-from .demand import GaussianModel, validate_lead_time
+from .demand import GaussianModel, validate_delta, validate_lead_time
 from .oracle import (
     TailQuery,
     bivariate_joint_tail,
@@ -57,13 +57,6 @@ __all__ = [
     "ss_proposed",
     "ss_rigorous",
 ]
-
-
-def _check_delta(delta: float) -> float:
-    delta = float(delta)
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly between 0 and 1")
-    return delta
 
 
 def _split_rates(delta_split, n: int) -> tuple[float, ...]:
@@ -103,7 +96,7 @@ def ss_previous(model: GaussianModel, lead_time: int, delta: float) -> float:
     mean; it carries no certificate for correlated demand.
     """
     lead = validate_lead_time(lead_time)
-    delta = _check_delta(delta)
+    delta = validate_delta(delta)
     if not isinstance(model, GaussianModel):
         raise TypeError("the previous rule is defined for Gaussian demand")
     if model.dim > 2:
@@ -118,13 +111,18 @@ def ss_previous(model: GaussianModel, lead_time: int, delta: float) -> float:
 def _ray_stocks(model: GaussianModel, lead: int):
     """Equal stock per ``delta``: its exponent ``N * R(1) * ss^2 / L`` is ``log(1 / delta)``.
 
-    An infinite rate means every positive stock empties the event, so the
-    stock is ``math.ulp(0.0)``, the least positive float, never 0.
+    The rate is read at the equal margin ``t``, the largest standard
+    deviation, where it is of order 1, and scaled by ``R(t) = t^2 R(1)``:
+    at a unit margin, a one-commodity rate large enough that ``exp(-rate)``
+    underflows would come back only as a lower bound.  An infinite rate
+    means every positive stock empties the event, so the stock is
+    ``math.ulp(0.0)``, the least positive float, never 0.
     """
-    rate = rate_numeric(gaussian_cgf(model), np.ones(model.dim)).rate
+    unit = math.sqrt(float(model.covariance.diagonal().max())) or 1.0
+    rate = rate_numeric(gaussian_cgf(model), np.full(model.dim, unit)).rate
     if rate == math.inf:
         return lambda delta: math.ulp(0.0)
-    return lambda delta: math.sqrt(lead * -math.log(delta) / (model.dim * rate))
+    return lambda delta: unit * math.sqrt(lead * -math.log(delta) / (model.dim * rate))
 
 
 def _sequential(model: GaussianModel, lead: int, delta: float, delta_split) -> ProposedStock:
@@ -173,7 +171,7 @@ def ss_proposed(model, lead_time: int, delta: float, delta_split=None) -> Propos
     does not enter the stock.
     """
     lead = validate_lead_time(lead_time)
-    delta = _check_delta(delta)
+    delta = validate_delta(delta)
     if isinstance(model, GaussianModel):
         if delta_split is not None:
             return _sequential(model, lead, delta, delta_split)
@@ -201,7 +199,7 @@ def ss_fungible(model: GaussianModel, lead_time: int, delta: float) -> float:
     and no least stock exists.
     """
     lead = validate_lead_time(lead_time)
-    delta = _check_delta(delta)
+    delta = validate_delta(delta)
     if not isinstance(model, GaussianModel):
         raise TypeError("the pooled rule is defined for Gaussian demand")
     pooled = float(model.covariance.sum())
@@ -212,7 +210,7 @@ def ss_fungible(model: GaussianModel, lead_time: int, delta: float) -> float:
 
 def ss_rigorous(model: GaussianModel, lead_time: int, delta: float) -> float:
     """Stock sized by exact inversion of the joint all-exceed tail."""
-    return invert_joint_tail(model, _check_delta(delta), lead_time).ss
+    return invert_joint_tail(model, delta, lead_time).ss
 
 
 @dataclass(frozen=True)
@@ -286,7 +284,7 @@ def compare_policies(model: GaussianModel, lead_time: int, deltas) -> list[Polic
     probabilities are computed when first read.
     """
     lead = validate_lead_time(lead_time)
-    deltas = [_check_delta(d) for d in np.asarray(deltas, dtype=float).reshape(-1)]
+    deltas = [validate_delta(d) for d in np.asarray(deltas, dtype=float).reshape(-1)]
     previous = [ss_previous(model, lead, delta) for delta in deltas]
     stock = _ray_stocks(model, lead)  # one solve serves every delta
     return [

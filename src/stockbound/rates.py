@@ -18,8 +18,9 @@ sign cone ``s``, it is the box QP ``max_{v >= 0} c . v - v'Qv / 2`` with
 ``Q = S Sigma S`` and ``c = s * eps``, solved by a primal active set (Lawson
 and Hanson 1974, ch. 23) in a few small linear solves; a face whose system is
 singular with ``c`` outside its range gives a null ray, and a nonnegative one
-along which ``v'Qv`` evaluates to 0 (or below) makes the rate infinite.  A one-commodity CGF
-is maximized at the root of ``phi'(u) = eps``, or at its domain edge.
+along which ``v'Qv`` evaluates to 0 (or below) makes the rate infinite.  Any
+one-commodity CGF, Gaussian included, is maximized at the root of
+``phi'(u) = eps``, or just inside its domain edge.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import events
-from .cgf import CgfDomainError, CgfEvaluator
-from .demand import GaussianModel, validate_lead_time
+from .cgf import CgfEvaluator
+from .demand import GaussianModel, validate_delta, validate_lead_time
 
 __all__ = [
     "RateResult",
@@ -54,7 +55,8 @@ _GRADIENT_ROUNDING = 64.0 * np.finfo(float).eps
 # to this many bits, so that a null direction with small whole entries, such
 # as (1, 1) or (1, 0, 1, 3), is found exactly and not to within rounding.
 _RAY_BITS = 26
-# Relative distance kept from an open domain edge where the CGF has a pole.
+# Relative distance kept inside a finite domain edge, where the CGF may have a
+# pole; at a closed edge it moves a rate or stock by under this, to the safe side.
 _POLE_GAP = 1e-12
 
 
@@ -67,11 +69,13 @@ class RateResult:
     """Outcome of a rate maximization.
 
     ``rate`` is per degree: multiply by lead time and commodity count to get
-    the exponent of the probability bound.  ``u_star`` is the point that
-    achieved it, always inside the sign cone and the CGF's domain; for an
-    infinite rate it is instead the ray in the cone along which the exponent
-    grows without bound.  ``iterations`` counts the linear solves of the
-    Gaussian active set, or the CGF evaluations of the one-commodity root.
+    the exponent of the probability bound.  ``u_star`` is a point that
+    achieved it, always inside the sign cone and the CGF's domain; where the
+    maximizer is not unique it is one of them, and each has the same rate.
+    For an infinite rate it is instead the ray in the cone along which the
+    exponent grows without bound.  ``iterations`` counts the linear solves of
+    the Gaussian active set (two or more commodities), or the CGF evaluations
+    of the one-commodity root, Gaussian included.
     ``converged`` records whether the KKT conditions hold at ``u_star`` (for
     the root, whether it was reached); an infinite rate is exact and counts
     as converged.
@@ -99,24 +103,16 @@ class RateResult:
 
 
 def _edge(cgf: CgfEvaluator) -> float:
-    """Upper end of ``u >= 0`` inside a scalar CGF's domain.
+    """Upper end of ``u >= 0`` inside a scalar CGF's domain, evaluating nothing.
 
-    Where the CGF is infinite at the domain edge, or raises
-    ``CgfDomainError`` there (a pole), the end stays just inside it; a
-    closed edge is used as it is.
+    A finite edge, a pole or closed, is stopped ``_POLE_GAP`` inside: every
+    point inside certifies a bound, and at a closed edge the rate or stock
+    read there moves by under ``_POLE_GAP`` relative, to the safe side.
     """
     if cgf.domain is None:
         return math.inf
     ((_, edge),) = cgf.domain
-    edge = max(edge, 0.0)
-    if 0.0 < edge < math.inf:
-        try:
-            closed = math.isfinite(cgf.value([edge]))
-        except CgfDomainError:
-            closed = False
-        if not closed:
-            edge *= 1.0 - _POLE_GAP
-    return edge
+    return max(edge, 0.0) * (1.0 - _POLE_GAP)
 
 
 def _rounding(q: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -148,8 +144,8 @@ def _active_set(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int, bool]:
     least its rounding allowance, and the search ends there: farther out,
     rounding in ``v'Qv`` could lift the rate read there above the maximum.
 
-    Where the maximizer is not unique, the least-norm one is returned: the
-    least-norm solution over every coordinate whose reduced gradient is 0.
+    The KKT point the search reaches is returned as it is: where the
+    maximizer is not unique, every one has the same rate and the same ``Qv``.
     """
     n = c.shape[0]
     v = np.zeros(n)
@@ -205,14 +201,6 @@ def _active_set(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int, bool]:
             v[idx] = np.maximum(vf + t * step, 0.0)
             hit = idx[falling][reach == t]
             v[hit], free[hit] = 0.0, False
-    zero = free | (np.abs(c - q @ v) <= _rounding(q, c, v))
-    if (zero & ~free).any():
-        idx = zero.nonzero()[0]
-        steps += 1
-        w = np.linalg.lstsq(q.take(idx, 0).take(idx, 1), c[idx], rcond=None)[0]
-        if (w >= 0.0).all():
-            v = np.zeros(n)
-            v[idx] = w
     return v, steps, False
 
 
@@ -225,13 +213,16 @@ def rate_numeric(cgf: CgfEvaluator, epsilon, signs=None) -> RateResult:
     exceed/stay-below events.  With ``v = s * u``, the objective is
     ``v . (s * eps) - phi(s * v)`` over ``v >= 0``.
 
-    The solve follows the CGF's family: a CGF built by ``gaussian_cgf`` gets
-    the active set of the box QP, and a one-commodity CGF (Weibull,
-    exponential, empirical) the root of ``phi'(u) = eps`` along ``s`` (the
-    CGF reflected for ``s = -1``).  Any other evaluator raises
-    ``TypeError``.  The rate is read through the evaluator at the returned
-    point; an infinite rate comes with the ray that reaches it as
-    ``u_star``.
+    The commodity count picks the solve: any one-commodity CGF (Gaussian,
+    Weibull, exponential, empirical) gets the root of ``phi'(u) = eps`` along
+    ``s`` (the CGF reflected for ``s = -1``), and two or more commodities of
+    a CGF built by ``gaussian_cgf`` the active set of the box QP.  Any other
+    evaluator raises ``TypeError``.  The rate is read through the evaluator
+    at the returned point, which is one maximizer where several exist; an
+    infinite rate comes with the ray that reaches it as ``u_star``.  Where a
+    one-commodity slope has not reached the margin by the point whose rate
+    puts ``exp(-rate)`` at 0.0, the rate there is returned, unconverged: a
+    lower bound that already makes every bound 0.
     """
     eps = np.asarray(epsilon, dtype=float).reshape(-1)
     if eps.shape[0] != cgf.dim:
@@ -240,15 +231,14 @@ def rate_numeric(cgf: CgfEvaluator, epsilon, signs=None) -> RateResult:
         raise ValueError("margins must be finite")
     s = events.check_pattern(events.ORTHANT, cgf.dim, signs) if signs is not None else np.ones(cgf.dim)
     c = s * eps
-    model = cgf.model
-    if isinstance(model, GaussianModel) and model.dim == cgf.dim:
-        q = model.covariance * np.outer(s, s)
-        v, steps, unbounded = _active_set(q, c)
-    elif cgf.dim == 1:
+    if cgf.dim == 1:
         u_star, rate, evals, converged = _scalar_rate(_along(cgf, s), float(c[0]))
         return RateResult(eps, rate, s * u_star, evals, converged)
-    else:
+    model = cgf.model
+    if not (isinstance(model, GaussianModel) and model.dim == cgf.dim):
         raise TypeError("exact rates need a Gaussian CGF or a one-commodity CGF")
+    q = model.covariance * np.outer(s, s)
+    v, steps, unbounded = _active_set(q, c)
     if unbounded:
         return RateResult(eps, math.inf, s * v, steps, True)
     value, grad = cgf.value_and_gradient(s * v)
@@ -258,38 +248,40 @@ def rate_numeric(cgf: CgfEvaluator, epsilon, signs=None) -> RateResult:
     return RateResult(eps, max(0.0, float(c @ v) - value) / cgf.dim, s * v, steps, kkt)
 
 
-def _increasing_root(cgf: CgfEvaluator, f) -> tuple[float, bool, int]:
+def _increasing_root(cgf: CgfEvaluator, f, enough=None) -> tuple[float, bool, int]:
     """Root in ``u >= 0`` of ``f(u, phi(u), phi'(u))``, increasing in ``u``, for a scalar CGF.
 
     Returns the root, ``True`` and the number of CGF evaluations; ``f`` must
-    be negative at ``u = 0``.  The bracket ends at ``_edge`` (closed, or
-    just inside a pole); where ``f`` is still negative there, the edge is
+    be negative at ``u = 0``.  The bracket ends at ``_edge``, just inside a
+    finite domain edge; where ``f`` is still negative there, that end is
     returned as the constrained solution.  With no edge the bracket doubles
     upward from ``u = 1``.  Without a root, ``False`` comes with 0 for a
     domain with no positive part, ``inf`` for an affine CGF (a slope equal
     to the slope at 0: demand is constant, since any other CGF is strictly
-    convex), and otherwise the farthest point tried before the float range
-    ends.
+    convex), the first doubled end ``u`` where ``enough(u, phi(u))`` holds,
+    and otherwise the farthest point tried before the float range ends.
     """
     edge, evals = _edge(cgf), 0
 
-    def evaluate(v: float) -> tuple[float, float]:
+    def evaluate(v: float) -> tuple[float, float, float]:
         nonlocal evals
         evals += 1
         value, grad = cgf.value_and_gradient([v])
-        return f(v, value, float(grad[0])), float(grad[0])
+        return f(v, value, float(grad[0])), value, float(grad[0])
 
     lo, hi = 0.0, edge
     if math.isfinite(edge) and evaluate(edge)[0] < 0.0:
         return edge, edge > 0.0, evals
     if edge == math.inf:
-        hi, flat = 1.0, evaluate(0.0)[1]
+        hi, flat = 1.0, evaluate(0.0)[2]
         while True:
-            gap, slope = evaluate(hi)
+            gap, value, slope = evaluate(hi)
             if gap >= 0.0:
                 break
             if slope == flat:
                 return math.inf, False, evals
+            if enough is not None and enough(hi, value):
+                return hi, False, evals
             lo, hi = hi, 2.0 * hi
             if hi == math.inf:
                 return lo, False, evals
@@ -302,17 +294,23 @@ def _scalar_rate(cgf: CgfEvaluator, eps: float) -> tuple[float, float, int, bool
 
     Returns the maximizer, the rate, the number of CGF evaluations and
     whether the maximum was reached.  The maximizer is the root of
-    ``phi'(u) = eps``, or the domain edge (closed, or just inside a pole)
-    when the slope stays below ``eps`` up to it; a domain with no positive
-    part leaves only ``u = 0``.  An affine CGF (zero variance) whose slope
-    stays below ``eps`` has an infinite rate, reached along ``u = 1``.  When
-    the slope otherwise never reaches ``eps``, the rate at the farthest point
-    tried is returned, unconverged: every ``u >= 0`` certifies a bound, so it
-    is still conservative.
+    ``phi'(u) = eps``, or the point just inside the domain edge when the
+    slope stays below ``eps`` up to it; a domain with no positive part
+    leaves only ``u = 0``.  An affine CGF (zero variance) whose slope stays
+    below ``eps`` has an infinite rate, reached along ``u = 1``.  When the
+    slope otherwise never reaches ``eps``, the doubling bracket stops at the
+    first point whose rate puts ``exp(-rate)``, and so every bound, at 0.0,
+    or else at the end of the float range, and the rate there is returned,
+    unconverged: every ``u >= 0`` certifies a bound, so it is still
+    conservative.
     """
     if eps <= 0.0:
         return 0.0, 0.0, 0, True
-    u_star, reached, evals = _increasing_root(cgf, lambda u, value, slope: slope - eps)
+
+    def zero_bound(u: float, value: float) -> bool:
+        return u * eps - value > 0.0 and math.exp(value - u * eps) == 0.0
+
+    u_star, reached, evals = _increasing_root(cgf, lambda u, value, slope: slope - eps, zero_bound)
     if u_star == math.inf:
         return 1.0, math.inf, evals, True
     return u_star, max(u_star * eps - cgf.value([u_star]), 0.0), evals, reached or u_star == 0.0
@@ -339,26 +337,28 @@ def invert_rate(cgf: CgfEvaluator, delta: float, lead_time: int) -> float:
     is ``eps = min_{u > 0} (r + phi(u)) / u``, since ``R(eps) >= r`` exactly
     when some ``u > 0`` has ``u * eps - phi(u) >= r``.  The minimizer is the
     one root of the increasing ``u * phi'(u) - phi(u) - r``, where
-    ``eps = phi'(u)``; past the domain edge (closed, or just inside a pole)
-    the rate is linear in the margin and the minimizer is the edge.  Any
-    ``u`` gives a margin at least
-    the exact one, so the stock ``L * eps`` errs on the safe side, by an
-    amount second order in the root's error.
+    ``eps = phi'(u)``; past the domain edge the rate is linear in the
+    margin and the minimizer is the point just inside the edge.  Any ``u``
+    gives a margin at least the exact one, so the stock ``L * eps`` errs on
+    the safe side, by an amount second order in the root's error.
 
     A stock sized from ``empirical_cgf`` is certified only for the plug-in
     estimate of the CGF: the estimation error is not covered, and
     ``estimation_certificate`` does not enter the stock.
 
-    Raises ``UnreachableRateError`` when no margin reaches the rate, for
-    instance when the CGF is infinite for every positive argument.
+    An affine CGF (zero variance: demand is constant) leaves every positive
+    stock certified, and no least one exists: the stock is then
+    ``math.ulp(0.0)``, the least positive float, as for an infinite Gaussian
+    rate.  Raises ``UnreachableRateError`` when no margin reaches the rate,
+    for instance when the CGF is infinite for every positive argument.
     """
     lead = validate_lead_time(lead_time)
     if cgf.dim != 1:
         raise ValueError("rate inversion requires a single-commodity CGF")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly between 0 and 1")
-    target = -math.log(delta) / lead
+    target = -math.log(validate_delta(delta)) / lead
     u_star, reached, _ = _increasing_root(cgf, lambda u, value, slope: u * slope - value - target)
+    if u_star == math.inf:
+        return math.ulp(0.0)
     if not reached:
         raise UnreachableRateError("unreachable stockout rate for this demand model")
     return lead * (target + cgf.value([u_star])) / u_star

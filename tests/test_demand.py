@@ -16,6 +16,7 @@ from stockbound import (
     covariance_factor,
     load_demand_csv,
     model_from_dict,
+    validate_delta,
     validate_lead_time,
 )
 
@@ -155,6 +156,17 @@ class TestLeadTime:
     def test_rejects_invalid(self, bad):
         with pytest.raises((ValueError, TypeError)):
             validate_lead_time(bad)
+
+
+class TestDelta:
+    def test_accepts_the_open_interval(self):
+        assert validate_delta(0.05) == 0.05
+        assert isinstance(validate_delta(np.float32(0.5)), float)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_rejects_the_rest(self, bad):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            validate_delta(bad)
 
 
 class TestCovarianceFactor:

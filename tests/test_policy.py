@@ -71,6 +71,23 @@ class TestProposedRule:
         assert out.ss == pytest.approx([math.sqrt(20.0)], rel=1e-12)
         assert out.delta_split is None
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.01, 0.5, 2.0])
+    def test_one_commodity_model_and_cgf_agree(self, sigma):
+        # the model goes through its Chernoff exponent, the evaluator through
+        # rate inversion; both take the scalar root, and constant demand
+        # (sigma 0) gets the least positive float from either.  At sigma
+        # 0.01 the rate at a unit margin, 5000, is past where exp(-rate)
+        # underflows, so the exponent must be read at a margin of one sigma.
+        model = GaussianModel.univariate(sigma**2)
+        for delta in (0.9, 0.5, 0.05, 1e-3, 1e-6, 1e-12):
+            by_model = ss_proposed(model, 10, delta).ss[0]
+            by_cgf = ss_proposed(gaussian_cgf(model), 10, delta).ss[0]
+            assert by_model == pytest.approx(by_cgf, rel=1e-14, abs=0.0)
+            if sigma == 0.0:
+                assert by_model == math.ulp(0.0)
+            else:
+                assert by_model == pytest.approx(sigma * math.sqrt(-20.0 * math.log(delta)), rel=1e-14)
+
     def test_independent_pair(self):
         model = GaussianModel.bivariate(1.0, 1.0, 0.0)
         out = ss_proposed(model, 10, math.exp(-1.0))

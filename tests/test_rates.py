@@ -214,7 +214,8 @@ class TestRateNumeric:
     @pytest.mark.parametrize("eps, window", [(-0.2, 5.0), (-1.5, 0.3)], ids=["root", "window-edge"])
     def test_empirical_stay_below_rate_is_the_reflected_rate(self, eps, window):
         # The reflected plug-in CGF in plain numpy; at margin -1.5 its slope
-        # stays below 1.5 up to the window edge, where the maximizer stops.
+        # stays below 1.5 up to the window edge, and the maximizer stops just
+        # inside it, where the rate is at most the edge's and within 1e-12.
         data = np.random.default_rng(17).gamma(2.0, 1.0, (4000, 10))
         sums, periods, mean = data.sum(axis=1), data.shape[1], float(data.mean())
         result = rate_numeric(empirical_cgf(EmpiricalDemand(data), u_window=window), [eps], signs=[-1.0])
@@ -229,8 +230,70 @@ class TestRateNumeric:
             assert result.rate == pytest.approx(exact_scalar_rate(grad, -eps), rel=1e-12)
         else:
             assert grad(window)[0] < -eps
-            assert result.u_star[0] == -window
-            assert result.rate == pytest.approx(-eps * window - grad(window)[1], rel=1e-12)
+            assert -window < result.u_star[0] <= -window * (1.0 - 1e-12)
+            edge_rate = -eps * window - grad(window)[1]
+            assert edge_rate * (1.0 - 1e-12) <= result.rate <= edge_rate
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 2.0])
+    def test_one_commodity_gaussian_rate_is_exact(self, sigma):
+        # one commodity takes the scalar root, Gaussian or not; zero variance
+        # is an affine CGF, whose rate at a positive margin is infinite
+        cgf = gaussian_cgf(GaussianModel.univariate(sigma**2))
+        for delta in (0.9, 0.5, 0.05, 1e-3, 1e-6, 1e-12):
+            c = math.sqrt(-2.0 * math.log(delta))
+            result = rate_numeric(cgf, [c])
+            assert result.converged
+            if sigma == 0.0:
+                assert result.rate == math.inf
+            else:
+                assert result.rate == pytest.approx(c * c / (2.0 * sigma**2), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("eps", [-1.0, -2.0])
+    def test_stay_below_past_the_mean_stops_once_the_bound_is_zero(self, eps):
+        # Weibull demand is nonnegative, so X <= mean + eps < 0 is empty and
+        # the reflected slope tends to the mean without reaching -eps.  The
+        # doubling bracket stops at the first end whose rate puts exp(-rate)
+        # at 0.0, and returns that rate, unconverged.
+        base = weibull_cgf(WeibullModel(2.0, 1.0))
+        calls = []
+
+        def counted(u):
+            calls.append(float(u[0]))
+            return base.value_and_gradient(u)
+
+        cgf = CgfEvaluator(dim=1, domain=base.domain, model=base.model, _value_and_grad=counted)
+        result = rate_numeric(cgf, [eps], signs=[-1.0])
+        assert len(calls) <= 40
+        assert not result.converged
+        assert math.exp(-result.rate) == 0.0 and math.isfinite(result.rate)
+        assert chernoff_bound(base, [eps], 1, pattern=ORTHANT, signs=[-1.0]) == 0.0
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            weibull_cgf(WeibullModel(1.0, 1.7)),
+            empirical_cgf(EmpiricalDemand(np.random.default_rng(12).gamma(2.0, 1.0, (400, 10))), u_window=0.3),
+        ],
+        ids=["exponential", "empirical"],
+    )
+    def test_scalar_solves_evaluate_only_inside_the_domain(self, base):
+        # margins up to 100 push the maximizer to the pole or the window edge
+        # in either direction; no solve evaluates the CGF at or past it
+        ((lo, hi),) = base.domain
+        seen = []
+
+        def recorded(u):
+            seen.append(float(u[0]))
+            return base.value_and_gradient(u)
+
+        cgf = CgfEvaluator(dim=1, domain=base.domain, model=base.model, _value_and_grad=recorded)
+        for eps in (0.1, 1.0, 100.0):
+            for sign in (1.0, -1.0):
+                rate_numeric(cgf, [sign * eps], signs=[sign])
+            chernoff_bound(cgf, eps, 5, pattern=FUNGIBLE)
+        for delta in (0.5, 1e-2, 1e-300):
+            invert_rate(cgf, delta, 5)
+        assert seen and all(lo < u < hi for u in seen)
 
     def test_degenerate_faces_end_at_a_kkt_point_or_an_exact_ray(self):
         # Singular covariances with small whole entries, and margins built on
@@ -333,10 +396,14 @@ class TestRateGaussianClosed:
         assert result.u_star[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_singular_covariance_in_range(self):
+        # Every u >= 0 with u_1 + u_2 = 1 is a maximizer, of exponent 0.5 per
+        # period (0.25 per degree); whichever is returned solves Qu = c.
         model = GaussianModel.bivariate(1.0, 1.0, 1.0)
         result = rate_numeric(gaussian_cgf(model), [1.0, 1.0])
+        assert result.converged
         assert result.rate == pytest.approx(0.25, rel=1e-12)
-        assert result.u_star == pytest.approx([0.5, 0.5], rel=1e-9)
+        assert np.all(result.u_star >= 0.0)
+        assert model.covariance @ result.u_star == pytest.approx([1.0, 1.0], rel=1e-15)
 
     @pytest.mark.parametrize("var_y", [3.0, 7.0])
     def test_singular_to_rounding_rate_stays_below_the_maximum(self, var_y):
@@ -488,8 +555,8 @@ class TestInvertRate:
         assert x - math.log1p(x) == pytest.approx(-math.log(delta) / lead, rel=1e-12)
 
     def test_exponential_inversion_stays_below_the_pole(self):
-        # the bracket ends just inside the pole: past the one probe that
-        # finds it, no evaluation reaches u = 1 / scale
+        # the bracket ends just inside the pole: no evaluation reaches
+        # u = 1 / scale
         base = weibull_cgf(WeibullModel(1.0, 1.7))
         pole = base.domain[0][1]
         seen = []
@@ -504,7 +571,7 @@ class TestInvertRate:
             for delta in (0.5, 1e-2, 1e-12, 1e-300):
                 seen.clear()
                 assert math.isfinite(call(delta))
-                assert seen[0] == pole and max(seen[1:]) < pole
+                assert max(seen) < pole
 
     def test_pole_that_raises_is_a_pole(self):
         # a CGF that raises CgfDomainError at and past u = 1 / scale, instead
