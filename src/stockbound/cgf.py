@@ -270,7 +270,7 @@ def empirical_cgf(data: EmpiricalDemand, u_window: float = 5.0) -> CgfEvaluator:
     Centering subtracts ``u`` times the grand per-period sample mean so the
     evaluator has the canonical shape used by rate maximization; the raw
     estimate is ``empirical_cgf_estimate``.  Outside the window the value is
-    reported as infinite, which the rate solver treats as a domain violation.
+    reported as infinite; the rate solvers stay just inside it.
     """
     if data.n_replicates < 2:
         raise ValueError("empirical CGF estimation requires at least 2 replicates")

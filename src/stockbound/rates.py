@@ -69,16 +69,15 @@ class RateResult:
     """Outcome of a rate maximization.
 
     ``rate`` is per degree: multiply by lead time and commodity count to get
-    the exponent of the probability bound.  ``u_star`` is a point that
-    achieved it, always inside the sign cone and the CGF's domain; where the
-    maximizer is not unique it is one of them, and each has the same rate.
-    For an infinite rate it is instead the ray in the cone along which the
-    exponent grows without bound.  ``iterations`` counts the linear solves of
-    the Gaussian active set (two or more commodities), or the CGF evaluations
-    of the one-commodity root, Gaussian included.
-    ``converged`` records whether the KKT conditions hold at ``u_star`` (for
-    the root, whether it was reached); an infinite rate is exact and counts
-    as converged.
+    the exponent of the probability bound.  ``u_star`` is a maximizer (any
+    one, where several exist), always inside the sign cone and the CGF's
+    domain; for an infinite rate it is instead the ray in the cone along
+    which the exponent grows without bound.  ``iterations`` counts the linear
+    solves of the active set (Gaussian, two or more commodities), or the CGF
+    evaluations of the one-commodity root, Gaussian included.  ``converged``
+    records whether the KKT conditions hold at ``u_star`` (for the root,
+    whether it was reached); an infinite rate is exact and counts as
+    converged.
     """
 
     epsilon: np.ndarray
@@ -218,11 +217,10 @@ def rate_numeric(cgf: CgfEvaluator, epsilon, signs=None) -> RateResult:
     ``s`` (the CGF reflected for ``s = -1``), and two or more commodities of
     a CGF built by ``gaussian_cgf`` the active set of the box QP.  Any other
     evaluator raises ``TypeError``.  The rate is read through the evaluator
-    at the returned point, which is one maximizer where several exist; an
-    infinite rate comes with the ray that reaches it as ``u_star``.  Where a
-    one-commodity slope has not reached the margin by the point whose rate
-    puts ``exp(-rate)`` at 0.0, the rate there is returned, unconverged: a
-    lower bound that already makes every bound 0.
+    at the returned point; an infinite rate comes with the ray that reaches
+    it as ``u_star``.  A one-commodity root not reached by the time
+    ``exp(-rate)`` underflows to 0 ends there, unconverged: a lower bound
+    that already makes every bound 0.
     """
     eps = np.asarray(epsilon, dtype=float).reshape(-1)
     if eps.shape[0] != cgf.dim:
@@ -298,11 +296,9 @@ def _scalar_rate(cgf: CgfEvaluator, eps: float) -> tuple[float, float, int, bool
     slope stays below ``eps`` up to it; a domain with no positive part
     leaves only ``u = 0``.  An affine CGF (zero variance) whose slope stays
     below ``eps`` has an infinite rate, reached along ``u = 1``.  When the
-    slope otherwise never reaches ``eps``, the doubling bracket stops at the
-    first point whose rate puts ``exp(-rate)``, and so every bound, at 0.0,
-    or else at the end of the float range, and the rate there is returned,
-    unconverged: every ``u >= 0`` certifies a bound, so it is still
-    conservative.
+    slope otherwise never reaches ``eps``, the rate is returned, unconverged,
+    at the first doubled point where ``exp(-rate)`` underflows to 0, or at
+    the end of the float range: every ``u >= 0`` certifies a bound.
     """
     if eps <= 0.0:
         return 0.0, 0.0, 0, True
