@@ -19,14 +19,17 @@ sign cone ``s``, it is the box QP ``max_{v >= 0} c . v - v'Qv / 2`` with
 and Hanson 1974, ch. 23) in a few small linear solves; a face whose system is
 singular with ``c`` outside its range gives a null ray, and a nonnegative one
 along which ``v'Qv`` evaluates to 0 (or below) makes the rate infinite.  Any
-one-commodity CGF, Gaussian included, is maximized at the root of
-``phi'(u) = eps``, or just inside its domain edge.
+other question is one root along a line ``u = t d``, ``t >= 0``, that reads
+each point once: a one-commodity rate (``d = s``, where ``phi'(u) = eps``), a
+rate inversion and the ``fungible`` rate (``d = 1``), and the ``union``'s
+first term (``d = e_0``), each just inside the first domain edge along ``d``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 from scipy.optimize import brentq
@@ -73,11 +76,11 @@ class RateResult:
     one, where several exist), always inside the sign cone and the CGF's
     domain; for an infinite rate it is instead the ray in the cone along
     which the exponent grows without bound.  ``iterations`` counts the linear
-    solves of the active set (Gaussian, two or more commodities), or the CGF
-    evaluations of the one-commodity root, Gaussian included.  ``converged``
-    records whether the KKT conditions hold at ``u_star`` (for the root,
-    whether it was reached); an infinite rate is exact and counts as
-    converged.
+    solves of the active set (Gaussian, two or more commodities), or the
+    points (one CGF evaluation each) the one-commodity root reads, Gaussian
+    included.  ``converged`` records whether the KKT conditions hold at
+    ``u_star`` (for the root, whether it was reached); an infinite rate is
+    exact and counts as converged.
     """
 
     epsilon: np.ndarray
@@ -101,8 +104,8 @@ class RateResult:
         return validate_lead_time(lead_time) * self.dim * self.rate
 
 
-def _edge(cgf: CgfEvaluator) -> float:
-    """Upper end of ``u >= 0`` inside a scalar CGF's domain, evaluating nothing.
+def _edge(cgf: CgfEvaluator, direction: list[float]) -> float:
+    """Last ``t >= 0`` with ``t * direction`` inside every coordinate's domain, evaluating nothing.
 
     A finite edge, a pole or closed, is stopped ``_POLE_GAP`` inside: every
     point inside certifies a bound, and at a closed edge the rate or stock
@@ -110,7 +113,7 @@ def _edge(cgf: CgfEvaluator) -> float:
     """
     if cgf.domain is None:
         return math.inf
-    ((_, edge),) = cgf.domain
+    edge = min((hi if d > 0.0 else lo) / d for (lo, hi), d in zip(cgf.domain, direction) if d != 0.0)
     return max(edge, 0.0) * (1.0 - _POLE_GAP)
 
 
@@ -230,7 +233,7 @@ def rate_numeric(cgf: CgfEvaluator, epsilon, signs=None) -> RateResult:
     s = events.check_pattern(events.ORTHANT, cgf.dim, signs) if signs is not None else np.ones(cgf.dim)
     c = s * eps
     if cgf.dim == 1:
-        u_star, rate, evals, converged = _scalar_rate(_along(cgf, s), float(c[0]))
+        u_star, rate, evals, converged = _scalar_rate(cgf, s.tolist(), float(c[0]))
         return RateResult(eps, rate, s * u_star, evals, converged)
     model = cgf.model
     if not (isinstance(model, GaussianModel) and model.dim == cgf.dim):
@@ -246,84 +249,83 @@ def rate_numeric(cgf: CgfEvaluator, epsilon, signs=None) -> RateResult:
     return RateResult(eps, max(0.0, float(c @ v) - value) / cgf.dim, s * v, steps, kkt)
 
 
-def _increasing_root(cgf: CgfEvaluator, f, enough=None) -> tuple[float, bool, int]:
-    """Root in ``u >= 0`` of ``f(u, phi(u), phi'(u))``, increasing in ``u``, for a scalar CGF.
+def _increasing_root(cgf: CgfEvaluator, direction: list[float], f, enough=None) -> tuple[float, bool, dict]:
+    """Root in ``t >= 0`` of ``f(t, phi(t d), d . grad phi(t d))``, increasing in ``t``.
 
-    Returns the root, ``True`` and the number of CGF evaluations; ``f`` must
-    be negative at ``u = 0``.  The bracket ends at ``_edge``, just inside a
-    finite domain edge; where ``f`` is still negative there, that end is
-    returned as the constrained solution.  With no edge the bracket doubles
-    upward from ``u = 1``.  Without a root, ``False`` comes with 0 for a
-    domain with no positive part, ``inf`` for an affine CGF (a slope equal
-    to the slope at 0: demand is constant, since any other CGF is strictly
-    convex), the first doubled end ``u`` where ``enough(u, phi(u))`` holds,
-    and otherwise the farthest point tried before the float range ends.
+    Returns the root, ``True`` and a map from each point read, read once, to
+    its ``(f, phi, slope)``; ``f`` must be negative at ``t = 0``.  The
+    bracket ends at ``_edge``, just inside the first finite domain edge along
+    ``d``; where ``f`` is still negative there, that end is returned as the
+    constrained solution.  With no edge the bracket doubles upward from
+    ``t = 1``.  Without a root, ``False`` comes with 0 for a domain with no
+    positive part, ``inf`` for an affine CGF (the same slope at 0 and 1:
+    demand is constant along ``d``, since any other CGF is strictly convex),
+    the first doubled end ``t`` where ``enough(t, phi)`` holds, with no
+    ``enough`` the end before the first one whose slope equals it (there
+    ``t phi' - phi`` stops moving), and otherwise the farthest point tried
+    before the float range ends.
     """
-    edge, evals = _edge(cgf), 0
+    points, evaluate = {}, cgf.value_and_gradient
+    # one commodity: a product each for the point and the slope; a
+    # comprehension and a sum would add a fifth to a closed-form point's cost
+    scale = direction[0] if len(direction) == 1 else None
 
-    def evaluate(v: float) -> tuple[float, float, float]:
-        nonlocal evals
-        evals += 1
-        value, grad = cgf.value_and_gradient([v])
-        return f(v, value, float(grad[0])), value, float(grad[0])
+    def gap(t: float) -> float:
+        got = points.get(t)
+        if got is None:
+            if scale is None:
+                value, grad = evaluate([d * t for d in direction])
+                slope = sum(map(mul, direction, grad.tolist()))
+            else:
+                value, grad = evaluate([scale * t])
+                slope = scale * grad.item()
+            got = points[t] = f(t, value, slope), value, slope
+        return got[0]
 
-    lo, hi = 0.0, edge
-    if math.isfinite(edge) and evaluate(edge)[0] < 0.0:
-        return edge, edge > 0.0, evals
-    if edge == math.inf:
-        hi, flat = 1.0, evaluate(0.0)[2]
-        while True:
-            gap, value, slope = evaluate(hi)
-            if gap >= 0.0:
-                break
-            if slope == flat:
-                return math.inf, False, evals
+    lo, hi = 0.0, _edge(cgf, direction)
+    if math.isfinite(hi) and gap(hi) < 0.0:
+        return hi, hi > 0.0, points
+    if hi == math.inf:
+        gap(0.0)
+        hi, last = 1.0, points[0.0][2]
+        while gap(hi) < 0.0:
+            _, value, slope = points[hi]
+            # the same slope at 0 and 1 is affine; farther out, a plateau
+            if slope == last and (lo == 0.0 or enough is None):
+                return (math.inf if lo == 0.0 else lo), False, points
             if enough is not None and enough(hi, value):
-                return hi, False, evals
-            lo, hi = hi, 2.0 * hi
+                return hi, False, points
+            lo, hi, last = hi, 2.0 * hi, slope
             if hi == math.inf:
-                return lo, False, evals
-    root = brentq(lambda v: evaluate(v)[0], lo, hi, xtol=1e-15, maxiter=300)
-    return root, True, evals
+                return lo, False, points
+    root = brentq(gap, lo, hi, xtol=1e-15, maxiter=300)
+    return root, True, points
 
 
-def _scalar_rate(cgf: CgfEvaluator, eps: float) -> tuple[float, float, int, bool]:
-    """Exact 1-d rate ``max_{u>=0} (u*eps - phi(u))`` for a scalar CGF.
+def _scalar_rate(cgf: CgfEvaluator, direction: list[float], eps: float) -> tuple[float, float, int, bool]:
+    """Exact 1-d rate ``max_{t>=0} (t*eps - phi(t d))`` along a direction ``d``.
 
-    Returns the maximizer, the rate, the number of CGF evaluations and
+    Returns the maximizer, the rate, the number of distinct points read and
     whether the maximum was reached.  The maximizer is the root of
-    ``phi'(u) = eps``, or the point just inside the domain edge when the
-    slope stays below ``eps`` up to it; a domain with no positive part
-    leaves only ``u = 0``.  An affine CGF (zero variance) whose slope stays
-    below ``eps`` has an infinite rate, reached along ``u = 1``.  When the
-    slope otherwise never reaches ``eps``, the rate is returned, unconverged,
-    at the first doubled point where ``exp(-rate)`` underflows to 0, or at
-    the end of the float range: every ``u >= 0`` certifies a bound.
+    ``d . grad phi(t d) = eps``, or the point just inside the domain edge
+    when the slope stays below ``eps`` up to it; a domain with no positive
+    part leaves only ``t = 0``.  An affine CGF (zero variance along ``d``)
+    whose slope stays below ``eps`` has an infinite rate, reached along
+    ``t = 1``.  When the slope otherwise never reaches ``eps``, the rate is
+    returned, unconverged, at the first doubled point where ``exp(-rate)``
+    underflows to 0, or at the end of the float range: every ``t >= 0``
+    certifies a bound.
     """
     if eps <= 0.0:
         return 0.0, 0.0, 0, True
 
-    def zero_bound(u: float, value: float) -> bool:
-        return u * eps - value > 0.0 and math.exp(value - u * eps) == 0.0
+    def zero_bound(t: float, value: float) -> bool:
+        return t * eps - value > 0.0 and math.exp(value - t * eps) == 0.0
 
-    u_star, reached, evals = _increasing_root(cgf, lambda u, value, slope: slope - eps, zero_bound)
-    if u_star == math.inf:
-        return 1.0, math.inf, evals, True
-    return u_star, max(u_star * eps - cgf.value([u_star]), 0.0), evals, reached or u_star == 0.0
-
-
-def _along(cgf: CgfEvaluator, direction: np.ndarray) -> CgfEvaluator:
-    """Scalar CGF ``t -> phi(t * direction)``, over ``t`` where every coordinate is in the domain."""
-    domain = None
-    if cgf.domain is not None:
-        scaled = [sorted((lo / d, hi / d)) for (lo, hi), d in zip(cgf.domain, direction) if d != 0.0]
-        domain = ((max(lo for lo, _ in scaled), min(hi for _, hi in scaled)),)
-
-    def both(t):
-        value, grad = cgf.value_and_gradient(direction * t[0])
-        return value, np.array([float(direction @ grad)])
-
-    return CgfEvaluator(dim=1, domain=domain, _value_and_grad=both)
+    t, reached, points = _increasing_root(cgf, direction, lambda t, value, slope: slope - eps, zero_bound)
+    if t == math.inf:
+        return 1.0, math.inf, len(points), True
+    return t, max(t * eps - points[t][1], 0.0), len(points), reached or t == 0.0
 
 
 def invert_rate(cgf: CgfEvaluator, delta: float, lead_time: int) -> float:
@@ -336,7 +338,9 @@ def invert_rate(cgf: CgfEvaluator, delta: float, lead_time: int) -> float:
     ``eps = phi'(u)``; past the domain edge the rate is linear in the
     margin and the minimizer is the point just inside the edge.  Any ``u``
     gives a margin at least the exact one, so the stock ``L * eps`` errs on
-    the safe side, by an amount second order in the root's error.
+    the safe side, by an amount second order in the root's error.  The root
+    is ``_increasing_root``'s along ``d = 1``, and the stock takes ``phi(u)``
+    from the points it read.
 
     A stock sized from ``empirical_cgf`` is certified only for the plug-in
     estimate of the CGF: the estimation error is not covered, and
@@ -346,18 +350,20 @@ def invert_rate(cgf: CgfEvaluator, delta: float, lead_time: int) -> float:
     stock certified, and no least one exists: the stock is then
     ``math.ulp(0.0)``, the least positive float, as for an infinite Gaussian
     rate.  Raises ``UnreachableRateError`` when no margin reaches the rate,
-    for instance when the CGF is infinite for every positive argument.
+    for instance when the CGF is infinite for every positive argument, or
+    when, with no domain edge, its slope is the same at two doubled points
+    in a row while ``u * phi'(u) - phi(u)`` is still below ``r``.
     """
     lead = validate_lead_time(lead_time)
     if cgf.dim != 1:
         raise ValueError("rate inversion requires a single-commodity CGF")
     target = -math.log(validate_delta(delta)) / lead
-    u_star, reached, _ = _increasing_root(cgf, lambda u, value, slope: u * slope - value - target)
+    u_star, reached, points = _increasing_root(cgf, [1.0], lambda u, value, slope: u * slope - value - target)
     if u_star == math.inf:
         return math.ulp(0.0)
     if not reached:
         raise UnreachableRateError("unreachable stockout rate for this demand model")
-    return lead * (target + cgf.value([u_star])) / u_star
+    return lead * (target + points[u_star][1]) / u_star
 
 
 def chernoff_bound(
@@ -388,11 +394,11 @@ def chernoff_bound(
         raise ValueError("margins must be finite")
     cone = events.check_pattern(pattern, cgf.dim, signs)
     if pattern == events.FUNGIBLE:
-        rate = _scalar_rate(_along(cgf, np.ones(cgf.dim)), float(eps.reshape(())))[1]
+        rate = _scalar_rate(cgf, [1.0] * cgf.dim, float(eps.reshape(())))[1]
         return min(1.0, math.exp(-lead * rate))
     eps = eps.reshape(-1)
     if pattern == events.UNION:
-        first_rate = _scalar_rate(_along(cgf, np.eye(cgf.dim)[0]), eps[0])[1]
+        first_rate = _scalar_rate(cgf, [1.0, 0.0], float(eps[0]))[1]
         mixed = rate_numeric(cgf, eps, signs=np.array([-1.0, 1.0]))
         return min(1.0, math.exp(-lead * first_rate) + math.exp(-mixed.exponent(lead)))
     # all_exceed or orthant: check_pattern gives signs only for the orthant

@@ -3,7 +3,8 @@
 Everything here is built from quadrature, high-precision arithmetic, direct
 sampling or the plain whole-array form of a computation, deliberately
 avoiding the code paths under test, so module results are checked against a
-second route rather than against themselves.
+second route rather than against themselves.  ``recording`` wraps an
+evaluator to show where a solve reads it.
 """
 
 import csv
@@ -15,7 +16,7 @@ import numpy as np
 from scipy import integrate, stats
 from scipy.special import ndtri
 
-from stockbound import DemandDataError, EmpiricalDemand, covariance_factor
+from stockbound import CgfEvaluator, DemandDataError, EmpiricalDemand, covariance_factor
 
 
 def quad_normal_upper_tail(k: float) -> float:
@@ -439,3 +440,14 @@ def load_demand_csv_reference(path, skip_header: bool = False) -> EmpiricalDeman
     if not rows:
         raise DemandDataError(f"{path}: no demand rows found")
     return EmpiricalDemand(np.array(rows))
+
+
+def recording(base: CgfEvaluator) -> tuple[CgfEvaluator, list]:
+    """``base`` as a new evaluator, and the list it appends each point read to, as a tuple."""
+    points = []
+
+    def both(u):
+        points.append(tuple(float(x) for x in u))
+        return base.value_and_gradient(u)
+
+    return CgfEvaluator(dim=base.dim, domain=base.domain, model=base.model, _value_and_grad=both), points

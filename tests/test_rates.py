@@ -34,6 +34,7 @@ from oracles import (
     mpmath_weibull_log_mgf,
     quad_normal_upper_tail,
     quad_weibull_log_mgf,
+    recording,
 )
 
 
@@ -44,6 +45,16 @@ def assert_weibull_rate_matches_mpmath(result, shape: float, scale: float) -> No
     log_m, slope = mpmath_weibull_log_mgf(shape, scale, u)
     assert slope - mean == pytest.approx(eps, rel=2e-6)
     assert result.rate == pytest.approx(u * eps - (log_m - u * mean), rel=1e-9)
+
+
+def log_cosh_cgf() -> CgfEvaluator:
+    """``phi(u) = log cosh u``, with no domain edge: the slope tends to 1 and ``u phi' - phi`` to log 2."""
+
+    def both(u):
+        v = abs(float(u[0]))
+        return v + math.log1p(math.exp(-2.0 * v)) - math.log(2.0), np.array([math.tanh(float(u[0]))])
+
+    return CgfEvaluator(dim=1, domain=None, _value_and_grad=both)
 
 
 class TestRateNumeric:
@@ -255,18 +266,22 @@ class TestRateNumeric:
         # doubling bracket stops at the first end whose rate puts exp(-rate)
         # at 0.0, and returns that rate, unconverged.
         base = weibull_cgf(WeibullModel(2.0, 1.0))
-        calls = []
-
-        def counted(u):
-            calls.append(float(u[0]))
-            return base.value_and_gradient(u)
-
-        cgf = CgfEvaluator(dim=1, domain=base.domain, model=base.model, _value_and_grad=counted)
+        cgf, calls = recording(base)
         result = rate_numeric(cgf, [eps], signs=[-1.0])
         assert len(calls) <= 40
         assert not result.converged
         assert math.exp(-result.rate) == 0.0 and math.isfinite(result.rate)
         assert chernoff_bound(base, [eps], 1, pattern=ORTHANT, signs=[-1.0]) == 0.0
+
+    def test_flat_slope_runs_on_until_the_bound_is_zero(self):
+        # log cosh at margin 2: the slope rounds to 1.0 from u = 32 on, but
+        # the rate 2u - phi(u) keeps growing, so the doubling bracket runs on
+        # to the first end where exp(-rate) is 0 (stopping at the flat slope
+        # would give a bound of 6.3e-15 at L = 1)
+        result = rate_numeric(log_cosh_cgf(), [2.0])
+        assert not result.converged
+        assert math.exp(-result.rate) == 0.0 and math.isfinite(result.rate)
+        assert chernoff_bound(log_cosh_cgf(), [2.0], 1) == 0.0
 
     @pytest.mark.parametrize(
         "base",
@@ -280,20 +295,14 @@ class TestRateNumeric:
         # margins up to 100 push the maximizer to the pole or the window edge
         # in either direction; no solve evaluates the CGF at or past it
         ((lo, hi),) = base.domain
-        seen = []
-
-        def recorded(u):
-            seen.append(float(u[0]))
-            return base.value_and_gradient(u)
-
-        cgf = CgfEvaluator(dim=1, domain=base.domain, model=base.model, _value_and_grad=recorded)
+        cgf, seen = recording(base)
         for eps in (0.1, 1.0, 100.0):
             for sign in (1.0, -1.0):
                 rate_numeric(cgf, [sign * eps], signs=[sign])
             chernoff_bound(cgf, eps, 5, pattern=FUNGIBLE)
         for delta in (0.5, 1e-2, 1e-300):
             invert_rate(cgf, delta, 5)
-        assert seen and all(lo < u < hi for u in seen)
+        assert seen and all(lo < u < hi for (u,) in seen)
 
     def test_degenerate_faces_end_at_a_kkt_point_or_an_exact_ray(self):
         # Singular covariances with small whole entries, and margins built on
@@ -559,19 +568,13 @@ class TestInvertRate:
         # u = 1 / scale
         base = weibull_cgf(WeibullModel(1.0, 1.7))
         pole = base.domain[0][1]
-        seen = []
-
-        def recorded(u):
-            seen.append(float(u[0]))
-            return base.value_and_gradient(u)
-
-        cgf = CgfEvaluator(dim=1, domain=base.domain, model=base.model, _value_and_grad=recorded)
+        cgf, seen = recording(base)
         calls = [lambda d: invert_rate(cgf, d, 5), lambda d: chernoff_bound(cgf, -math.log(d), 5, pattern=FUNGIBLE)]
         for call in calls:
             for delta in (0.5, 1e-2, 1e-12, 1e-300):
                 seen.clear()
                 assert math.isfinite(call(delta))
-                assert max(seen) < pole
+                assert max(u for (u,) in seen) < pole
 
     def test_pole_that_raises_is_a_pole(self):
         # a CGF that raises CgfDomainError at and past u = 1 / scale, instead
@@ -591,19 +594,13 @@ class TestInvertRate:
             assert bound == chernoff_bound(base, -math.log(delta), 5, pattern=FUNGIBLE)
 
     def test_bounded_slope_without_an_edge_is_unreachable(self):
-        # log cosh: the slope tends to 1 and u * phi'(u) - phi(u) to log 2,
-        # so the doubling bracket must stop at the end of the float range
-        calls = []
-
-        def log_cosh(u):
-            calls.append(u)
-            v = abs(float(u[0]))
-            return v + math.log1p(math.exp(-2.0 * v)) - math.log(2.0), np.array([math.tanh(float(u[0]))])
-
-        cgf = CgfEvaluator(dim=1, domain=None, _value_and_grad=log_cosh)
+        # log cosh: the slope tends to 1 and u * phi'(u) - phi(u) to log 2;
+        # the slope rounds to 1.0 from u = 32 on, so the doubling bracket
+        # stops at u = 64, whose slope equals the previous end's
+        cgf, calls = recording(log_cosh_cgf())
         with pytest.raises(UnreachableRateError, match="unreachable"):
             invert_rate(cgf, 1e-3, 1)
-        assert len(calls) <= 1100
+        assert len(calls) <= 20
 
     def test_heavy_tail_unreachable(self):
         # Positive transform arguments blow up: no margin reaches the rate.
@@ -700,16 +697,34 @@ class TestChernoffBound:
     def test_fungible_zero_pooled_variance_stops_early(self):
         # slope 0 at every point: the CGF is affine, so the bracket must not
         # double its way out to the float range (about 1024 evaluations)
-        base = gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, -1.0))
-        calls = []
-
-        def counted(u):
-            calls.append(u)
-            return base.value_and_gradient(u)
-
-        cgf = CgfEvaluator(dim=2, domain=base.domain, model=base.model, _value_and_grad=counted)
+        cgf, calls = recording(gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, -1.0)))
         assert chernoff_bound(cgf, 1.0, 5, pattern=FUNGIBLE) == 0.0
         assert len(calls) <= 24
+
+    @pytest.mark.parametrize("eps", [0.3, 3.0, 100.0])
+    def test_fungible_stops_inside_every_coordinate_domain(self, eps):
+        # two independent exponentials, scales 1 and 0.5, with poles at u = 1
+        # and u = 2: the pooled CGF phi(t, t) has its pole at t = 1, and the
+        # bound equals that of the pooled CGF built by hand, read at no point
+        # outside either coordinate's domain
+        def terms(a, b):
+            value = (-math.log1p(-a) - a) + (-math.log1p(-0.5 * b) - 0.5 * b)
+            return value, 1.0 / (1.0 - a) - 1.0, 0.5 / (1.0 - 0.5 * b) - 0.5
+
+        def pair(u):
+            value, ga, gb = terms(float(u[0]), float(u[1]))
+            return value, np.array([ga, gb])
+
+        def pooled(u):
+            value, ga, gb = terms(float(u[0]), float(u[0]))
+            return value, np.array([ga + gb])
+
+        cgf, seen = recording(CgfEvaluator(dim=2, domain=((-math.inf, 1.0), (-math.inf, 2.0)), _value_and_grad=pair))
+        bound = chernoff_bound(cgf, eps, 5, pattern=FUNGIBLE)
+        assert 0.0 < bound < 1.0
+        pooled_cgf = CgfEvaluator(dim=1, domain=((-math.inf, 1.0),), _value_and_grad=pooled)
+        assert bound == chernoff_bound(pooled_cgf, eps, 5, pattern=FUNGIBLE)
+        assert seen and all(a < 1.0 and b < 2.0 for a, b in seen)
 
     def test_unknown_pattern(self):
         cgf = gaussian_cgf(GaussianModel.univariate(1.0))
@@ -735,3 +750,36 @@ class TestChernoffBound:
                 query = TailQuery.from_margins(model, lead * eps[0], lead * eps[1], lead)
                 exact = bivariate_joint_tail(query).probability
                 assert exact <= bound + 1e-12
+
+
+ONE_COMMODITY = {
+    "weibull2": weibull_cgf(WeibullModel(2.0, 1.0)),
+    "exponential": weibull_cgf(WeibullModel(1.0, 1.7)),
+    "empirical": empirical_cgf(EmpiricalDemand(np.random.default_rng(12).gamma(2.0, 1.0, (400, 10))), u_window=0.3),
+}
+
+
+class TestEachPointReadOnce:
+    """A solve reads the CGF at each point once: the bracket ends and the root come from its record."""
+
+    @pytest.mark.parametrize("delta", [0.1, 1e-4])
+    @pytest.mark.parametrize("name", sorted(ONE_COMMODITY))
+    def test_inversion(self, name, delta):
+        cgf, points = recording(ONE_COMMODITY[name])
+        invert_rate(cgf, delta, 5)
+        assert points and len(set(points)) == len(points)
+
+    @pytest.mark.parametrize("eps", [0.5, 2.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("name", sorted(ONE_COMMODITY))
+    def test_one_commodity_rate(self, name, sign, eps):
+        cgf, points = recording(ONE_COMMODITY[name])
+        result = rate_numeric(cgf, [sign * eps], signs=[sign])
+        assert points and len(set(points)) == len(points) == result.iterations
+
+    @pytest.mark.parametrize("rho", [-0.9, 0.5])
+    @pytest.mark.parametrize("pattern", [FUNGIBLE, UNION])
+    def test_pooled_and_union(self, pattern, rho):
+        cgf, points = recording(gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, rho)))
+        chernoff_bound(cgf, 1.0 if pattern == FUNGIBLE else [1.0, 1.0], 5, pattern=pattern)
+        assert points and len(set(points)) == len(points)
