@@ -40,11 +40,11 @@ from scipy.optimize import brentq
 from .cgf import CgfEvaluator, gaussian_cgf
 from .demand import GaussianModel, validate_delta, validate_lead_time
 from .oracle import (
-    TailQuery,
-    bivariate_joint_tail,
+    _invert_joint_tails,
+    _joint_tails,
+    _upper_tail_inverse,
     invert_joint_tail,
     normal_upper_tail,
-    normal_upper_tail_inverse,
 )
 from .rates import invert_rate, rate_numeric
 
@@ -97,6 +97,11 @@ def ss_previous(model: GaussianModel, lead_time: int, delta: float) -> float:
     """
     lead = validate_lead_time(lead_time)
     delta = validate_delta(delta)
+    return float(_previous_stocks(model, lead, np.array([delta]))[0])
+
+
+def _previous_stocks(model: GaussianModel, lead: int, deltas: np.ndarray) -> np.ndarray:
+    """``ss_previous`` at an array of checked rates, as one array expression."""
     if not isinstance(model, GaussianModel):
         raise TypeError("the previous rule is defined for Gaussian demand")
     if model.dim > 2:
@@ -104,8 +109,8 @@ def ss_previous(model: GaussianModel, lead_time: int, delta: float) -> float:
     variance, *other = np.diag(model.covariance)
     if other and not math.isclose(variance, other[0], rel_tol=1e-9, abs_tol=0.0):
         raise ValueError("this rule requires equal per-commodity variances")
-    share = math.sqrt(delta) if other else delta
-    return math.sqrt(lead * variance) * normal_upper_tail_inverse(share)
+    share = np.sqrt(deltas) if other else deltas
+    return math.sqrt(lead * variance) * _upper_tail_inverse(share)
 
 
 def _ray_stocks(model: GaussianModel, lead: int):
@@ -213,6 +218,30 @@ def ss_rigorous(model: GaussianModel, lead_time: int, delta: float) -> float:
     return invert_joint_tail(model, delta, lead_time).ss
 
 
+class _ExactColumns:
+    """The exact columns of a grid of policy rows, each computed for the whole grid.
+
+    ``probabilities`` is ``(p_pre, p_pro)``, one batch of tails;
+    ``rigorous`` is ``(ss_rig, p_rig)``, the lockstep inversion's stocks and
+    the tails it evaluated at them.  Each is computed on first read and
+    then kept.
+    """
+
+    def __init__(self, model: GaussianModel, lead: int, deltas, ss_pre, ss_pro):
+        self.model, self.lead, self.deltas = model, lead, deltas
+        self.stocks = np.concatenate([ss_pre, ss_pro])
+
+    @functools.cached_property
+    def probabilities(self) -> tuple[np.ndarray, np.ndarray]:
+        tails = _exact_all_exceed(self.model, self.stocks, self.lead)
+        return tails[: len(self.deltas)], tails[len(self.deltas) :]
+
+    @functools.cached_property
+    def rigorous(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        stocks, _, tails = zip(*_invert_joint_tails(self.model, self.deltas, self.lead))
+        return stocks, tails
+
+
 @dataclass(frozen=True)
 class PolicyOutput:
     """One row of a policy comparison at a single allowed stockout rate.
@@ -224,7 +253,11 @@ class PolicyOutput:
 
     The rigorous stock and the three exact probabilities are computed on
     first access and then kept, so a caller pays only for the columns it
-    reads.
+    reads.  The rows of ``compare_policies`` share one grid of them, and
+    the first read of a column computes it for every row in one pass: the
+    two probabilities at the rows' stocks in one batch of tails, and the
+    rigorous stocks by one lockstep inversion, whose tails at those stocks
+    are ``p_rig``.  A row built on its own is a grid of one.
     """
 
     delta: float
@@ -234,20 +267,29 @@ class PolicyOutput:
     model: GaussianModel
 
     @functools.cached_property
+    def _exact(self) -> tuple[_ExactColumns, int]:
+        # compare_policies sets this to its rows' shared grid and the row's place in it
+        return _ExactColumns(self.model, self.lead_time, [self.delta], [self.ss_pre], [self.ss_pro]), 0
+
+    @property
     def ss_rig(self) -> float:
-        return ss_rigorous(self.model, self.lead_time, self.delta)
+        grid, i = self._exact
+        return grid.rigorous[0][i]
 
-    @functools.cached_property
+    @property
     def p_pre(self) -> float:
-        return _exact_all_exceed(self.model, self.ss_pre, self.lead_time)
+        grid, i = self._exact
+        return float(grid.probabilities[0][i])
 
-    @functools.cached_property
+    @property
     def p_pro(self) -> float:
-        return _exact_all_exceed(self.model, self.ss_pro, self.lead_time)
+        grid, i = self._exact
+        return float(grid.probabilities[1][i])
 
-    @functools.cached_property
+    @property
     def p_rig(self) -> float:
-        return _exact_all_exceed(self.model, self.ss_rig, self.lead_time)
+        grid, i = self._exact
+        return grid.rigorous[1][i]
 
     @property
     def ratio_pro(self) -> float:
@@ -267,12 +309,14 @@ class PolicyOutput:
         return self.lead_time * self.model.mean + ss
 
 
-def _exact_all_exceed(model: GaussianModel, ss: float, lead: int) -> float:
+def _exact_all_exceed(model: GaussianModel, stocks: np.ndarray, lead: int) -> np.ndarray:
+    """Exact all-exceed probabilities at equal stocks, one batch of tails."""
     if not (model.covariance.diagonal() > 0.0).all():
         raise ValueError("a commodity has no variance, so its standardized threshold is not finite")
     if model.dim == 1:
-        return normal_upper_tail(ss / math.sqrt(lead * float(model.covariance[0, 0])))
-    return bivariate_joint_tail(TailQuery.from_margins(model, ss, ss, lead)).probability
+        return normal_upper_tail(stocks / math.sqrt(lead * float(model.covariance[0, 0])))
+    a, b = stocks / math.sqrt(lead * model.var_x), stocks / math.sqrt(lead * model.var_y)
+    return _joint_tails(a, b, model.correlation)[0]
 
 
 def compare_policies(model: GaussianModel, lead_time: int, deltas) -> list[PolicyOutput]:
@@ -281,13 +325,18 @@ def compare_policies(model: GaussianModel, lead_time: int, deltas) -> list[Polic
     Requires a symmetric Gaussian model (equal margins make the three rules
     directly comparable).  Each row carries the stocks and their exact
     realized stockout probabilities; the rigorous stock and the
-    probabilities are computed when first read.
+    probabilities are computed when first read, for the whole grid at once
+    (see ``PolicyOutput``), with the same numbers as a row built alone.
     """
     lead = validate_lead_time(lead_time)
     deltas = [validate_delta(d) for d in np.asarray(deltas, dtype=float).reshape(-1)]
-    previous = [ss_previous(model, lead, delta) for delta in deltas]
+    previous = _previous_stocks(model, lead, np.array(deltas)).tolist()
     stock = _ray_stocks(model, lead)  # one solve serves every delta
-    return [
-        PolicyOutput(delta, pre, stock(delta), lead, model)
-        for delta, pre in zip(deltas, previous)
-    ]
+    proposed = [stock(delta) for delta in deltas]
+    grid = _ExactColumns(model, lead, deltas, previous, proposed)
+    rows = []
+    for i, (delta, pre, pro) in enumerate(zip(deltas, previous, proposed)):
+        row = PolicyOutput(delta, pre, pro, lead, model)
+        row.__dict__["_exact"] = (grid, i)
+        rows.append(row)
+    return rows

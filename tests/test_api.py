@@ -1,7 +1,11 @@
 """The public API: every exported name resolves and comes from a submodule."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,3 +52,15 @@ def test_removed_names_are_gone(module, name):
     assert not hasattr(stockbound, name)
     assert name not in stockbound.__all__
     assert not hasattr(importlib.import_module(f"stockbound.{module}"), name)
+
+
+def test_package_does_not_import_scipy_integrate():
+    # the exact tails use their own quadrature, and scipy.integrate costs
+    # the import about 55 ms
+    env = dict(os.environ)
+    root = str(Path(stockbound.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    code = "import sys, stockbound; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

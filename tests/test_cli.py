@@ -395,10 +395,10 @@ class TestFigures:
             raise AssertionError("a column this figure does not print was computed")
 
         with monkeypatch.context() as patch:
-            patch.setattr(policy, "_exact_all_exceed", forbidden)
+            patch.setattr(policy, "_joint_tails", forbidden)
             assert run_cli(capsys, "figure", "fig1", "--grid", "4")[0] == 0
         with monkeypatch.context() as patch:
-            patch.setattr(policy, "ss_rigorous", forbidden)
+            patch.setattr(policy, "_invert_joint_tails", forbidden)
             assert run_cli(capsys, "figure", "fig2", "--grid", "4")[0] == 0
 
     def test_figest_error_decreases_with_sample_count(self, capsys):

@@ -310,6 +310,74 @@ class TestBivariateJointTail:
         assert abs(mc - exact) <= half
 
 
+class TestBatchedTails:
+    """The library evaluates tails in batches; a tail must not depend on its batch."""
+
+    def test_each_tail_is_its_one_query_call(self):
+        # A seeded mix: correlations across [-1, 1] with their ends and
+        # near-ends; s = 0 (b = a, or b = -a for rho < 0) and s != 0; the
+        # band start (a < -b at rho < 0); thin rises; deep tails.
+        rng = np.random.default_rng(20261020)
+        rhos = [-1.0, -1.0 + 1e-12, -1.0 + 1e-7, -0.9, -0.3, 0.0, 0.4, 0.95, 1.0 - 1e-9, 1.0]
+        rhos += rng.uniform(-1.0, 1.0, 6).tolist()
+        for rho in rhos:
+            a = rng.uniform(-3.0, 8.0, 14)
+            b = np.concatenate([
+                a[:3], -a[3:6], -a[6:9] - rng.uniform(0.0, 2.0, 3), a[9:11] + 1e-9, rng.uniform(-3.0, 8.0, 3)
+            ])
+            a, b = np.append(a, [25.0, -4.0]), np.append(b, [25.0, 3.5])
+            probability, error = oracle._joint_tails(a, b, rho)
+            for i in range(a.size):
+                one = bivariate_joint_tail(TailQuery(a[i], b[i], rho))
+                assert (one.probability, one.error) == (probability[i], error[i]), (a[i], b[i], rho)
+            # another batch, in another order, of another size
+            order = rng.permutation(a.size)[: a.size - 5]
+            again = oracle._joint_tails(a[order], b[order], rho)
+            assert np.array_equal(again[0], probability[order]) and np.array_equal(again[1], error[order])
+
+    def test_band_start_against_mpmath(self):
+        # Near rho = -1 the band P(a <= X <= -b) where the integral starts
+        # carries almost all of the tail; at rho = -1 it is the tail.
+        mpmath = pytest.importorskip("mpmath")
+        widths = (1e-9, 1e-3, 0.5, 2.9)  # mpmath needs b != 0
+        a = np.array([x for x in (-3.0, -1.2, 0.4, 2.5, 5.0) for _ in widths])
+        b = -(a + np.tile(widths, 5))
+        for rho in (-1.0, -1.0 + 1e-12, -1.0 + 1e-9):
+            probability, error = oracle._joint_tails(a, b, rho)
+            for p, e, x, y in zip(probability, error, a, b):
+                if rho == -1.0:
+                    with mpmath.workdps(60):
+                        want = float((mpmath.erfc(x / mpmath.sqrt(2)) - mpmath.erfc(-y / mpmath.sqrt(2))) / 2)
+                else:
+                    want = mpmath_joint_tail(x, y, rho, dps=60)
+                assert e <= QUADRATURE_TARGET * p
+                assert abs(p - want) <= e + 1e-15 * want, (x, y, rho)
+                assert p == pytest.approx(want, rel=1e-9), (x, y, rho)
+
+    @pytest.mark.parametrize(
+        "variances, rho", [((1.0, 1.0), 0.9), ((1.0, 1.0), -0.9), ((1.0, 4.0), -0.5), ((1.0, 4.0), 0.99), ((2.0, 2.0), 0.0)]
+    )
+    def test_grid_inversion_is_one_delta_at_a_time(self, variances, rho):
+        model = GaussianModel.bivariate(*variances, rho)
+        deltas = np.geomspace(1e-12, 0.45, 10)
+        grid = oracle._invert_joint_tails(model, deltas, 10)
+        for delta, (ss, floored, tail) in zip(deltas, grid):
+            assert (ss, floored) == invert_joint_tail(model, delta, 10)
+            # the tail at the stock, floored ones included, is the one-query tail
+            assert tail == bivariate_joint_tail(TailQuery.from_margins(model, ss, ss, 10)).probability <= delta
+
+    def test_kernel_calls_per_benchmark_grid(self, monkeypatch):
+        # the benchmark's policy grids: rho 0..0.95, L 5, 10 and 20, eight deltas
+        calls = []
+        kernel = oracle._joint_tails
+        monkeypatch.setattr(oracle, "_joint_tails", lambda a, b, rho: calls.append(a.size) or kernel(a, b, rho))
+        for rho in (0.0, 0.3, 0.6, 0.9, 0.95):
+            for lead in (5, 10, 20):
+                calls.clear()
+                oracle._invert_joint_tails(GaussianModel.bivariate(1.0, 1.0, rho), np.geomspace(1e-4, 0.4, 8), lead)
+                assert len(calls) <= 6, (rho, lead, calls)
+
+
 class TestMonteCarlo:
     def test_single_commodity_median(self):
         model = GaussianModel.univariate(1.0)
@@ -707,15 +775,15 @@ class TestInvertJointTail:
         # rho = 1: P = H(ss / smaller scale), and the tail at the analytic
         # upper end can exceed delta by rounding alone
         calls = []
-        original = oracle.bivariate_joint_tail
-        monkeypatch.setattr(oracle, "bivariate_joint_tail", lambda q: calls.append(q) or original(q))
+        kernel = oracle._joint_tails
+        monkeypatch.setattr(oracle, "_joint_tails", lambda a, b, rho: calls.extend(a) or kernel(a, b, rho))
         delta = 1e-6
         model = GaussianModel.bivariate(*variances, 1.0)
         out = invert_joint_tail(model, delta, 10)
         smaller = math.sqrt(10.0 * min(variances))
         assert type(out.ss) is float
         assert out.ss == pytest.approx(smaller * normal_upper_tail_inverse(delta), rel=1e-11)
-        tail = original(TailQuery.from_margins(model, out.ss, out.ss, 10))
+        tail = bivariate_joint_tail(TailQuery.from_margins(model, out.ss, out.ss, 10))
         assert tail.probability + tail.error <= delta
         assert len(calls) <= 3
 
@@ -733,27 +801,27 @@ class TestInvertJointTail:
         delta = 0.01
         calls = []
 
-        def flat(query):
-            calls.append(query)
-            return oracle.OracleResult(probability=delta / 2, method="quadrature", error=0.0)
+        def flat(a, b, rho):
+            calls.extend(a)
+            return np.full(a.size, delta / 2), np.zeros(a.size)
 
-        monkeypatch.setattr(oracle, "bivariate_joint_tail", flat)
+        monkeypatch.setattr(oracle, "_joint_tails", flat)
         monkeypatch.setattr(oracle, "_ray_derivatives", lambda *args: (-1e6 * delta, 0.0))
         with pytest.raises(RuntimeError, match="100 tail evaluations"):
             invert_joint_tail(GaussianModel.bivariate(1.0, 1.0, 0.5), delta, 10)
         assert len(calls) == oracle.INVERSION_MAX_EVALS == 100
-        assert 0.0 < calls[0].a - calls[-1].a < 1e-4
+        assert 0.0 < calls[0] - calls[-1] < 1e-4
 
     def test_tail_evaluations_per_inversion(self, monkeypatch):
         # the policy-sweep grid of the benchmark: rho 0..0.95, delta 1e-4..0.4
         calls = []
-        original = oracle.bivariate_joint_tail
+        kernel = oracle._joint_tails
 
-        def counted(query):
-            calls.append(query)
-            return original(query)
+        def counted(a, b, rho):
+            calls.extend(a)
+            return kernel(a, b, rho)
 
-        monkeypatch.setattr(oracle, "bivariate_joint_tail", counted)
+        monkeypatch.setattr(oracle, "_joint_tails", counted)
         counts = []
         for rho in (0.0, 0.3, 0.6, 0.9, 0.95):
             for lead in (5, 10, 20):

@@ -27,7 +27,7 @@ from stockbound import (
 )
 from stockbound import policy
 
-from oracles import sequential_proposed_stock, symmetric_proposed_stock
+from oracles import mpmath_joint_tail, sequential_proposed_stock, symmetric_proposed_stock
 
 
 class TestPreviousRule:
@@ -320,17 +320,21 @@ class TestPolicyOutput:
         assert row.ratio_pre == math.inf
 
     def test_exact_columns_are_computed_on_first_read(self, experiment_model, monkeypatch):
+        # the inversion returns the tail at its stock, so p_rig costs nothing
+        # more, and p_pre and p_pro are one batch of tails
         calls = []
-        monkeypatch.setattr(policy, "ss_rigorous", lambda *args: calls.append("rig") or 3.0)
-        monkeypatch.setattr(policy, "_exact_all_exceed", lambda *args: calls.append("p") or 0.01)
+        monkeypatch.setattr(policy, "_invert_joint_tails", lambda *args: calls.append("rig") or [(3.0, False, 0.02)])
+        monkeypatch.setattr(
+            policy, "_joint_tails", lambda a, b, rho: calls.append("p") or (np.full(a.size, 0.01), np.zeros(a.size))
+        )
         row = PolicyOutput(
             delta=0.05, ss_pre=2.0, ss_pro=4.0, lead_time=10, model=experiment_model
         )
         assert calls == []
         assert row.ratio_pro == pytest.approx(4.0 / 3.0)
         assert calls == ["rig"]
-        assert (row.p_pre, row.p_pro, row.ss_rig, row.p_pre) == (0.01, 0.01, 3.0, 0.01)
-        assert calls == ["rig", "p", "p"]
+        assert (row.p_pre, row.p_pro, row.ss_rig, row.p_pre, row.p_rig) == (0.01, 0.01, 3.0, 0.01, 0.02)
+        assert calls == ["rig", "p"]
 
     @pytest.mark.parametrize("variances", [(0.0,), (0.0, 0.0)])
     def test_exact_columns_refuse_a_zero_variance_commodity(self, variances):
@@ -405,6 +409,34 @@ class TestComparePolicies:
                 row = PolicyOutput(delta, ss_pre=1.0, ss_pro=1.0, lead_time=10, model=model)
                 query = TailQuery.from_margins(model, row.ss_rig, row.ss_rig, 10)
                 assert row.p_rig == bivariate_joint_tail(query).probability <= delta
+
+    @pytest.mark.parametrize("rho", [-0.3, -0.9])
+    def test_negative_correlation_grid_is_certified(self, rho):
+        # No benchmark operation reaches a tail at rho < 0, where the
+        # integral starts at rho = -1 and runs in log t.  compare_policies
+        # needs equal variances (the previous rule does); the lockstep
+        # inversion behind its rigorous column also sizes unequal ones.
+        pytest.importorskip("mpmath")
+        deltas = np.geomspace(1e-8, 0.1, 8)
+        at_zero = 0.25 + math.asin(rho) / (2.0 * math.pi)
+
+        def assert_certified(model, delta, ss):
+            if ss == 0.0:
+                assert at_zero <= delta
+                return
+            query = TailQuery.from_margins(model, ss, ss, 10)
+            assert delta * (1.0 - 1e-9) <= mpmath_joint_tail(query.a, query.b, query.rho) <= delta
+
+        model = GaussianModel.bivariate(1.0, 1.0, rho)
+        for row in compare_policies(model, 10, deltas):
+            assert_certified(model, row.delta, row.ss_rig)
+            assert row.p_pro <= row.delta and row.p_rig <= row.delta
+        model = GaussianModel.bivariate(1.0, 4.0, rho)
+        proposed = [ss_proposed(model, 10, delta).ss[0] for delta in deltas]
+        assert (policy._exact_all_exceed(model, np.array(proposed), 10) <= deltas).all()
+        for delta, (ss, _, tail) in zip(deltas, policy._invert_joint_tails(model, deltas, 10)):
+            assert_certified(model, delta, ss)
+            assert tail <= delta
 
     def test_single_commodity_grid(self):
         model = GaussianModel.univariate(1.0)
