@@ -199,8 +199,9 @@ def _integrate(integrand, owner, left, right, count, first=None):
     integral, every panel whose error exceeds its share of that target, by
     width, is bisected, and all new panels of all integrals are evaluated in
     one call.  An integral whose next level would pass ``_QUAD_PANELS``
-    panels stops where it is.  Nothing one integral computes depends on
-    another.
+    panels, or that has no panel above its share, stops where it is; the
+    caller's error check then decides.  Nothing one integral computes
+    depends on another.
     """
     if first is None:
         first = _qk21(integrand(_nodes(left, right), owner), 0.5 * (right - left))
@@ -218,8 +219,13 @@ def _integrate(integrand, owner, left, right, count, first=None):
         if not np.count_nonzero(open_):
             return total, total_err
         split = open_[owner] & (err * span[owner] > target[owner] * (right - left))
+        # An open integral stops where it is when bisecting would pass the
+        # panel cap, or when rounding leaves no panel above its share.
         capped |= np.bincount(owner, split + 1, count) > _QUAD_PANELS
+        capped |= open_ & (np.bincount(owner, split, count) == 0)
         split &= ~capped[owner]
+        if not np.count_nonzero(split):
+            continue
         reps = split + 1
         halves = (np.cumsum(reps) - reps)[split]  # where each split panel's left half lands
         mid = 0.5 * (left[split] + right[split])

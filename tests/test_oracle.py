@@ -335,6 +335,15 @@ class TestBatchedTails:
             again = oracle._joint_tails(a[order], b[order], rho)
             assert np.array_equal(again[0], probability[order]) and np.array_equal(again[1], error[order])
 
+    def test_panel_cap_stops_an_integral_and_the_contract_raises(self, monkeypatch):
+        # (4, 4, -0.9) needs about seven levels of bisection; held to two
+        # panels its integral stops short, and the tail refuses to return
+        query = TailQuery(4.0, 4.0, -0.9)
+        assert bivariate_joint_tail(query).error <= QUADRATURE_TARGET * bivariate_joint_tail(query).probability
+        monkeypatch.setattr(oracle, "_QUAD_PANELS", 2)
+        with pytest.raises(RuntimeError, match="above the relative target"):
+            bivariate_joint_tail(query)
+
     def test_band_start_against_mpmath(self):
         # Near rho = -1 the band P(a <= X <= -b) where the integral starts
         # carries almost all of the tail; at rho = -1 it is the tail.
