@@ -222,9 +222,11 @@ class _ExactColumns:
     """The exact columns of a grid of policy rows, each computed for the whole grid.
 
     ``probabilities`` is ``(p_pre, p_pro)``, one batch of tails;
-    ``rigorous`` is ``(ss_rig, p_rig)``, the lockstep inversion's stocks and
-    the tails it evaluated at them.  Each is computed on first read and
-    then kept.
+    ``rigorous`` is the lockstep inversion's ``(stocks, floored, tails)``,
+    with ``p_rig`` the tail it evaluated at each stock, and
+    ``tail_at_zero`` is ``p_rig`` where the stock is floored at 0, which the
+    inversion does not evaluate.  Each is computed on first read and then
+    kept.
     """
 
     def __init__(self, model: GaussianModel, lead: int, deltas, ss_pre, ss_pro):
@@ -237,9 +239,12 @@ class _ExactColumns:
         return tails[: len(self.deltas)], tails[len(self.deltas) :]
 
     @functools.cached_property
-    def rigorous(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        stocks, _, tails = zip(*_invert_joint_tails(self.model, self.deltas, self.lead))
-        return stocks, tails
+    def rigorous(self) -> tuple[tuple[float, ...], tuple[bool, ...], tuple[float, ...]]:
+        return tuple(zip(*_invert_joint_tails(self.model, self.deltas, self.lead)))
+
+    @functools.cached_property
+    def tail_at_zero(self) -> float:
+        return float(_exact_all_exceed(self.model, np.zeros(1), self.lead)[0])
 
 
 @dataclass(frozen=True)
@@ -257,7 +262,9 @@ class PolicyOutput:
     the first read of a column computes it for every row in one pass: the
     two probabilities at the rows' stocks in one batch of tails, and the
     rigorous stocks by one lockstep inversion, whose tails at those stocks
-    are ``p_rig``.  A row built on its own is a grid of one.
+    are ``p_rig``; where the rigorous stock is floored at 0, ``p_rig`` is
+    the one tail at 0, evaluated once per grid when first read.  A row built
+    on its own is a grid of one.
     """
 
     delta: float
@@ -289,7 +296,8 @@ class PolicyOutput:
     @property
     def p_rig(self) -> float:
         grid, i = self._exact
-        return grid.rigorous[1][i]
+        _, floored, tails = grid.rigorous
+        return grid.tail_at_zero if floored[i] else tails[i]
 
     @property
     def ratio_pro(self) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 import threading
 
 import numpy as np
@@ -344,6 +345,42 @@ class TestBatchedTails:
         with pytest.raises(RuntimeError, match="above the relative target"):
             bivariate_joint_tail(query)
 
+    def test_rounding_alone_stops_an_integral(self):
+        # Every panel's error is within its share of the target by width,
+        # yet their sum rounds above the target: no panel can split, so the
+        # integral stops where it is (looping on would hang) and the tail's
+        # contract, 1e-9 against this 1e-12, decides
+        rng = np.random.default_rng(7)
+        owner = np.zeros(3, dtype=int)
+        for _ in range(200):
+            edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 2.0, 3))])
+            left, right, area = edges[:-1], edges[1:], rng.uniform(0.5, 2.0, 3)
+            width, target = right - left, oracle._QUAD_RTOL * area.sum()
+            err = target * width / width.sum()
+            for i in range(3):
+                while err[i] * width.sum() > target * width[i]:
+                    err[i] = np.nextafter(err[i], 0.0)
+            if np.bincount(owner, err, 1)[0] > target:
+                break
+        else:
+            pytest.fail("no panels whose errors sum above the target by rounding alone")
+
+        def unsplit(x, rows):
+            raise AssertionError("a panel within its share was bisected")
+
+        def hung(signum, frame):
+            raise AssertionError("the integral did not stop")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            total, total_err = oracle._integrate(unsplit, owner, left, right, 1, first=(area, err))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (total[0], total_err[0]) == (np.bincount(owner, area, 1)[0], np.bincount(owner, err, 1)[0])
+        assert oracle._QUAD_RTOL * total[0] < total_err[0] <= QUADRATURE_TARGET * total[0]
+
     def test_band_start_against_mpmath(self):
         # Near rho = -1 the band P(a <= X <= -b) where the integral starts
         # carries almost all of the tail; at rho = -1 it is the tail.
@@ -372,8 +409,20 @@ class TestBatchedTails:
         grid = oracle._invert_joint_tails(model, deltas, 10)
         for delta, (ss, floored, tail) in zip(deltas, grid):
             assert (ss, floored) == invert_joint_tail(model, delta, 10)
-            # the tail at the stock, floored ones included, is the one-query tail
-            assert tail == bivariate_joint_tail(TailQuery.from_margins(model, ss, ss, 10)).probability <= delta
+            if floored:
+                # the closed-form P(0) floors the stock, and no tail is evaluated
+                assert math.isnan(tail)
+            else:
+                assert tail == bivariate_joint_tail(TailQuery.from_margins(model, ss, ss, 10)).probability <= delta
+
+    def test_floored_inversion_evaluates_no_tail(self, monkeypatch):
+        def forbidden(a, b, rho):
+            raise AssertionError("a tail was evaluated for a floored stock")
+
+        monkeypatch.setattr(oracle, "_joint_tails", forbidden)
+        # P(0) ~ 0.428 at rho = 0.9, 1/6 at rho = -0.5
+        assert invert_joint_tail(GaussianModel.bivariate(1.0, 1.0, 0.9), 0.45, 10) == (0.0, True)
+        assert invert_joint_tail(GaussianModel.bivariate(1.0, 4.0, -0.5), 0.2, 10) == (0.0, True)
 
     def test_kernel_calls_per_benchmark_grid(self, monkeypatch):
         # the benchmark's policy grids: rho 0..0.95, L 5, 10 and 20, eight deltas

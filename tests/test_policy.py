@@ -319,6 +319,18 @@ class TestPolicyOutput:
         assert row.ratio_pro == math.inf
         assert row.ratio_pre == math.inf
 
+    def test_floored_rows_share_one_tail_at_zero(self, experiment_model, monkeypatch):
+        # P(0) ~ 0.428 at rho = 0.9 floors two of these rows; the tail at 0
+        # is evaluated once for both, and only when a floored p_rig is read
+        rows = compare_policies(experiment_model, 10, [0.05, 0.45, 0.46])
+        calls = []
+        kernel = policy._joint_tails
+        monkeypatch.setattr(policy, "_joint_tails", lambda a, b, rho: calls.append(a.tolist()) or kernel(a, b, rho))
+        assert [row.ss_rig for row in rows[1:]] == [0.0, 0.0]
+        assert rows[0].p_rig <= 0.05 and calls == []
+        assert rows[1].p_rig == rows[2].p_rig == bivariate_joint_tail(TailQuery(0.0, 0.0, 0.9)).probability
+        assert calls == [[0.0]]
+
     def test_exact_columns_are_computed_on_first_read(self, experiment_model, monkeypatch):
         # the inversion returns the tail at its stock, so p_rig costs nothing
         # more, and p_pre and p_pro are one batch of tails
@@ -434,9 +446,9 @@ class TestComparePolicies:
         model = GaussianModel.bivariate(1.0, 4.0, rho)
         proposed = [ss_proposed(model, 10, delta).ss[0] for delta in deltas]
         assert (policy._exact_all_exceed(model, np.array(proposed), 10) <= deltas).all()
-        for delta, (ss, _, tail) in zip(deltas, policy._invert_joint_tails(model, deltas, 10)):
+        for delta, (ss, floored, tail) in zip(deltas, policy._invert_joint_tails(model, deltas, 10)):
             assert_certified(model, delta, ss)
-            assert tail <= delta
+            assert floored or tail <= delta
 
     def test_single_commodity_grid(self):
         model = GaussianModel.univariate(1.0)
