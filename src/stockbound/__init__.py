@@ -5,8 +5,9 @@ every commodity's lead-time demand exceeding its reorder margin — is provably
 at most a chosen ``delta``.  The certificate is a Chernoff bound built from
 the demand's cumulant generating function.  Gaussian demand of any dimension
 is sized by one solve of its exponent, which reproduces the paper's closed
-forms (a root of it certifies a sequential rate split); it also gets exact tail
-oracles and the policy comparison experiments.
+forms (a sequential rate split is sized in closed form and certified by one
+evaluated exponent); it also gets exact tail oracles and the policy
+comparison experiments.
 """
 
 from .cgf import (

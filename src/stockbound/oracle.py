@@ -608,6 +608,24 @@ class _Halley:
         return False
 
 
+def _univariate_stock(delta: float, scale: float) -> tuple[float, bool, float]:
+    """``scale * H^-1(delta)``, stepped up until its evaluated tail certifies ``delta``.
+
+    ``erfc`` is good to a few ulps, and a slip of eps in its argument ``z``
+    moves it by ``2 z^2 eps``, so ``H + eps (9 + 6 z^2) H <= delta`` bounds
+    the exact tail.  Where rounding leaves the inverse short of that, the
+    stock steps up by a step doubling from one ulp.
+    """
+    ss = scale * normal_upper_tail_inverse(delta)
+    step = math.ulp(ss)
+    while True:
+        k = ss / scale
+        tail, z = float(normal_upper_tail(k)), k / _SQRT2
+        if tail + _EPS * (9.0 + 6.0 * z * z) * tail <= delta:
+            return ss, False, tail
+        ss, step = ss + step, 2.0 * step
+
+
 def _invert_joint_tails(model: GaussianModel, deltas, lead_time: int) -> list[tuple[float, bool, float]]:
     """``invert_joint_tail`` at every delta of a grid: ``(ss, floored, P(ss))`` each.
 
@@ -615,9 +633,10 @@ def _invert_joint_tails(model: GaussianModel, deltas, lead_time: int) -> list[tu
     tolerance, stop and evaluation cap, but the deltas still running
     evaluate their next stocks together, in one ``_joint_tails`` call per
     round, so each delta's iterates and stock are those of a grid of one.
-    ``P(ss)`` is the tail evaluated at the returned stock (one commodity's
-    is ``H``), and NaN where the stock is floored at 0: the closed-form
-    ``P(0)`` decides that, and no tail is evaluated there.
+    ``P(ss)`` is the tail evaluated at the returned stock, and where the
+    stock is floored at 0 the closed-form ``P(0)`` that decides the floor,
+    ``1/4 + asin(rho) / (2 pi)`` (``1/2`` for one commodity), so no tail is
+    evaluated there.
     """
     lead = validate_lead_time(lead_time)
     deltas = [validate_delta(d) for d in deltas]
@@ -625,8 +644,7 @@ def _invert_joint_tails(model: GaussianModel, deltas, lead_time: int) -> list[tu
         raise ValueError("a commodity has no variance, so no least certified stock exists")
     if model.dim == 1:
         scale = math.sqrt(lead * float(model.covariance[0, 0]))
-        stocks = [(0.0, True) if d >= 0.5 else (scale * normal_upper_tail_inverse(d), False) for d in deltas]
-        return [(ss, floored, math.nan if floored else float(normal_upper_tail(ss / scale))) for ss, floored in stocks]
+        return [(0.0, True, 0.5) if d >= 0.5 else _univariate_stock(d, scale) for d in deltas]
     if model.dim != 2:
         raise ValueError("exact inversion is available for one or two commodities")
     scale_x = math.sqrt(lead * model.var_x)
@@ -657,7 +675,7 @@ def _invert_joint_tails(model: GaussianModel, deltas, lead_time: int) -> list[tu
         ]
     if live:
         raise RuntimeError(f"no certified stock within {INVERSION_MAX_EVALS} tail evaluations")
-    return [(runs[i].ss, False, runs[i].tail) if i in runs else (0.0, True, math.nan) for i in range(len(deltas))]
+    return [(runs[i].ss, False, runs[i].tail) if i in runs else (0.0, True, at_zero) for i in range(len(deltas))]
 
 
 def invert_joint_tail(model: GaussianModel, delta: float, lead_time: int) -> JointTailInverse:
@@ -694,9 +712,11 @@ def invert_joint_tail(model: GaussianModel, delta: float, lead_time: int) -> Joi
     and, in the tested range (delta down to 1e-12), at least
     ``delta * (1 - 1e-9)``.  Every tail is the one ``bivariate_joint_tail``
     returns; after ``INVERSION_MAX_EVALS`` of them without a stop the
-    inversion raises ``RuntimeError``.  A commodity with no variance raises
-    ``ValueError``: every positive stock empties the event, so no least
-    positive stock exists.
+    inversion raises ``RuntimeError``.  One commodity needs no iteration:
+    its stock is ``H^-1(delta)`` scaled, stepped up where rounding leaves
+    its evaluated tail, plus that tail's rounding allowance, above
+    ``delta``.  A commodity with no variance raises ``ValueError``: every
+    positive stock empties the event, so no least positive stock exists.
 
     This is a grid of one: a policy comparison inverts its whole grid of
     ``delta`` in lockstep (``_invert_joint_tails``), one batch of tails per

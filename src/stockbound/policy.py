@@ -21,11 +21,11 @@ the safe side.  Singular demand whose all-exceed event is empty at every
 positive margin (``rho = -1``, a commodity with no variance) has an infinite
 rate; its stock is ``math.ulp(0.0)``, the least positive float, since a stock
 of 0 may still run out.  Given a rate split ``(delta_x, delta_y)``, two
-Gaussian commodities are sized sequentially: the paper's first margin,
-``sqrt(2 L s2_x log(1 / delta_x))``, then the second as a root of the
-exponent; the paper's conditional rule for it undersizes it where the cone
-constraint ``u >= 0`` binds (high ``rho``).  The paper's split is
-``(sqrt(delta), sqrt(delta))``.
+Gaussian commodities are sized sequentially in closed form: the paper's
+first margin, ``sqrt(2 L s2_x log(1 / delta_x))``, then the second by the
+paper's conditional rule where the cone constraint ``u >= 0`` is slack, and
+as its own stock at ``delta`` where it binds (high ``rho``), since there
+that rule undersizes it.  The paper's split is ``(sqrt(delta), sqrt(delta))``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cgf import CgfEvaluator, gaussian_cgf
 from .demand import GaussianModel, validate_delta, validate_lead_time
@@ -131,7 +130,14 @@ def _ray_stocks(model: GaussianModel, lead: int):
 
 
 def _sequential(model: GaussianModel, lead: int, delta: float, delta_split) -> ProposedStock:
-    """Commodity x alone at ``delta_x``, then y at the root of the joint exponent."""
+    """Commodity x alone at ``delta_x``, then y at the least stock that certifies ``delta``.
+
+    Past y's conditional mean ``m`` the exponent is ``log(1 / delta_x) + (y -
+    m)^2 / (2 L vy (1 - rho^2))`` while x's coordinate of the maximizer is
+    positive, and ``y^2 / (2 L vy)`` after, which meets the target at ``hi``.
+    One evaluated exponent certifies y; where rounding leaves it short, y
+    steps up by a step doubling from one ulp.
+    """
     if model.dim != 2:
         raise ValueError("a rate split sizes two Gaussian commodities")
     dx, dy = _split_rates(delta_split, 2)
@@ -140,21 +146,13 @@ def _sequential(model: GaussianModel, lead: int, delta: float, delta_split) -> P
     _check_split((dx, dy), delta)
     vx, vy, rho = model.var_x, model.var_y, model.correlation
     ss_x = math.sqrt(2.0 * lead * vx * math.log(1.0 / dx))
-    cgf, met = gaussian_cgf(model), []
-
-    def gap(ss_y: float) -> float:
-        exponent = rate_numeric(cgf, [ss_x / lead, ss_y / lead]).exponent(lead)
-        if exponent + math.log(delta) >= 0.0:
-            met.append(ss_y)
-        return exponent + math.log(delta)
-
-    # The exponent is log(1 / dx) at y's conditional mean, and at least
-    # log(1 / delta) at y's own stock, which certifies delta alone.  The
-    # least stock seen to meet the target is the bracket's upper end.
-    hi = math.sqrt(2.0 * lead * vy * math.log(1.0 / delta))
-    if gap(hi) > 0.0:
-        brentq(gap, rho * math.sqrt(vy / vx) * ss_x, hi, xtol=1e-13 * hi, rtol=1e-15)
-    return ProposedStock(np.array([ss_x, min(met, default=hi)]), delta, (dx, dy))
+    ss_y = hi = math.sqrt(2.0 * lead * vy * math.log(1.0 / delta))
+    if rho * math.sqrt(vx / vy) * hi <= ss_x:  # x's coordinate is positive at hi
+        ss_y = rho * math.sqrt(vy / vx) * ss_x + math.sqrt(2.0 * lead * vy * (1.0 - rho * rho) * math.log(1.0 / dy))
+    cgf, step = gaussian_cgf(model), math.ulp(ss_y)
+    while rate_numeric(cgf, [ss_x / lead, ss_y / lead]).exponent(lead) + math.log(delta) < 0.0:
+        ss_y, step = ss_y + step, 2.0 * step
+    return ProposedStock(np.array([ss_x, ss_y]), delta, (dx, dy))
 
 
 def ss_proposed(model, lead_time: int, delta: float, delta_split=None) -> ProposedStock:
@@ -164,8 +162,9 @@ def ss_proposed(model, lead_time: int, delta: float, delta_split=None) -> Propos
     ``delta_split`` every commodity gets the equal margin whose exponent is
     ``log(1 / delta)``.  A split ``(delta_x, delta_y)`` of two commodities
     sizes them sequentially: commodity one alone at ``delta_x``, then
-    commodity two as the least margin that brings the joint exponent to
-    ``log(1 / delta)``; the paper's rule is ``(sqrt(delta), sqrt(delta))``.
+    commodity two at the closed-form least margin that brings the joint
+    exponent to ``log(1 / delta)``, certified by one evaluated exponent;
+    the paper's split is ``(sqrt(delta), sqrt(delta))``.
     Where the exponent is infinite (an event empty at every positive
     stock), the equal stock is ``math.ulp(0.0)``, never 0.
     Scalar CGF evaluators, one per independent commodity (a single one is a
@@ -221,12 +220,10 @@ def ss_rigorous(model: GaussianModel, lead_time: int, delta: float) -> float:
 class _ExactColumns:
     """The exact columns of a grid of policy rows, each computed for the whole grid.
 
-    ``probabilities`` is ``(p_pre, p_pro)``, one batch of tails;
+    ``probabilities`` is ``(p_pre, p_pro)``, one batch of tails, and
     ``rigorous`` is the lockstep inversion's ``(stocks, floored, tails)``,
-    with ``p_rig`` the tail it evaluated at each stock, and
-    ``tail_at_zero`` is ``p_rig`` where the stock is floored at 0, which the
-    inversion does not evaluate.  Each is computed on first read and then
-    kept.
+    with ``p_rig`` the tail at each stock (the closed-form ``P(0)`` where it
+    is floored at 0).  Each is computed on first read and then kept.
     """
 
     def __init__(self, model: GaussianModel, lead: int, deltas, ss_pre, ss_pro):
@@ -241,10 +238,6 @@ class _ExactColumns:
     @functools.cached_property
     def rigorous(self) -> tuple[tuple[float, ...], tuple[bool, ...], tuple[float, ...]]:
         return tuple(zip(*_invert_joint_tails(self.model, self.deltas, self.lead)))
-
-    @functools.cached_property
-    def tail_at_zero(self) -> float:
-        return float(_exact_all_exceed(self.model, np.zeros(1), self.lead)[0])
 
 
 @dataclass(frozen=True)
@@ -263,8 +256,8 @@ class PolicyOutput:
     two probabilities at the rows' stocks in one batch of tails, and the
     rigorous stocks by one lockstep inversion, whose tails at those stocks
     are ``p_rig``; where the rigorous stock is floored at 0, ``p_rig`` is
-    the one tail at 0, evaluated once per grid when first read.  A row built
-    on its own is a grid of one.
+    the closed-form ``P(0)`` that floors it.  A row built on its own is a
+    grid of one.
     """
 
     delta: float
@@ -296,8 +289,7 @@ class PolicyOutput:
     @property
     def p_rig(self) -> float:
         grid, i = self._exact
-        _, floored, tails = grid.rigorous
-        return grid.tail_at_zero if floored[i] else tails[i]
+        return grid.rigorous[2][i]
 
     @property
     def ratio_pro(self) -> float:

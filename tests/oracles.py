@@ -4,7 +4,9 @@ Everything here is built from quadrature, high-precision arithmetic, direct
 sampling or the plain whole-array form of a computation, deliberately
 avoiding the code paths under test, so module results are checked against a
 second route rather than against themselves.  ``recording`` wraps an
-evaluator to show where a solve reads it.
+evaluator to show where a solve reads it, and ``sequential_search_stock``
+sizes a sequential split by search on the exponent, the route its closed
+form replaced.
 """
 
 import csv
@@ -16,7 +18,7 @@ import numpy as np
 from scipy import integrate, stats
 from scipy.special import ndtri
 
-from stockbound import CgfEvaluator, DemandDataError, EmpiricalDemand, covariance_factor
+from stockbound import CgfEvaluator, DemandDataError, EmpiricalDemand, covariance_factor, gaussian_cgf, rate_numeric
 
 
 def quad_normal_upper_tail(k: float) -> float:
@@ -117,6 +119,33 @@ def sequential_proposed_stock(vx: float, vy: float, rho: float, lead: int, dx: f
         2.0 * lead * vy * (1.0 - rho * rho) * math.log(1.0 / dy)
     )
     return ss_x, ss_y
+
+
+def sequential_search_stock(model, lead: int, delta: float, dx: float, dy: float):
+    """The sequential split by search: x alone at ``dx``, then y by ``brentq`` on the exponent.
+
+    The root of ``exponent(y) - log(1 / delta)`` between y's conditional mean
+    and y's own stock at ``delta``, ``hi``, which meets the target alone.
+    Returns ``(ss_x, ss_y, exponents)``: the least y at which an evaluated
+    exponent met the target (``hi`` unchecked when no iterate did), and the
+    exponents read, one rate solve each.
+    """
+    from scipy.optimize import brentq
+
+    vx, vy, rho = model.var_x, model.var_y, model.correlation
+    ss_x = math.sqrt(2.0 * lead * vx * math.log(1.0 / dx))
+    cgf, met, exponents = gaussian_cgf(model), [], []
+
+    def gap(ss_y: float) -> float:
+        exponents.append(rate_numeric(cgf, [ss_x / lead, ss_y / lead]).exponent(lead))
+        if exponents[-1] + math.log(delta) >= 0.0:
+            met.append(ss_y)
+        return exponents[-1] + math.log(delta)
+
+    hi = math.sqrt(2.0 * lead * vy * math.log(1.0 / delta))
+    if gap(hi) > 0.0:
+        brentq(gap, rho * math.sqrt(vy / vx) * ss_x, hi, xtol=1e-13 * hi, rtol=1e-15)
+    return ss_x, min(met, default=hi), exponents
 
 
 def sample_bivariate_exceed(a: float, b: float, rho: float, trials: int, seed: int) -> float:

@@ -28,11 +28,13 @@ from stockbound import (
     ss_fungible,
     ss_proposed,
 )
+from stockbound import policy
 
 from oracles import (
     density_joint_tail,
     gaussian_cone_rate,
     sequential_proposed_stock,
+    sequential_search_stock,
     symmetric_proposed_stock,
     univariate_proposed_stock,
 )
@@ -292,7 +294,7 @@ def test_exponent_solve_reproduces_the_closed_forms():
 def test_sequential_stock_is_certified():
     # Splits as powers of delta; None is the paper's sqrt(delta) each.
     splits = (None, (0.1, 0.9), (0.9, 0.1))
-    worst_exact, worst_bound, worst_kept, kept, cases = 0.0, 0.0, 0.0, 0, 0
+    worst_exact, worst_bound, worst_kept, kept, short, cases = 0.0, 0.0, 0.0, 0, 0, 0
     for split in splits:
         for rho in (-0.9, -0.5, 0.0, 0.3, 0.6, 0.9, 0.99):
             for var_y in (0.25, 1.0, 4.0):
@@ -306,19 +308,65 @@ def test_sequential_stock_is_certified():
                     query = TailQuery.from_margins(model, ss[0], ss[1], LEAD)
                     worst_exact = max(worst_exact, bivariate_joint_tail(query).probability / delta)
                     worst_bound = max(worst_bound, chernoff_bound(cgf, ss / LEAD, LEAD) / delta)
+                    # the certificate: an evaluated exponent of at least log(1 / delta)
+                    short += rate_numeric(cgf, ss / LEAD).exponent(LEAD) + math.log(delta) < 0.0
                     # where the conditional rule was already certified, it stands
                     former = np.array(sequential_proposed_stock(1.0, var_y, rho, LEAD, dx, dy))
                     if chernoff_bound(cgf, former / LEAD, LEAD) <= delta * (1.0 + 1e-9):
                         kept += 1
                         worst_kept = max(worst_kept, float(np.abs(ss / former - 1.0).max()))
                     cases += 1
-    ok = cases == 315 and worst_exact <= 1.0 and worst_bound <= 1.0 + 1e-9
+    ok = cases == 315 and worst_exact <= 1.0 and worst_bound <= 1.0 + 1e-9 and short == 0
     ok = ok and kept == 225 and worst_kept <= 1e-9
     report(
         "sequential stock is certified",
         ok,
-        f"{cases} cases: max P/delta {worst_exact:.3g}, max bound/delta {worst_bound:.12g}; "
-        f"{kept} formerly certified, worst change {worst_kept:.2e}",
+        f"{cases} cases: max P/delta {worst_exact:.3g}, max bound/delta {worst_bound:.12g}, "
+        f"{short} short of the target exponent; {kept} formerly certified, worst change {worst_kept:.2e}",
+    )
+
+
+def test_sequential_closed_form_matches_the_search(monkeypatch):
+    # Random splits against the brentq search on the exponent; at rho = -1
+    # y sits just past its conditional mean m, where the exponent jumps.
+    rng = np.random.default_rng(2017)
+
+    def split(rho):
+        vx, vy = rng.uniform(0.2, 3.0, 2)
+        delta = 10.0 ** rng.uniform(-12.0, math.log10(0.3))
+        return vx, vy, rho, int(rng.integers(1, 30)), delta, rng.uniform(0.1, 0.9)
+
+    cases = [split(rng.uniform(-0.99, 0.99)) for _ in range(400)]
+    cases += [split(rho) for rho in (1.0, -1.0) for _ in range(3)]
+    solves, counts, searched = [], [], 0
+    solve = policy.rate_numeric
+    monkeypatch.setattr(policy, "rate_numeric", lambda *args: solves.append(args) or solve(*args))
+    worst_rel, worst_far, short = 0.0, 0.0, 0
+    for vx, vy, rho, lead, delta, share in cases:
+        model = GaussianModel.bivariate(vx, vy, rho)
+        dx = delta**share
+        ref_x, ref_y, exponents = sequential_search_stock(model, lead, delta, dx, delta / dx)
+        searched += len(exponents)
+        solves.clear()
+        ss_x, ss_y = ss_proposed(model, lead, delta, (dx, delta / dx)).ss
+        counts.append(len(solves))
+        assert ss_x == ref_x
+        exponent = solve(gaussian_cgf(model), [ss_x / lead, ss_y / lead]).exponent(lead)
+        short += exponent + math.log(delta) < 0.0
+        if abs(rho) < 1.0:
+            worst_rel = max(worst_rel, abs(ss_y / ref_y - 1.0))
+        elif rho == -1.0:
+            mean_y = rho * math.sqrt(vy / vx) * ss_x
+            worst_far = max(worst_far, (ss_y - mean_y) / (ref_y - mean_y))
+    mean_solves = sum(counts) / len(counts)
+    ok = worst_rel <= 5e-11 and worst_far <= 2.0 and short == 0 and mean_solves <= 2.0 and max(counts) <= 40
+    report(
+        "sequential closed form matches the search",
+        ok,
+        f"{len(cases)} splits: worst relative change {worst_rel:.2e}, at rho = -1 at most "
+        f"{worst_far:.3g}x the search's distance past the mean, {short} short of the target; "
+        f"{mean_solves:.2f} rate solves per split (the search: {searched / len(cases):.2f}), "
+        f"at most {max(counts)}",
     )
 
 

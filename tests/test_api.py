@@ -64,3 +64,16 @@ def test_package_does_not_import_scipy_integrate():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's Library block, run as written: its comments say the
+    # proposed stock meets delta = 0.05 and the independence split misses it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    row = namespace["row"]
+    assert row.p_pro <= 0.05 < row.p_pre
+    assert capsys.readouterr().out == f"{row.ss_pro} {row.p_pro}\n{row.ss_pre} {row.p_pre}\n"

@@ -403,15 +403,22 @@ class TestBatchedTails:
     @pytest.mark.parametrize(
         "variances, rho", [((1.0, 1.0), 0.9), ((1.0, 1.0), -0.9), ((1.0, 4.0), -0.5), ((1.0, 4.0), 0.99), ((2.0, 2.0), 0.0)]
     )
-    def test_grid_inversion_is_one_delta_at_a_time(self, variances, rho):
+    def test_grid_inversion_is_one_delta_at_a_time(self, variances, rho, monkeypatch):
         model = GaussianModel.bivariate(*variances, rho)
         deltas = np.geomspace(1e-12, 0.45, 10)
+        stocks = []
+        kernel = oracle._joint_tails
+        monkeypatch.setattr(oracle, "_joint_tails", lambda a, b, r: stocks.extend(a.tolist()) or kernel(a, b, r))
         grid = oracle._invert_joint_tails(model, deltas, 10)
+        monkeypatch.undo()
+        at_zero = 0.25 + math.asin(rho) / (2.0 * math.pi)
         for delta, (ss, floored, tail) in zip(deltas, grid):
             assert (ss, floored) == invert_joint_tail(model, delta, 10)
             if floored:
-                # the closed-form P(0) floors the stock, and no tail is evaluated
-                assert math.isnan(tail)
+                # the closed-form P(0) floors the stock and is its tail, with no kernel call
+                assert tail == at_zero and 0.0 not in stocks
+                kernel_tail = bivariate_joint_tail(TailQuery(0.0, 0.0, rho))
+                assert abs(tail - kernel_tail.probability) <= kernel_tail.error
             else:
                 assert tail == bivariate_joint_tail(TailQuery.from_margins(model, ss, ss, 10)).probability <= delta
 
@@ -926,6 +933,23 @@ class TestInvertJointTail:
 
     def test_single_commodity_floored(self):
         assert invert_joint_tail(GaussianModel.univariate(1.0), 0.6, 8) == (0.0, True)
+        # the floor's tail is P(0) = 1/2
+        assert oracle._invert_joint_tails(GaussianModel.univariate(1.0), [0.5, 0.6], 8) == [(0.0, True, 0.5)] * 2
+
+    def test_single_commodity_stock_is_certified(self):
+        # scale * H^-1(delta) alone leaves an exact tail above delta in about
+        # one case in eight; the stepped stock never does, and stays within
+        # 1e-9 of delta
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(1701)
+        for _ in range(300):
+            var, lead = rng.uniform(0.25, 4.0), int(rng.integers(1, 21))
+            delta = 10.0 ** rng.uniform(-12.0, math.log10(0.49))
+            [(ss, floored, tail)] = oracle._invert_joint_tails(GaussianModel.univariate(var), [delta], lead)
+            assert not floored and tail == normal_upper_tail(ss / math.sqrt(lead * var))
+            with mpmath.workdps(40):
+                exact = mpmath.erfc(mpmath.mpf(ss) / mpmath.sqrt(2 * lead * mpmath.mpf(var))) / 2
+                assert delta * (1 - mpmath.mpf(1e-9)) <= exact <= delta, (var, lead, delta)
 
     def test_three_commodities_rejected(self):
         model = GaussianModel(np.zeros(3), np.eye(3))

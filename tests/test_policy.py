@@ -25,7 +25,7 @@ from stockbound import (
     ss_rigorous,
     weibull_cgf,
 )
-from stockbound import policy
+from stockbound import oracle, policy
 
 from oracles import mpmath_joint_tail, sequential_proposed_stock, symmetric_proposed_stock
 
@@ -127,8 +127,8 @@ class TestProposedRule:
         assert seq.ss == pytest.approx(sym.ss, rel=1e-10)
 
     def test_sequential_conditional_offset(self, experiment_model):
-        # rho = 0.5 leaves the cone constraint slack: the root of the joint
-        # exponent is the paper's conditional rule
+        # rho = 0.5 leaves the cone constraint slack: the least y that meets
+        # the joint exponent is the paper's conditional rule
         dx = math.sqrt(0.05)
         model = GaussianModel.bivariate(1.0, 1.0, 0.5)
         out = ss_proposed(model, 10, 0.05, delta_split=(dx, dx))
@@ -320,16 +320,17 @@ class TestPolicyOutput:
         assert row.ratio_pre == math.inf
 
     def test_floored_rows_share_one_tail_at_zero(self, experiment_model, monkeypatch):
-        # P(0) ~ 0.428 at rho = 0.9 floors two of these rows; the tail at 0
-        # is evaluated once for both, and only when a floored p_rig is read
+        # P(0) ~ 0.428 at rho = 0.9 floors two of these rows; their p_rig is
+        # the closed-form P(0) that floors them, read with no kernel call
         rows = compare_policies(experiment_model, 10, [0.05, 0.45, 0.46])
-        calls = []
-        kernel = policy._joint_tails
-        monkeypatch.setattr(policy, "_joint_tails", lambda a, b, rho: calls.append(a.tolist()) or kernel(a, b, rho))
         assert [row.ss_rig for row in rows[1:]] == [0.0, 0.0]
-        assert rows[0].p_rig <= 0.05 and calls == []
-        assert rows[1].p_rig == rows[2].p_rig == bivariate_joint_tail(TailQuery(0.0, 0.0, 0.9)).probability
-        assert calls == [[0.0]]
+        assert rows[0].p_rig <= 0.05
+        kernel_tail = bivariate_joint_tail(TailQuery(0.0, 0.0, 0.9))
+        for module in (policy, oracle):
+            monkeypatch.setattr(module, "_joint_tails", lambda *args: pytest.fail("a kernel call"))
+        at_zero = 0.25 + math.asin(0.9) / (2.0 * math.pi)
+        assert rows[1].p_rig == rows[2].p_rig == at_zero
+        assert abs(at_zero - kernel_tail.probability) <= kernel_tail.error
 
     def test_exact_columns_are_computed_on_first_read(self, experiment_model, monkeypatch):
         # the inversion returns the tail at its stock, so p_rig costs nothing
@@ -412,15 +413,28 @@ class TestComparePolicies:
         ).probability
         assert row.p_pro == pytest.approx(want, rel=1e-12)
 
-    def test_rigorous_probability_is_the_tail_at_the_rigorous_stock(self):
+    def test_rigorous_probability_is_the_tail_at_the_rigorous_stock(self, monkeypatch):
         # bit for bit, and at most delta; 0.45 floors the stock at rho = 0.9
-        # (P(0) ~ 0.428), 0.2 at rho = -0.5 (P(0) = 1/6)
+        # (P(0) ~ 0.428), 0.2 at rho = -0.5 (P(0) = 1/6), and there p_rig is
+        # the closed-form P(0), within the kernel's error of its tail at 0
+        floored = 0
         for rho, variances in ((0.9, (1.0, 1.0)), (-0.5, (1.0, 4.0)), (0.99, (1.0, 4.0))):
             model = GaussianModel.bivariate(*variances, rho)
             for delta in (1e-6, 1e-3, 0.05, 0.2, 0.45):
                 row = PolicyOutput(delta, ss_pre=1.0, ss_pro=1.0, lead_time=10, model=model)
                 query = TailQuery.from_margins(model, row.ss_rig, row.ss_rig, 10)
-                assert row.p_rig == bivariate_joint_tail(query).probability <= delta
+                tail = bivariate_joint_tail(query)
+                if row.ss_rig > 0.0:
+                    assert row.p_rig == tail.probability <= delta
+                    continue
+                floored += 1
+                fresh = PolicyOutput(delta, ss_pre=1.0, ss_pro=1.0, lead_time=10, model=model)
+                with monkeypatch.context() as patch:
+                    for module in (policy, oracle):
+                        patch.setattr(module, "_joint_tails", lambda *args: pytest.fail("a kernel call"))
+                    assert fresh.p_rig == row.p_rig == 0.25 + math.asin(rho) / (2.0 * math.pi) <= delta
+                assert abs(row.p_rig - tail.probability) <= tail.error
+        assert floored == 3
 
     @pytest.mark.parametrize("rho", [-0.3, -0.9])
     def test_negative_correlation_grid_is_certified(self, rho):
