@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import events
 from .cgf import CgfEvaluator
@@ -61,6 +60,10 @@ _RAY_BITS = 26
 # Relative distance kept inside a finite domain edge, where the CGF may have a
 # pole; at a closed edge it moves a rate or stock by under this, to the safe side.
 _POLE_GAP = 1e-12
+_EPS = float(np.finfo(float).eps)
+# Brent steps after which the scalar root gives up; bisection alone would
+# settle a doubled bracket in about 60
+_ROOT_STEPS = 300
 
 
 class UnreachableRateError(ValueError):
@@ -298,8 +301,41 @@ def _increasing_root(cgf: CgfEvaluator, direction: list[float], f, enough=None) 
             lo, hi, last = hi, 2.0 * hi, slope
             if hi == math.inf:
                 return lo, False, points
-    root = brentq(gap, lo, hi, xtol=1e-15, maxiter=300)
-    return root, True, points
+    # Brent's method, step for step as scipy's brentq.c takes it (Brent 1973, ch. 4)
+    xtol, rtol = 1e-15, 4.0 * _EPS
+    xpre, xcur = lo, hi
+    fpre, fcur = gap(xpre), gap(xcur)
+    if fcur == 0.0:
+        return xcur, True, points
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_STEPS):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        tol = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < tol:
+            return xcur, True, points
+        if abs(spre) > tol and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - tol):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > tol else (tol if sbis > 0.0 else -tol)
+        fcur = gap(xcur)
+    raise RuntimeError(f"root not bracketed within {_ROOT_STEPS} steps")
 
 
 def _scalar_rate(cgf: CgfEvaluator, direction: list[float], eps: float) -> tuple[float, float, int, bool]:
