@@ -38,6 +38,7 @@ import numpy as np
 
 from .cgf import CgfEvaluator, gaussian_cgf
 from .demand import GaussianModel, validate_delta, validate_lead_time
+from .events import FUNGIBLE
 from .oracle import (
     _invert_joint_tails,
     _joint_tails,
@@ -45,7 +46,7 @@ from .oracle import (
     invert_joint_tail,
     normal_upper_tail,
 )
-from .rates import invert_rate, rate_numeric
+from .rates import chernoff_bound, invert_rate, rate_numeric
 
 __all__ = [
     "PolicyOutput",
@@ -197,6 +198,9 @@ def ss_proposed(model, lead_time: int, delta: float, delta_split=None) -> Propos
 def ss_fungible(model: GaussianModel, lead_time: int, delta: float) -> float:
     """Certified stock ``sqrt(2 L * sum(Sigma) * log(1 / delta))`` for pooled demand.
 
+    One evaluated fungible bound certifies the closed form; where rounding
+    leaves that bound above ``delta``, the stock steps up by a step doubling
+    from one ulp until one meets it.
     Pooled demand with no variance (``sum(Sigma) <= 0``, as for two
     antithetic commodities) raises ``ValueError``: its deviation is always 0,
     so a stock of 0 runs out every time, every positive stock is certified,
@@ -209,7 +213,11 @@ def ss_fungible(model: GaussianModel, lead_time: int, delta: float) -> float:
     pooled = float(model.covariance.sum())
     if not pooled > 0.0:
         raise ValueError("pooled demand has no variance, so no least certified stock exists")
-    return math.sqrt(2.0 * lead * pooled * math.log(1.0 / delta))
+    cgf, ss = gaussian_cgf(model), math.sqrt(2.0 * lead * pooled * math.log(1.0 / delta))
+    step = math.ulp(ss)
+    while chernoff_bound(cgf, ss / lead, lead, FUNGIBLE) > delta:
+        ss, step = ss + step, 2.0 * step
+    return ss
 
 
 def ss_rigorous(model: GaussianModel, lead_time: int, delta: float) -> float:

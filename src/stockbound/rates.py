@@ -64,6 +64,13 @@ _EPS = float(np.finfo(float).eps)
 # Brent steps after which the scalar root gives up; bisection alone would
 # settle a doubled bracket in about 60
 _ROOT_STEPS = 300
+# The scalar root stops once the answer it returns is certified within this
+# share of the optimum; a residual within this many ulps of its terms may
+# have either sign.
+_ROOT_GAP = 4.0 * _EPS
+_ROOT_ROUNDING = 2.0 * _EPS
+# the best point before any is read
+_NOTHING = (math.nan, math.nan, -math.inf, math.nan, math.nan)
 
 
 class UnreachableRateError(ValueError):
@@ -252,28 +259,52 @@ def rate_numeric(cgf: CgfEvaluator, epsilon, signs=None) -> RateResult:
     return RateResult(eps, max(0.0, float(c @ v) - value) / cgf.dim, s * v, steps, kkt)
 
 
-def _increasing_root(cgf: CgfEvaluator, direction: list[float], f, enough=None) -> tuple[float, bool, dict]:
-    """Root in ``t >= 0`` of ``f(t, phi(t d), d . grad phi(t d))``, increasing in ``t``.
+def _increasing_root(cgf: CgfEvaluator, direction: list[float], f, enough=None) -> tuple[float, bool, float, dict]:
+    """Best point ``t >= 0`` of an answer read along ``u = t d``, by the root of its slope.
 
-    Returns the root, ``True`` and a map from each point read, read once, to
-    its ``(f, phi, slope)``; ``f`` must be negative at ``t = 0``.  The
-    bracket ends at ``_edge``, just inside the first finite domain edge along
-    ``d``; where ``f`` is still negative there, that end is returned as the
-    constrained solution.  With no edge the bracket doubles upward from
-    ``t = 1``.  Without a root, ``False`` comes with 0 for a domain with no
-    positive part, ``inf`` for an affine CGF (the same slope at 0 and 1:
-    demand is constant along ``d``, since any other CGF is strictly convex),
-    the first doubled end ``t`` where ``enough(t, phi)`` holds, with no
-    ``enough`` the end before the first one whose slope equals it (there
-    ``t phi' - phi`` stops moving), and otherwise the farthest point tried
-    before the float range ends.
+    ``f(t, phi(t d), d . grad phi(t d))`` returns ``(residual, allowance,
+    answer, x)``: the answer the point certifies, and a variable ``x``,
+    increasing in ``t``, in which the answer is concave with slope
+    ``-residual``; the residual is increasing in ``t``, negative at
+    ``t = 0`` and exact to within ``allowance``.  Returns the point with the
+    largest answer read, whether that answer is within ``_ROOT_GAP`` of the
+    maximum, an upper end on the maximum (``inf`` where none is certified)
+    and a map from each point read, read once, to ``f``'s tuple and the
+    slope.
+
+    The bracket ends at ``_edge``, just inside the first finite domain edge
+    along ``d``; where the residual is still negative there, that end is
+    returned as the constrained maximum.  With no edge the bracket doubles
+    upward from ``t = 1``.  Without a root, the answer is unconverged at
+    0 for a domain with no positive part, ``inf`` for an affine CGF (the
+    same slope at 0 and 1: demand is constant along ``d``, since any other
+    CGF is strictly convex), the first doubled end ``t`` where
+    ``enough(answer)`` holds, with no ``enough`` the end before the first
+    one whose slope equals it (there ``t phi' - phi`` stops moving), and
+    otherwise the farthest point tried before the float range ends.
+
+    In the bracket, Brent's method (Brent 1973, ch. 4) takes the steps of
+    scipy's ``brentq.c`` and its bracket stop (``xtol = 1e-15``, ``rtol = 4
+    eps``), and stops earlier once the gap closes.  Every point's tangent
+    bounds the answer from above, ``answer(x) <= V_i - f_i (x - x_i)``
+    (convexity, Dembo and Zeitouni 1998), with the slope taken at its worst
+    within the allowance.  The maximum lies between the last point whose
+    residual is below ``-allowance`` and the first whose residual exceeds
+    ``allowance``; the upper end is the largest crossing of the tangents of
+    consecutive points between them.  With no point past the root by more
+    than its allowance there is no upper end: a slope that meets its target
+    only by rounding closes no gap.
     """
     points, evaluate = {}, cgf.value_and_gradient
     # one commodity: a product each for the point and the slope; a
     # comprehension and a sum would add a fifth to a closed-form point's cost
     scale = direction[0] if len(direction) == 1 else None
+    # the last point certified below the root, the first certified past it,
+    # the points in between, and the point with the largest answer
+    below, above, loose, best, top = 0.0, math.inf, [], math.nan, _NOTHING
 
     def gap(t: float) -> float:
+        nonlocal below, above, best, top
         got = points.get(t)
         if got is None:
             if scale is None:
@@ -282,32 +313,50 @@ def _increasing_root(cgf: CgfEvaluator, direction: list[float], f, enough=None) 
             else:
                 value, grad = evaluate([scale * t])
                 slope = scale * grad.item()
-            got = points[t] = f(t, value, slope), value, slope
+            residual, allowance, answer, x = f(t, value, slope)
+            got = points[t] = residual, allowance, answer, x, slope
+            if residual < -allowance:
+                if t > below:
+                    below = t
+            elif residual <= allowance:
+                loose.append(t)
+            elif t < above:
+                above = t
+            if answer >= top[2]:
+                best, top = t, got
         return got[0]
+
+    def upper() -> float:
+        if not loose:
+            return math.inf if above == math.inf else _crossing(points[below], points[above])
+        chain = [below, *sorted(t for t in loose if below < t < above)]
+        if above == math.inf:
+            return _beyond(points[chain[-2]], points[chain[-1]]) if len(chain) > 1 else math.inf
+        chain.append(above)
+        return max(_crossing(points[p], points[q]) for p, q in zip(chain, chain[1:]))
 
     lo, hi = 0.0, _edge(cgf, direction)
     if math.isfinite(hi) and gap(hi) < 0.0:
-        return hi, hi > 0.0, points
+        return hi, hi > 0.0, points[hi][2], points
     if hi == math.inf:
         gap(0.0)
-        hi, last = 1.0, points[0.0][2]
+        hi, last = 1.0, points[0.0][4]
         while gap(hi) < 0.0:
-            _, value, slope = points[hi]
+            answer, slope = points[hi][2], points[hi][4]
             # the same slope at 0 and 1 is affine; farther out, a plateau
             if slope == last and (lo == 0.0 or enough is None):
-                return (math.inf if lo == 0.0 else lo), False, points
-            if enough is not None and enough(hi, value):
-                return hi, False, points
+                return (math.inf if lo == 0.0 else lo), False, math.inf, points
+            if enough is not None and enough(answer):
+                return hi, False, math.inf, points
             lo, hi, last = hi, 2.0 * hi, slope
             if hi == math.inf:
-                return lo, False, points
-    # Brent's method, step for step as scipy's brentq.c takes it (Brent 1973, ch. 4)
+                return lo, False, math.inf, points
+    # Brent's method, step for step as scipy's brentq.c takes it
     xtol, rtol = 1e-15, 4.0 * _EPS
     xpre, xcur = lo, hi
     fpre, fcur = gap(xpre), gap(xcur)
-    if fcur == 0.0:
-        return xcur, True, points
     xblk = fblk = spre = scur = 0.0
+    bound = math.inf
     for _ in range(_ROOT_STEPS):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
@@ -317,8 +366,11 @@ def _increasing_root(cgf: CgfEvaluator, direction: list[float], f, enough=None) 
             fpre, fcur, fblk = fcur, fblk, fcur
         tol = (xtol + rtol * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < tol:
-            return xcur, True, points
+        bound = upper()
+        _, allowance, answer, x, _ = top
+        closed = bound - answer <= _ROOT_GAP * abs(answer) + allowance * abs(x)
+        if closed or fcur == 0.0 or abs(sbis) < tol:
+            return best, closed, bound, points
         if abs(spre) > tol and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -335,33 +387,65 @@ def _increasing_root(cgf: CgfEvaluator, direction: list[float], f, enough=None) 
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > tol else (tol if sbis > 0.0 else -tol)
         fcur = gap(xcur)
-    raise RuntimeError(f"root not bracketed within {_ROOT_STEPS} steps")
+    return best, False, bound, points
+
+
+def _crossing(p: tuple, q: tuple) -> float:
+    """Largest answer that the tangents at ``p`` and at the later ``q`` leave between them."""
+    (fp, _, vp, xp, _), (fq, _, vq, xq, _) = p, q
+    if xp == -math.inf:
+        return math.inf
+    # a tangent that does not rise out of p (or into q) caps the answer there
+    if fp >= 0.0 or fq <= 0.0:
+        return vp if fp >= 0.0 else vq
+    return vp - fp * (vq - vp + fq * (xq - xp)) / (fq - fp)
+
+
+def _beyond(p: tuple, q: tuple) -> float:
+    """Largest answer past the last point ``q``, within its allowance of the root, after ``p``.
+
+    The tangent at ``q`` may rise by its allowance; the residual is taken
+    to keep growing at its rate from ``p``, which caps the rise at
+    ``(allowance - f_q)^2 / (2 rate)``.  A residual that stopped growing
+    (a slope that meets its target only by rounding) leaves no cap.
+    """
+    (fp, _, _, xp, _), (fq, aq, vq, xq, _) = p, q
+    if xp == -math.inf or fq <= fp:
+        return math.inf
+    return vq + (aq - fq) ** 2 * (xq - xp) / (2.0 * (fq - fp))
 
 
 def _scalar_rate(cgf: CgfEvaluator, direction: list[float], eps: float) -> tuple[float, float, int, bool]:
     """Exact 1-d rate ``max_{t>=0} (t*eps - phi(t d))`` along a direction ``d``.
 
     Returns the maximizer, the rate, the number of distinct points read and
-    whether the maximum was reached.  The maximizer is the root of
-    ``d . grad phi(t d) = eps``, or the point just inside the domain edge
-    when the slope stays below ``eps`` up to it; a domain with no positive
-    part leaves only ``t = 0``.  An affine CGF (zero variance along ``d``)
-    whose slope stays below ``eps`` has an infinite rate, reached along
-    ``t = 1``.  When the slope otherwise never reaches ``eps``, the rate is
-    returned, unconverged, at the first doubled point where ``exp(-rate)``
-    underflows to 0, or at the end of the float range: every ``t >= 0``
+    whether the rate is certified within ``_ROOT_GAP`` of the maximum.  The
+    maximizer is the root of ``d . grad phi(t d) = eps``, found by
+    ``_increasing_root`` with ``x = t``, or the point just inside the domain
+    edge when the slope stays below ``eps`` up to it; a domain with no
+    positive part leaves only ``t = 0``.  The rate returned is the largest
+    read, ``t eps - phi``, and the tangents of the points read bound the
+    maximum from above.  An affine CGF (zero variance along ``d``) whose
+    slope stays below ``eps`` has an infinite rate, reached along ``t = 1``.
+    When the slope otherwise never passes ``eps`` by more than rounding, the
+    rate is returned, unconverged, at the first doubled point where
+    ``exp(-rate)`` underflows to 0, or at the end of the float range, or
+    where the slope meets ``eps`` only by rounding: every ``t >= 0``
     certifies a bound.
     """
     if eps <= 0.0:
         return 0.0, 0.0, 0, True
 
-    def zero_bound(t: float, value: float) -> bool:
-        return t * eps - value > 0.0 and math.exp(value - t * eps) == 0.0
+    def line(t: float, value: float, slope: float) -> tuple[float, float, float, float]:
+        return slope - eps, _ROOT_ROUNDING * (abs(slope) + eps), t * eps - value, t
 
-    t, reached, points = _increasing_root(cgf, direction, lambda t, value, slope: slope - eps, zero_bound)
+    def zero_bound(rate: float) -> bool:
+        return rate > 0.0 and math.exp(-rate) == 0.0
+
+    t, converged, _, points = _increasing_root(cgf, direction, line, zero_bound)
     if t == math.inf:
         return 1.0, math.inf, len(points), True
-    return t, max(t * eps - points[t][1], 0.0), len(points), reached or t == 0.0
+    return t, max(points[t][2], 0.0), len(points), converged or t == 0.0
 
 
 def invert_rate(cgf: CgfEvaluator, delta: float, lead_time: int) -> float:
@@ -373,10 +457,11 @@ def invert_rate(cgf: CgfEvaluator, delta: float, lead_time: int) -> float:
     one root of the increasing ``u * phi'(u) - phi(u) - r``, where
     ``eps = phi'(u)``; past the domain edge the rate is linear in the
     margin and the minimizer is the point just inside the edge.  Any ``u``
-    gives a margin at least the exact one, so the stock ``L * eps`` errs on
-    the safe side, by an amount second order in the root's error.  The root
-    is ``_increasing_root``'s along ``d = 1``, and the stock takes ``phi(u)``
-    from the points it read.
+    gives a margin at least the exact one, so the stock errs on the safe
+    side.  The root is ``_increasing_root``'s along ``d = 1``, whose answer
+    is the negated margin, concave in ``x = -1 / u`` with slope the negated
+    residual; the stock is ``L`` times the least margin read, and the
+    tangents read bound the exact margin from below to within ``_ROOT_GAP``.
 
     A stock sized from ``empirical_cgf`` is certified only for the plug-in
     estimate of the CGF: the estimation error is not covered, and
@@ -394,12 +479,19 @@ def invert_rate(cgf: CgfEvaluator, delta: float, lead_time: int) -> float:
     if cgf.dim != 1:
         raise ValueError("rate inversion requires a single-commodity CGF")
     target = -math.log(validate_delta(delta)) / lead
-    u_star, reached, points = _increasing_root(cgf, [1.0], lambda u, value, slope: u * slope - value - target)
+
+    def line(u: float, value: float, slope: float) -> tuple[float, float, float, float]:
+        allowance = _ROOT_ROUNDING * (u * abs(slope) + abs(value) + target)
+        if u == 0.0:
+            return -value - target, allowance, -math.inf, -math.inf
+        return u * slope - value - target, allowance, -(target + value) / u, -1.0 / u
+
+    u_star, converged, _, points = _increasing_root(cgf, [1.0], line)
     if u_star == math.inf:
         return math.ulp(0.0)
-    if not reached:
+    if not converged and points[max(points)][0] < 0.0:
         raise UnreachableRateError("unreachable stockout rate for this demand model")
-    return lead * (target + points[u_star][1]) / u_star
+    return lead * -points[u_star][2]
 
 
 def chernoff_bound(

@@ -54,13 +54,15 @@ def test_removed_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"stockbound.{module}"), name)
 
 
-def test_package_does_not_import_scipy_integrate():
-    # the exact tails use their own quadrature, and scipy.integrate costs
-    # the import about 55 ms
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize"])
+def test_package_does_not_import_scipy_integrate(module):
+    # the exact tails use their own quadrature and the scalar root its own
+    # Brent step; scipy.integrate costs the import about 55 ms and
+    # scipy.optimize about 180 ms
     env = dict(os.environ)
     root = str(Path(stockbound.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    code = "import sys, stockbound; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, stockbound; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -282,6 +282,23 @@ class TestFungibleRule:
         assert bound == pytest.approx(0.05, rel=1e-9)
 
 
+    def test_seeded_scan_meets_its_evaluated_bound(self):
+        # the closed form alone read a bound above delta in about a third of
+        # these cases, by up to 2e-14 relative; one ulp step up at a time,
+        # doubling, mends each without moving the stock past rounding
+        rng = np.random.default_rng(11)
+        for _ in range(1500):
+            vx, vy = rng.uniform(0.2, 3.0, 2)
+            rho = rng.uniform(-0.99, 0.99)
+            lead = int(rng.integers(1, 30))
+            delta = math.exp(rng.uniform(math.log(1e-12), math.log(0.3)))
+            model = GaussianModel.bivariate(vx, vy, rho)
+            ss = ss_fungible(model, lead, delta)
+            assert chernoff_bound(gaussian_cgf(model), ss / lead, lead, pattern=FUNGIBLE) <= delta
+            closed = math.sqrt(2.0 * lead * float(model.covariance.sum()) * math.log(1.0 / delta))
+            assert closed <= ss <= closed * (1.0 + 1e-13)
+
+
 class TestRigorousRule:
     def test_delegates_to_exact_inversion(self, experiment_model):
         assert (

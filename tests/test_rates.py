@@ -28,6 +28,8 @@ from stockbound import (
 )
 from stockbound import rates
 
+_EPS = float(np.finfo(float).eps)
+
 from oracles import (
     exact_scalar_rate,
     gaussian_cone_rate,
@@ -272,6 +274,14 @@ class TestRateNumeric:
         assert not result.converged
         assert math.exp(-result.rate) == 0.0 and math.isfinite(result.rate)
         assert chernoff_bound(base, [eps], 1, pattern=ORTHANT, signs=[-1.0]) == 0.0
+
+    def test_stay_below_at_minus_the_mean_is_not_converged(self):
+        # X <= 0 is empty for Weibull demand, so the rate is infinite; the
+        # reflected slope tends to the mean and meets the margin at u* of
+        # about -7.2e16 only by rounding, which closes no gap
+        result = rate_numeric(weibull_cgf(WeibullModel(2.0, 1.0)), [-math.gamma(1.5)], signs=[-1.0])
+        assert not result.converged
+        assert result.rate > 0.0 and math.isfinite(result.rate)
 
     def test_flat_slope_runs_on_until_the_bound_is_zero(self):
         # log cosh at margin 2: the slope rounds to 1.0 from u = 32 on, but
@@ -783,3 +793,123 @@ class TestEachPointReadOnce:
         cgf, points = recording(gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, rho)))
         chernoff_bound(cgf, 1.0 if pattern == FUNGIBLE else [1.0, 1.0], 5, pattern=pattern)
         assert points and len(set(points)) == len(points)
+
+
+@pytest.fixture
+def intervals(monkeypatch):
+    """Each scalar root's internal ``(lower, upper)`` on the largest answer, in the order solved."""
+    seen = []
+    root = rates._increasing_root
+
+    def spy(*args):
+        t, converged, upper, points = got = root(*args)
+        seen.append((points[t][2], upper))
+        return got
+
+    monkeypatch.setattr(rates, "_increasing_root", spy)
+    return seen
+
+
+def assert_inside(interval, reference: float, rel: float) -> None:
+    lower, upper = interval
+    assert lower - rel * abs(reference) <= reference <= upper + rel * abs(reference)
+
+
+
+class TestScalarRoot:
+    """Brent's step in the bracket, stopped once the gap between the best point and the tangents' bound closes."""
+
+    @pytest.mark.parametrize(
+        "cgf, parent",
+        [
+            (weibull_cgf(WeibullModel(1.5, 1.0)), 41),
+            (weibull_cgf(WeibullModel(2.0, 1.0)), 40),
+            (weibull_cgf(WeibullModel(3.0, 1.0)), 44),
+            (weibull_cgf(WeibullModel(1.0, 1.0)), 51),
+            (gaussian_cgf(GaussianModel.univariate(1.0)), 38),
+            (empirical_cgf(EmpiricalDemand(np.random.default_rng(11).gamma(2.0, 1.0, (4000, 10)))), 43),
+        ],
+        ids=["weibull1.5", "weibull2", "weibull3", "exponential", "gaussian", "empirical"],
+    )
+    def test_four_sizings_read_fewer_points_than_the_bracket_stop(self, cgf, parent):
+        # ``parent`` is what brentq's own stop (xtol 1e-15) read for these
+        # four sizings; the gap stop reads fewer
+        total = 0
+        for delta in (0.1, 1e-2, 1e-3, 1e-4):
+            recorded, points = recording(cgf)
+            invert_rate(recorded, delta, 10)
+            total += len(set(points))
+        assert total < parent
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_gaussian_rates_inside_the_interval(self, intervals, sigma, sign):
+        cgf = gaussian_cgf(GaussianModel.univariate(sigma**2))
+        for c in (0.05, 0.3, 1.0, 2.448, 3.717, 7.434):
+            result = rate_numeric(cgf, [sign * c], signs=[sign])
+            assert_inside(intervals[-1], c * c / (2.0 * sigma**2), 2.0 * _EPS)
+            assert result.converged and result.rate == intervals[-1][0]
+
+    @pytest.mark.parametrize("delta", [0.3, 1e-2, 1e-4, 1e-8, 1e-20])
+    @pytest.mark.parametrize("lead", [1, 5, 10])
+    def test_gaussian_stocks_inside_the_interval(self, intervals, delta, lead):
+        var = 2.5
+        ss = invert_rate(gaussian_cgf(GaussianModel.univariate(var)), delta, lead)
+        margin = math.sqrt(2.0 * var * math.log(1.0 / delta) / lead)
+        answer, upper = intervals[-1]
+        # the root maximizes the negated margin: the interval is [-upper, -answer]
+        assert_inside((-upper, -answer), margin, 2.0 * _EPS)
+        assert ss == lead * -answer
+
+    @pytest.mark.parametrize("scale", [0.7, 1.7])
+    def test_exponential_rates_inside_the_interval(self, intervals, scale):
+        # rate x - log(1 + x) at the margin eps = scale * x
+        cgf = weibull_cgf(WeibullModel(1.0, scale))
+        for x in (0.1, 0.5, 3.0, 40.0):
+            rate_numeric(cgf, [scale * x])
+            assert_inside(intervals[-1], x - math.log1p(x), 1e-13)
+
+    def test_references_audit_the_interval(self, intervals):
+        # the quadrature and numpy audits of test_weibull_rate_after_overshooting_step
+        # and test_empirical_interior_root_audited_by_numpy, against the interval
+        shape = 1.2
+        cgf = weibull_cgf(WeibullModel(shape, 1.0))
+        rate_numeric(cgf, [5.0])
+
+        def weibull_grad(v: float):
+            h = 1e-6
+            lo = quad_weibull_log_mgf(shape, 1.0, v - h, centered=True)
+            hi = quad_weibull_log_mgf(shape, 1.0, v + h, centered=True)
+            return (hi - lo) / (2.0 * h), quad_weibull_log_mgf(shape, 1.0, v, centered=True)
+
+        assert_inside(intervals[-1], exact_scalar_rate(weibull_grad, 5.0), 1e-8)
+        data = np.random.default_rng(11).gamma(2.0, 1.0, (4000, 10))
+        sums, periods, mean = data.sum(axis=1), data.shape[1], float(data.mean())
+        cgf = empirical_cgf(EmpiricalDemand(data))
+
+        def empirical_grad(v: float):
+            moments = np.exp(v * sums)
+            slope = float(moments @ sums) / float(moments.sum()) / periods - mean
+            return slope, math.log(float(moments.mean())) / periods - v * mean
+
+        for eps in (0.1, 0.5, 1.0):
+            rate_numeric(cgf, [eps])
+            assert_inside(intervals[-1], exact_scalar_rate(empirical_grad, eps), 1e-12)
+
+    def test_the_best_point_is_returned(self, intervals):
+        # the rate is the largest read and the stock the least margin read,
+        # and each meets the gap target
+        base = weibull_cgf(WeibullModel(2.0, 1.0))
+        cgf, seen = recording(base)
+        result = rate_numeric(cgf, [0.7])
+        rates_read = [u * 0.7 - base.value([u]) for (u,) in seen]
+        assert result.rate == max(rates_read)
+        # the target: GAP of the rate, plus the slope's rounding over the point
+        lower, upper = intervals[-1]
+        (u,) = result.u_star
+        allowance = rates._ROOT_ROUNDING * (abs(base.gradient([u])[0]) + 0.7) * u
+        assert result.converged and upper - lower <= rates._ROOT_GAP * lower + allowance
+        seen.clear()
+        ss = invert_rate(cgf, 1e-3, 10)
+        target = -math.log(1e-3) / 10
+        assert ss == min(10 * -(-(target + base.value([u])) / u) for (u,) in seen if u > 0.0)
