@@ -23,6 +23,12 @@ other question is one root along a line ``u = t d``, ``t >= 0``, that reads
 each point once: a one-commodity rate (``d = s``, where ``phi'(u) = eps``), a
 rate inversion and the ``fungible`` rate (``d = 1``), and the ``union``'s
 first term (``d = e_0``), each just inside the first domain edge along ``d``.
+The root takes Brent's steps (Brent 1973, ch. 4, as scipy's C routine for
+the method takes them) and stops as soon as the convexity gap closes: the
+tangents of the convex ``phi`` at the points read bound the optimum (Dembo
+and Zeitouni 1998), and the best point read, whose rate or margin is the one
+returned, is within ``_ROOT_GAP`` of that bound.  The gap is in the evaluator's
+arithmetic: a CGF evaluated by quadrature is convex only to its own rounding.
 """
 
 from __future__ import annotations
@@ -64,12 +70,14 @@ _EPS = float(np.finfo(float).eps)
 # Brent steps after which the scalar root gives up; bisection alone would
 # settle a doubled bracket in about 60
 _ROOT_STEPS = 300
-# The scalar root stops once the answer it returns is certified within this
-# share of the optimum; a residual within this many ulps of its terms may
-# have either sign.
+# The scalar root stops once its best answer is within this share of the
+# bound its tangents put on the optimum, plus the answer's own rounding (the
+# residual's allowance over the point's x).
 _ROOT_GAP = 4.0 * _EPS
+# A residual within this share of its terms may have either sign, so it does
+# not count as past the root.
 _ROOT_ROUNDING = 2.0 * _EPS
-# the best point before any is read
+# the best point before any is read: any answer beats it
 _NOTHING = (math.nan, math.nan, -math.inf, math.nan, math.nan)
 
 
@@ -83,14 +91,16 @@ class RateResult:
 
     ``rate`` is per degree: multiply by lead time and commodity count to get
     the exponent of the probability bound.  ``u_star`` is a maximizer (any
-    one, where several exist), always inside the sign cone and the CGF's
-    domain; for an infinite rate it is instead the ray in the cone along
-    which the exponent grows without bound.  ``iterations`` counts the linear
-    solves of the active set (Gaussian, two or more commodities), or the
-    points (one CGF evaluation each) the one-commodity root reads, Gaussian
-    included.  ``converged`` records whether the KKT conditions hold at
-    ``u_star`` (for the root, whether it was reached); an infinite rate is
-    exact and counts as converged.
+    one, where several exist; for one commodity, the point read with the
+    largest rate), always inside the sign cone and the CGF's domain; for an
+    infinite rate it is instead the ray in the cone along which the exponent
+    grows without bound.  ``iterations`` counts the linear solves of the
+    active set (Gaussian, two or more commodities), or the points (one CGF
+    evaluation each) the one-commodity root reads, Gaussian included.
+    ``converged`` records whether the KKT conditions hold at ``u_star``; for
+    one commodity, whether the tangents read put the rate within
+    ``_ROOT_GAP`` of the maximum, which a slope that meets the margin only by
+    rounding does not.  An infinite rate is exact and counts as converged.
     """
 
     epsilon: np.ndarray
@@ -233,7 +243,9 @@ def rate_numeric(cgf: CgfEvaluator, epsilon, signs=None) -> RateResult:
     at the returned point; an infinite rate comes with the ray that reaches
     it as ``u_star``.  A one-commodity root not reached by the time
     ``exp(-rate)`` underflows to 0 ends there, unconverged: a lower bound
-    that already makes every bound 0.
+    that already makes every bound 0.  Otherwise the one-commodity rate is
+    the largest read, certified within ``_ROOT_GAP`` of the maximum when
+    converged.
     """
     eps = np.asarray(epsilon, dtype=float).reshape(-1)
     if eps.shape[0] != cgf.dim:
@@ -274,9 +286,9 @@ def _increasing_root(cgf: CgfEvaluator, direction: list[float], f, enough=None) 
 
     The bracket ends at ``_edge``, just inside the first finite domain edge
     along ``d``; where the residual is still negative there, that end is
-    returned as the constrained maximum.  With no edge the bracket doubles
-    upward from ``t = 1``.  Without a root, the answer is unconverged at
-    0 for a domain with no positive part, ``inf`` for an affine CGF (the
+    returned as the constrained maximum, converged unless it is 0.  With no
+    edge the bracket doubles upward from ``t = 1``.  Without a root, the
+    search ends unconverged at ``inf`` for an affine CGF (the
     same slope at 0 and 1: demand is constant along ``d``, since any other
     CGF is strictly convex), the first doubled end ``t`` where
     ``enough(answer)`` holds, with no ``enough`` the end before the first
@@ -284,16 +296,20 @@ def _increasing_root(cgf: CgfEvaluator, direction: list[float], f, enough=None) 
     otherwise the farthest point tried before the float range ends.
 
     In the bracket, Brent's method (Brent 1973, ch. 4) takes the steps of
-    scipy's ``brentq.c`` and its bracket stop (``xtol = 1e-15``, ``rtol = 4
-    eps``), and stops earlier once the gap closes.  Every point's tangent
-    bounds the answer from above, ``answer(x) <= V_i - f_i (x - x_i)``
-    (convexity, Dembo and Zeitouni 1998), with the slope taken at its worst
-    within the allowance.  The maximum lies between the last point whose
-    residual is below ``-allowance`` and the first whose residual exceeds
-    ``allowance``; the upper end is the largest crossing of the tangents of
-    consecutive points between them.  With no point past the root by more
-    than its allowance there is no upper end: a slope that meets its target
-    only by rounding closes no gap.
+    scipy's C routine for the method and its bracket stop (``xtol = 1e-15``,
+    ``rtol = 4 eps``, ``_ROOT_STEPS``), so it reads no point that routine
+    would not, and stops earlier once the gap closes: once the best answer
+    is within ``_ROOT_GAP`` of the upper end, plus its rounding,
+    ``allowance * |x|``.
+    Every point's tangent bounds the answer from above, ``answer(x) <= V_i -
+    f_i (x - x_i)`` (convexity; Dembo and Zeitouni 1998).  The maximum lies
+    between the last point whose residual is below ``-allowance`` and the
+    first whose residual exceeds ``allowance``, and the upper end is the
+    largest crossing of the tangents of consecutive points between them
+    (``_crossing``).  With no point past the root by more than its
+    allowance, what lies beyond the last point read is bounded by taking its
+    residual to keep growing at its last pace (``_beyond``): a slope that
+    meets its target only by rounding closes no gap.
     """
     points, evaluate = {}, cgf.value_and_gradient
     # one commodity: a product each for the point and the slope; a
@@ -331,9 +347,11 @@ def _increasing_root(cgf: CgfEvaluator, direction: list[float], f, enough=None) 
             return math.inf if above == math.inf else _crossing(points[below], points[above])
         chain = [below, *sorted(t for t in loose if below < t < above)]
         if above == math.inf:
-            return _beyond(points[chain[-2]], points[chain[-1]]) if len(chain) > 1 else math.inf
-        chain.append(above)
-        return max(_crossing(points[p], points[q]) for p, q in zip(chain, chain[1:]))
+            tail = _beyond(points[chain[-2]], points[chain[-1]]) if len(chain) > 1 else math.inf
+        else:
+            chain.append(above)
+            tail = -math.inf
+        return max([tail, *(_crossing(points[p], points[q]) for p, q in zip(chain, chain[1:]))])
 
     lo, hi = 0.0, _edge(cgf, direction)
     if math.isfinite(hi) and gap(hi) < 0.0:
@@ -351,7 +369,7 @@ def _increasing_root(cgf: CgfEvaluator, direction: list[float], f, enough=None) 
             lo, hi, last = hi, 2.0 * hi, slope
             if hi == math.inf:
                 return lo, False, math.inf, points
-    # Brent's method, step for step as scipy's brentq.c takes it
+    # Brent's method, step for step as scipy's C routine takes it
     xtol, rtol = 1e-15, 4.0 * _EPS
     xpre, xcur = lo, hi
     fpre, fcur = gap(xpre), gap(xcur)
@@ -404,10 +422,12 @@ def _crossing(p: tuple, q: tuple) -> float:
 def _beyond(p: tuple, q: tuple) -> float:
     """Largest answer past the last point ``q``, within its allowance of the root, after ``p``.
 
-    The tangent at ``q`` may rise by its allowance; the residual is taken
-    to keep growing at its rate from ``p``, which caps the rise at
-    ``(allowance - f_q)^2 / (2 rate)``.  A residual that stopped growing
-    (a slope that meets its target only by rounding) leaves no cap.
+    The tangent at ``q`` may rise by its allowance.  Convexity alone leaves
+    that rise unbounded; here the residual is assumed to keep growing at its
+    rate from ``p``, which caps the rise at ``(allowance - f_q)^2 / (2
+    rate)``: far below the gap target where the residual crossed 0 at a
+    steady pace, and large where it crept up to its allowance, so a slope
+    that meets its target only by rounding closes no gap.
     """
     (fp, _, _, xp, _), (fq, aq, vq, xq, _) = p, q
     if xp == -math.inf or fq <= fp:
@@ -489,6 +509,7 @@ def invert_rate(cgf: CgfEvaluator, delta: float, lead_time: int) -> float:
     u_star, converged, _, points = _increasing_root(cgf, [1.0], line)
     if u_star == math.inf:
         return math.ulp(0.0)
+    # unconverged with every point read short of the rate: no root
     if not converged and points[max(points)][0] < 0.0:
         raise UnreachableRateError("unreachable stockout rate for this demand model")
     return lead * -points[u_star][2]
