@@ -54,18 +54,37 @@ def test_removed_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"stockbound.{module}"), name)
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize"])
-def test_package_does_not_import_scipy_integrate(module):
-    # the exact tails use their own quadrature and the scalar root its own
-    # Brent step; scipy.integrate costs the import about 55 ms and
-    # scipy.optimize about 180 ms
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter that imports this package."""
     env = dict(os.environ)
     root = str(Path(stockbound.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    code = f"import sys, stockbound; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_package_does_not_import_scipy():
+    # H and its inverse come from the standard library, the exact tails from
+    # the package's own quadrature and the scalar root from its own Brent
+    # step; only Monte Carlo needs scipy, and loads it when it runs
+    code = "import sys, stockbound; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    assert run_fresh(code) == "[]"
+
+
+def test_monte_carlo_loads_scipy_special():
+    # Monte Carlo imports ndtri when it runs, and counts the same hits in a
+    # fresh interpreter as in this one
+    model = stockbound.GaussianModel.bivariate(1.0, 2.0, 0.5)
+    hits = stockbound.joint_tail_monte_carlo(model, [0.5, 1.0], 3, 10_000, 5).hits
+    code = (
+        "import sys\n"
+        "from stockbound import GaussianModel, joint_tail_monte_carlo\n"
+        "model = GaussianModel.bivariate(1.0, 2.0, 0.5)\n"
+        "hits = joint_tail_monte_carlo(model, [0.5, 1.0], 3, 10_000, 5).hits\n"
+        "print('scipy.special' in sys.modules, hits)"
+    )
+    assert run_fresh(code) == f"True {hits}"
 
 
 def test_readme_library_example_runs(capsys):

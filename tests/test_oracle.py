@@ -53,15 +53,18 @@ THREE_CASES = [
 @pytest.fixture
 def first_normals(monkeypatch):
     """Every first-commodity normal that Monte Carlo draws by inverse CDF, up to sign."""
+    # Monte Carlo imports ndtri from scipy.special when it runs
+    import scipy.special
+
     drawn = []
-    ndtri = oracle.ndtri
+    ndtri = scipy.special.ndtri
 
     def recorded(q, out):
         ndtri(q, out=out)
         drawn.append(out.copy())
         return out
 
-    monkeypatch.setattr(oracle, "ndtri", recorded)
+    monkeypatch.setattr(scipy.special, "ndtri", recorded)
     return drawn
 
 
@@ -100,6 +103,39 @@ class TestNormalTail:
         assert normal_upper_tail(normal_upper_tail_inverse(delta)) == pytest.approx(
             delta, abs=1e-10
         )
+
+    def test_tail_matches_mpmath(self):
+        # erfc at the argument z = k / sqrt(2) as rounded is within 4 eps;
+        # with that rounding, H(k) is within the eps (9 + 6 z^2) allowance
+        # that certified stocks add to it
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            for k in np.random.default_rng(29).uniform(-8.0, 37.0, 1000).tolist():
+                z = k / math.sqrt(2.0)
+                got = normal_upper_tail(k)
+                assert abs(got / (mpmath.erfc(z) / 2) - 1) <= 4.0 * eps
+                exact = mpmath.erfc(mpmath.mpf(k) / mpmath.sqrt(2)) / 2
+                assert abs(got / exact - 1) <= eps * (9.0 + 6.0 * z * z)
+
+    def test_inverse_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(29)
+        deltas = [*(10.0 ** rng.uniform(-300.0, math.log10(0.999), 300)), *rng.uniform(1e-3, 0.999, 100), 5e-324]
+        with mpmath.workdps(40):
+            for delta in deltas:
+                k = normal_upper_tail_inverse(delta)
+                log_delta = mpmath.log(delta)
+                exact = mpmath.findroot(lambda x: mpmath.log(mpmath.erfc(x / mpmath.sqrt(2)) / 2) - log_delta, k)
+                assert abs(k - exact) <= 4.0 * eps * max(1.0, abs(k)), delta
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+    def test_tail_is_elementwise_on_arrays(self, shape):
+        k = np.random.default_rng(3).uniform(-8.0, 37.0, math.prod(shape)).reshape(shape)
+        got = normal_upper_tail(k)
+        assert np.shape(got) == shape
+        assert np.ravel(got).tolist() == [normal_upper_tail(v) for v in k.ravel().tolist()]
 
 
 class TestTailQuery:
