@@ -17,7 +17,9 @@ exact active-set solve takes a few small linear solves.  The exponent is
 the paper's formulas, ``sqrt(L s2 (1 + rho) log(1 / delta))`` for two
 symmetric commodities and ``sqrt(2 L s2 log(1 / delta))`` for one.  The rate
 is read at a feasible point, so it is a lower bound and the stock errs on
-the safe side.  Singular demand whose all-exceed event is empty at every
+the safe side; one more read per ``delta``, at that point scaled to the
+stock, certifies each stock, stepped up by ulps where rounding leaves it
+short.  Singular demand whose all-exceed event is empty at every
 positive margin (``rho = -1``, a commodity with no variance) has an infinite
 rate; its stock is ``math.ulp(0.0)``, the least positive float, since a stock
 of 0 may still run out.  Given a rate split ``(delta_x, delta_y)``, two
@@ -116,18 +118,38 @@ def _previous_stocks(model: GaussianModel, lead: int, deltas: np.ndarray) -> np.
 def _ray_stocks(model: GaussianModel, lead: int):
     """Equal stock per ``delta``: its exponent ``N * R(1) * ss^2 / L`` is ``log(1 / delta)``.
 
-    The rate is read at the equal margin ``t``, the largest standard
-    deviation, where it is of order 1, and scaled by ``R(t) = t^2 R(1)``:
-    at a unit margin, a one-commodity rate large enough that ``exp(-rate)``
-    underflows would come back only as a lower bound.  An infinite rate
-    means every positive stock empties the event, so the stock is
-    ``math.ulp(0.0)``, the least positive float, never 0.
+    The rate is solved once, at the equal margin ``unit``, the largest
+    standard deviation, where it is of order 1: at a unit margin, a
+    one-commodity rate large enough that ``exp(-rate)`` underflows would
+    come back only as a lower bound.  The exponent is 2-homogeneous, so the
+    stock scales as ``sqrt(log(1 / delta))``, and the unit maximizer
+    ``u_star``, scaled by ``t = ss / (L * unit)``, is feasible at each
+    stock.  One read of ``L * (m * sum(u) - phi(u))`` at ``u = t * u_star``,
+    ``m = ss / L``, certifies the stock; where rounding leaves that exponent
+    short of ``log(1 / delta)``, the stock steps up by a step doubling from
+    one ulp.  An infinite rate means every positive stock empties the
+    event, so the stock is ``math.ulp(0.0)``, the least positive float,
+    never 0.
     """
     unit = math.sqrt(float(model.covariance.diagonal().max())) or 1.0
-    rate = rate_numeric(gaussian_cgf(model), np.full(model.dim, unit)).rate
-    if rate == math.inf:
+    cgf = gaussian_cgf(model)
+    solved = rate_numeric(cgf, np.full(model.dim, unit))
+    if solved.rate == math.inf:
         return lambda delta: math.ulp(0.0)
-    return lambda delta: unit * math.sqrt(lead * -math.log(delta) / (model.dim * rate))
+
+    def exponent(ss: float) -> float:
+        u = ss / (lead * unit) * solved.u_star
+        return lead * (ss / lead * float(u.sum()) - cgf.value(u))
+
+    def stock(delta: float) -> float:
+        target = -math.log(delta)
+        ss = unit * math.sqrt(lead * target / (model.dim * solved.rate))
+        step = math.ulp(ss)
+        while exponent(ss) < target:
+            ss, step = ss + step, 2.0 * step
+        return ss
+
+    return stock
 
 
 def _sequential(model: GaussianModel, lead: int, delta: float, delta_split) -> ProposedStock:
@@ -161,7 +183,7 @@ def ss_proposed(model, lead_time: int, delta: float, delta_split=None) -> Propos
 
     A Gaussian model is sized from its Chernoff exponent.  With no
     ``delta_split`` every commodity gets the equal margin whose exponent is
-    ``log(1 / delta)``.  A split ``(delta_x, delta_y)`` of two commodities
+    ``log(1 / delta)``, certified by one evaluated exponent.  A split ``(delta_x, delta_y)`` of two commodities
     sizes them sequentially: commodity one alone at ``delta_x``, then
     commodity two at the closed-form least margin that brings the joint
     exponent to ``log(1 / delta)``, certified by one evaluated exponent;
@@ -170,7 +192,8 @@ def ss_proposed(model, lead_time: int, delta: float, delta_split=None) -> Propos
     stock), the equal stock is ``math.ulp(0.0)``, never 0.
     Scalar CGF evaluators, one per independent commodity (a single one is a
     sequence of one), are each sized by numeric rate inversion at their rate
-    of ``delta_split``, ``delta ** (1 / N)`` each by default.  A stock sized
+    of ``delta_split``, ``delta ** (1 / N)`` each by default (a Gaussian
+    evaluator in closed form, read once).  A stock sized
     from ``empirical_cgf`` is certified only for the plug-in estimate of the
     CGF: the estimation error is not covered, and ``estimation_certificate``
     does not enter the stock.

@@ -13,16 +13,20 @@ multiply the ``L * N`` factor back in.
 Any feasible ``u`` certifies a valid bound, and every rate is read through
 the CGF evaluator at the point the solve returns, so however the solve
 rounds, the bound stays conservative.  The maximization is exact for the two
-families the package builds.  For Gaussian demand, with ``v = s * u`` over a
-sign cone ``s``, it is the box QP ``max_{v >= 0} c . v - v'Qv / 2`` with
-``Q = S Sigma S`` and ``c = s * eps``, solved by a primal active set (Lawson
-and Hanson 1974, ch. 23) in a few small linear solves; a face whose system is
-singular with ``c`` outside its range gives a null ray, and a nonnegative one
-along which ``v'Qv`` evaluates to 0 (or below) makes the rate infinite.  Any
-other question is one root along a line ``u = t d``, ``t >= 0``, that reads
-each point once: a one-commodity rate (``d = s``, where ``phi'(u) = eps``), a
-rate inversion and the ``fungible`` rate (``d = 1``), and the ``union``'s
-first term (``d = e_0``), each just inside the first domain edge along ``d``.
+families the package builds, and the model, not the commodity count, picks
+the solver.  For Gaussian demand, with ``v = s * u`` over a sign cone ``s``,
+it is the box QP ``max_{v >= 0} c . v - v'Qv / 2`` with ``Q = S Sigma S`` and
+``c = s * eps``.  Along a line ``u = t d``, ``t >= 0`` (one commodity,
+``d = s``; the ``fungible`` rate, ``d = 1``; the ``union``'s first term,
+``d = e_0``; a one-commodity rate inversion), that QP has the closed form
+``t = eps / d'Sigma d``, and the CGF is read once, there.  Otherwise it is
+solved by a primal active set (Lawson and Hanson 1974, ch. 23) in a few small
+linear solves; a face whose system is singular with ``c`` outside its range
+gives a null ray, and a nonnegative one along which ``v'Qv`` evaluates to 0
+(or below) makes the rate infinite.  For any other CGF every question is one
+root along such a line that reads each point once: a one-commodity rate
+(where ``phi'(u) = eps``), a rate inversion and the ``fungible`` and
+``union`` rates, each just inside the first domain edge along ``d``.
 The root takes Brent's steps (Brent 1973, ch. 4, as scipy's C routine for
 the method takes them) and stops as soon as the convexity gap closes: the
 tangents of the convex ``phi`` at the points read bound the optimum (Dembo
@@ -67,6 +71,9 @@ _RAY_BITS = 26
 # pole; at a closed edge it moves a rate or stock by under this, to the safe side.
 _POLE_GAP = 1e-12
 _EPS = float(np.finfo(float).eps)
+# the eigenvectors of a one-coordinate face
+_ONE = np.ones((1, 1))
+_ONE.setflags(write=False)
 # Brent steps after which the scalar root gives up; bisection alone would
 # settle a doubled bracket in about 60
 _ROOT_STEPS = 300
@@ -96,11 +103,14 @@ class RateResult:
     infinite rate it is instead the ray in the cone along which the exponent
     grows without bound.  ``iterations`` counts the linear solves of the
     active set (Gaussian, two or more commodities), or the points (one CGF
-    evaluation each) the one-commodity root reads, Gaussian included.
+    evaluation each) a one-commodity solve reads: 1 for Gaussian demand,
+    read at the closed-form maximizer, and the root's points otherwise.
     ``converged`` records whether the KKT conditions hold at ``u_star``; for
-    one commodity, whether the tangents read put the rate within
-    ``_ROOT_GAP`` of the maximum, which a slope that meets the margin only by
-    rounding does not.  An infinite rate is exact and counts as converged.
+    one commodity, whether the rate is within ``_ROOT_GAP`` of the maximum:
+    the closed form's, plus its rounding, for Gaussian demand, and the bound
+    the tangents read put on it otherwise, which a slope that meets the
+    margin only by rounding does not close.  An infinite rate is exact and
+    counts as converged.
     """
 
     epsilon: np.ndarray
@@ -187,20 +197,24 @@ def _active_set(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int, bool]:
             idx = free.nonzero()[0]
             rows, vf = q.take(idx, 0), v[idx]
             qf, gf = rows.take(idx, 1), c[idx] - rows @ v
-            # eigenvalues at or below rounding (numpy's lstsq threshold) span
-            # the face's null space: a solve would step along it by noise
-            lam, vec = np.linalg.eigh(qf)
-            keep = lam > idx.size * np.finfo(float).eps * lam.max()
+            # a one-coordinate block is its own eigendecomposition, bit for
+            # bit as eigh returns it; eigenvalues at or below rounding
+            # (numpy's lstsq threshold) span the face's null space: a solve
+            # would step along it by noise
+            lam, vec = (qf[0], _ONE) if idx.size == 1 else np.linalg.eigh(qf)
+            keep = lam > idx.size * _EPS * lam.max()
             coef = vec.T @ gf
             step, limit = vec[:, keep] @ (coef[keep] / lam[keep]), 1.0
-            ray = vec[:, ~keep] @ coef[~keep]
-            if ray.any():
-                d = ray / np.abs(ray).max()
-                d[np.abs(d) < 2.0**-_RAY_BITS] = 0.0
-                d = np.ldexp(np.round(np.ldexp(d / np.abs(d[d != 0.0]).min(), _RAY_BITS)), -_RAY_BITS)
-                flat = gf @ d > 0.0 and d @ qf @ d <= 0.0
-                if flat or (np.abs(ray) > _rounding(qf, c[idx], vf + step)).any():
-                    step, limit = d, math.inf
+            # a face of full rank has no null-space part, so no ray
+            if not keep.all():
+                ray = vec[:, ~keep] @ coef[~keep]
+                if ray.any():
+                    d = ray / np.abs(ray).max()
+                    d[np.abs(d) < 2.0**-_RAY_BITS] = 0.0
+                    d = np.ldexp(np.round(np.ldexp(d / np.abs(d[d != 0.0]).min(), _RAY_BITS)), -_RAY_BITS)
+                    flat = gf @ d > 0.0 and d @ qf @ d <= 0.0
+                    if flat or (np.abs(ray) > _rounding(qf, c[idx], vf + step)).any():
+                        step, limit = d, math.inf
             falling = step < 0.0
             reach = vf[falling] / -step[falling]
             t = min(limit, float(reach.min(initial=math.inf)))
@@ -235,40 +249,63 @@ def rate_numeric(cgf: CgfEvaluator, epsilon, signs=None) -> RateResult:
     exceed/stay-below events.  With ``v = s * u``, the objective is
     ``v . (s * eps) - phi(s * v)`` over ``v >= 0``.
 
-    The commodity count picks the solve: any one-commodity CGF (Gaussian,
-    Weibull, exponential, empirical) gets the root of ``phi'(u) = eps`` along
-    ``s`` (the CGF reflected for ``s = -1``), and two or more commodities of
-    a CGF built by ``gaussian_cgf`` the active set of the box QP.  Any other
-    evaluator raises ``TypeError``.  The rate is read through the evaluator
-    at the returned point; an infinite rate comes with the ray that reaches
-    it as ``u_star``.  A one-commodity root not reached by the time
+    The model picks the solve.  A CGF built by ``gaussian_cgf`` gets the
+    closed form for one commodity, ``u = eps / sigma^2``, read once, and
+    the active set of the box QP for two or more.  Any other one-commodity
+    CGF (Weibull, exponential, empirical) gets the root of ``phi'(u) = eps``
+    along ``s`` (the CGF reflected for ``s = -1``); any other evaluator of
+    two or more commodities raises ``TypeError``.  The rate is read through
+    the evaluator at the returned point; an infinite rate comes with the
+    ray that reaches it as ``u_star``.  A root not reached by the time
     ``exp(-rate)`` underflows to 0 ends there, unconverged: a lower bound
-    that already makes every bound 0.  Otherwise the one-commodity rate is
-    the largest read, certified within ``_ROOT_GAP`` of the maximum when
+    that already makes every bound 0.  Otherwise a root's rate is the
+    largest read, certified within ``_ROOT_GAP`` of the maximum when
     converged.
     """
-    eps = np.asarray(epsilon, dtype=float).reshape(-1)
-    if eps.shape[0] != cgf.dim:
-        raise ValueError(f"margin has {eps.shape[0]} coordinates, expected {cgf.dim}")
+    eps = _margin_vector(_finite_margins(epsilon), cgf.dim)
+    s = events.check_pattern(events.ORTHANT, cgf.dim, signs) if signs is not None else np.ones(cgf.dim)
+    return RateResult(eps, *_rate(cgf, eps, s))
+
+
+def _finite_margins(epsilon) -> np.ndarray:
+    eps = np.asarray(epsilon, dtype=float)
     if not np.all(np.isfinite(eps)):
         raise ValueError("margins must be finite")
-    s = events.check_pattern(events.ORTHANT, cgf.dim, signs) if signs is not None else np.ones(cgf.dim)
+    return eps
+
+
+def _margin_vector(eps: np.ndarray, dim: int) -> np.ndarray:
+    eps = eps.reshape(-1)
+    if eps.shape[0] != dim:
+        raise ValueError(f"margin has {eps.shape[0]} coordinates, expected {dim}")
+    return eps
+
+
+def _gaussian(cgf: CgfEvaluator) -> GaussianModel | None:
+    """The Gaussian model behind an evaluator of its dimension, if it has one."""
+    model = cgf.model
+    return model if isinstance(model, GaussianModel) and model.dim == cgf.dim else None
+
+
+def _rate(cgf: CgfEvaluator, eps: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray, int, bool]:
+    """``rate_numeric`` on checked margins and signs: the rate, ``u_star``, iterations and convergence."""
     c = s * eps
     if cgf.dim == 1:
         u_star, rate, evals, converged = _scalar_rate(cgf, s.tolist(), float(c[0]))
-        return RateResult(eps, rate, s * u_star, evals, converged)
-    model = cgf.model
-    if not (isinstance(model, GaussianModel) and model.dim == cgf.dim):
+        return rate, s * u_star, evals, converged
+    model = _gaussian(cgf)
+    if model is None:
         raise TypeError("exact rates need a Gaussian CGF or a one-commodity CGF")
     q = model.covariance * np.outer(s, s)
     v, steps, unbounded = _active_set(q, c)
+    u = s * v
     if unbounded:
-        return RateResult(eps, math.inf, s * v, steps, True)
-    value, grad = cgf.value_and_gradient(s * v)
+        return math.inf, u, steps, True
+    value, grad = cgf.value_and_gradient(u)
     g = c - s * grad
-    tol = _rounding(q, c, v)
-    kkt = bool(np.all(g <= tol) and np.all(np.abs(g[v > 0.0]) <= tol[v > 0.0]))
-    return RateResult(eps, max(0.0, float(c @ v) - value) / cgf.dim, s * v, steps, kkt)
+    # the reduced gradient is at most its allowance, and within it in size where v > 0
+    kkt = bool(np.all(np.where(v > 0.0, np.abs(g), g) <= _rounding(q, c, v)))
+    return max(0.0, float(c @ v) - value) / cgf.dim, u, steps, kkt
 
 
 def _increasing_root(cgf: CgfEvaluator, direction: list[float], f, enough=None) -> tuple[float, bool, float, dict]:
@@ -439,8 +476,18 @@ def _scalar_rate(cgf: CgfEvaluator, direction: list[float], eps: float) -> tuple
     """Exact 1-d rate ``max_{t>=0} (t*eps - phi(t d))`` along a direction ``d``.
 
     Returns the maximizer, the rate, the number of distinct points read and
-    whether the rate is certified within ``_ROOT_GAP`` of the maximum.  The
-    maximizer is the root of ``d . grad phi(t d) = eps``, found by
+    whether the rate is certified within ``_ROOT_GAP`` of the maximum.  A
+    nonpositive ``eps`` has rate 0 at ``t = 0``, read nowhere.
+
+    Gaussian demand is quadratic along the line, so its maximizer is ``t =
+    eps / d'Sigma d``, read once: the rate is ``t eps - phi(t d)`` at that
+    point, and converged when within ``_ROOT_GAP`` of the closed-form
+    maximum ``eps^2 / (2 d'Sigma d)`` plus that form's rounding.  Zero
+    curvature along ``d`` (evaluated at most 0) gives an infinite rate,
+    reached along ``t = 1``; a maximizer past the float range is left to the
+    root.
+
+    Any other CGF takes the root of ``d . grad phi(t d) = eps``, found by
     ``_increasing_root`` with ``x = t``, or the point just inside the domain
     edge when the slope stays below ``eps`` up to it; a domain with no
     positive part leaves only ``t = 0``.  The rate returned is the largest
@@ -455,6 +502,18 @@ def _scalar_rate(cgf: CgfEvaluator, direction: list[float], eps: float) -> tuple
     """
     if eps <= 0.0:
         return 0.0, 0.0, 0, True
+    model = _gaussian(cgf)
+    if model is not None:
+        d = np.array(direction)
+        curve = float(d @ model.covariance @ d)
+        if curve <= 0.0:
+            return 1.0, math.inf, 0, True
+        t = eps / curve
+        if t < math.inf:
+            rate = t * eps - cgf.value([x * t for x in direction])
+            # eps^2 / (2 curve), up by the two roundings in forming it
+            upper = 0.5 * t * eps * (1.0 + _EPS)
+            return t, max(rate, 0.0), 1, upper - rate <= _ROOT_GAP * rate
 
     def line(t: float, value: float, slope: float) -> tuple[float, float, float, float]:
         return slope - eps, _ROOT_ROUNDING * (abs(slope) + eps), t * eps - value, t
@@ -473,15 +532,19 @@ def invert_rate(cgf: CgfEvaluator, delta: float, lead_time: int) -> float:
 
     The per-period margin whose rate ``R(eps)`` equals ``r = -log(delta) / L``
     is ``eps = min_{u > 0} (r + phi(u)) / u``, since ``R(eps) >= r`` exactly
-    when some ``u > 0`` has ``u * eps - phi(u) >= r``.  The minimizer is the
-    one root of the increasing ``u * phi'(u) - phi(u) - r``, where
-    ``eps = phi'(u)``; past the domain edge the rate is linear in the
-    margin and the minimizer is the point just inside the edge.  Any ``u``
-    gives a margin at least the exact one, so the stock errs on the safe
-    side.  The root is ``_increasing_root``'s along ``d = 1``, whose answer
-    is the negated margin, concave in ``x = -1 / u`` with slope the negated
-    residual; the stock is ``L`` times the least margin read, and the
-    tangents read bound the exact margin from below to within ``_ROOT_GAP``.
+    when some ``u > 0`` has ``u * eps - phi(u) >= r``.  Any ``u > 0`` gives
+    a margin at least the exact one, so the stock, ``L`` times the margin
+    read at the ``u`` returned, errs on the safe side.
+
+    For Gaussian demand the minimizer is ``u = sqrt(2 r / sigma^2)``, read
+    once.  For any other CGF it is the one root of the increasing ``u *
+    phi'(u) - phi(u) - r``, where ``eps = phi'(u)``; past the domain edge
+    the rate is linear in the margin and the minimizer is the point just
+    inside the edge.  The root is ``_increasing_root``'s along ``d = 1``,
+    whose answer is the negated margin, concave in ``x = -1 / u`` with slope
+    the negated residual; the stock is ``L`` times the least margin read,
+    and the tangents read bound the exact margin from below to within
+    ``_ROOT_GAP``.
 
     A stock sized from ``empirical_cgf`` is certified only for the plug-in
     estimate of the CGF: the estimation error is not covered, and
@@ -499,6 +562,14 @@ def invert_rate(cgf: CgfEvaluator, delta: float, lead_time: int) -> float:
     if cgf.dim != 1:
         raise ValueError("rate inversion requires a single-commodity CGF")
     target = -math.log(validate_delta(delta)) / lead
+    model = _gaussian(cgf)
+    if model is not None:
+        variance = float(model.covariance[0, 0])
+        if variance <= 0.0:
+            return math.ulp(0.0)
+        u = math.sqrt(2.0 * target / variance)
+        if 0.0 < u < math.inf:
+            return lead * ((target + cgf.value([u])) / u)
 
     def line(u: float, value: float, slope: float) -> tuple[float, float, float, float]:
         allowance = _ROOT_ROUNDING * (u * abs(slope) + abs(value) + target)
@@ -513,6 +584,11 @@ def invert_rate(cgf: CgfEvaluator, delta: float, lead_time: int) -> float:
     if not converged and points[max(points)][0] < 0.0:
         raise UnreachableRateError("unreachable stockout rate for this demand model")
     return lead * -points[u_star][2]
+
+
+# the union's second term: the second commodity exceeds while the first does not
+_MIXED = np.array([-1.0, 1.0])
+_MIXED.setflags(write=False)
 
 
 def chernoff_bound(
@@ -538,18 +614,16 @@ def chernoff_bound(
     A nonpositive margin in every coordinate gives the trivial bound 1.
     """
     lead = validate_lead_time(lead_time)
-    eps = np.asarray(epsilon, dtype=float)
-    if not np.all(np.isfinite(eps)):
-        raise ValueError("margins must be finite")
+    eps = _finite_margins(epsilon)
     cone = events.check_pattern(pattern, cgf.dim, signs)
     if pattern == events.FUNGIBLE:
         rate = _scalar_rate(cgf, [1.0] * cgf.dim, float(eps.reshape(())))[1]
         return min(1.0, math.exp(-lead * rate))
-    eps = eps.reshape(-1)
+    eps = _margin_vector(eps, cgf.dim)
     if pattern == events.UNION:
         first_rate = _scalar_rate(cgf, [1.0, 0.0], float(eps[0]))[1]
-        mixed = rate_numeric(cgf, eps, signs=np.array([-1.0, 1.0]))
-        return min(1.0, math.exp(-lead * first_rate) + math.exp(-mixed.exponent(lead)))
+        mixed_rate = _rate(cgf, eps, _MIXED)[0]
+        return min(1.0, math.exp(-lead * first_rate) + math.exp(-(lead * cgf.dim * mixed_rate)))
     # all_exceed or orthant: check_pattern gives signs only for the orthant
-    result = rate_numeric(cgf, eps, signs=cone)
-    return min(1.0, math.exp(-result.exponent(lead)))
+    rate = _rate(cgf, eps, np.ones(cgf.dim) if cone is None else cone)[0]
+    return min(1.0, math.exp(-(lead * cgf.dim * rate)))

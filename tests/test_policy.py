@@ -19,6 +19,7 @@ from stockbound import (
     invert_joint_tail,
     invert_rate,
     normal_upper_tail_inverse,
+    rate_numeric,
     ss_fungible,
     ss_previous,
     ss_proposed,
@@ -74,7 +75,7 @@ class TestProposedRule:
     @pytest.mark.parametrize("sigma", [0.0, 0.01, 0.5, 2.0])
     def test_one_commodity_model_and_cgf_agree(self, sigma):
         # the model goes through its Chernoff exponent, the evaluator through
-        # rate inversion; both take the scalar root, and constant demand
+        # rate inversion; both take the closed form, and constant demand
         # (sigma 0) gets the least positive float from either.  At sigma
         # 0.01 the rate at a unit margin, 5000, is past where exp(-rate)
         # underflows, so the exponent must be read at a margin of one sigma.
@@ -239,6 +240,28 @@ class TestProposedRule:
         record = ProposedStock(np.array([1.0, 2.0]), 0.25, (0.5, 0.5))
         with pytest.raises(ValueError):
             record.ss[0] = 9.0
+
+    def test_seeded_scan_meets_its_evaluated_exponent(self):
+        # The unit maximizer, scaled to the stock, is feasible at every
+        # delta (the exponent is 2-homogeneous), and its read exponent
+        # certifies the equal stock.  The closed form alone read short there
+        # in about a third of these cases, by up to 3.4e-15 relative; one
+        # ulp step up at a time, doubling, mends each without moving the
+        # stock past rounding.
+        rng = np.random.default_rng(11)
+        for _ in range(1500):
+            vx, vy = rng.uniform(0.2, 3.0, 2)
+            rho = rng.uniform(-0.99, 0.99)
+            lead = int(rng.integers(1, 30))
+            delta = math.exp(rng.uniform(math.log(1e-12), math.log(0.3)))
+            model = GaussianModel.bivariate(vx, vy, rho)
+            cgf = gaussian_cgf(model)
+            ss = ss_proposed(model, lead, delta).ss[0]
+            unit = math.sqrt(max(vx, vy))
+            u = ss / (lead * unit) * rate_numeric(cgf, [unit, unit]).u_star
+            assert lead * (ss / lead * float(u.sum()) - cgf.value(u)) >= -math.log(delta)
+            closed = math.sqrt(lead * -math.log(delta) / (2.0 * rate_numeric(cgf, [1.0, 1.0]).rate))
+            assert ss == pytest.approx(closed, rel=1e-13, abs=0.0)
 
 
 class TestFungibleRule:

@@ -59,6 +59,17 @@ def log_cosh_cgf() -> CgfEvaluator:
     return CgfEvaluator(dim=1, domain=None, _value_and_grad=both)
 
 
+def plain_quadratic_cgf(variance: float) -> CgfEvaluator:
+    """The one-commodity Gaussian CGF's arithmetic with no model behind it, so the scalar root solves it."""
+    base = gaussian_cgf(GaussianModel.univariate(variance))
+    return CgfEvaluator(dim=1, domain=None, _value_and_grad=base.value_and_gradient)
+
+
+def assert_within_eps(value: float, exact: Fraction, ulps: float = 2.0) -> None:
+    """``value`` is within ``ulps`` machine epsilons of ``exact``, relative, in exact arithmetic."""
+    assert abs(Fraction(value) - exact) <= Fraction(ulps * _EPS) * abs(exact)
+
+
 class TestRateNumeric:
     def test_unit_gaussian_single_commodity(self):
         result = rate_numeric(gaussian_cgf(GaussianModel.univariate(1.0)), [1.0])
@@ -249,8 +260,8 @@ class TestRateNumeric:
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 2.0])
     def test_one_commodity_gaussian_rate_is_exact(self, sigma):
-        # one commodity takes the scalar root, Gaussian or not; zero variance
-        # is an affine CGF, whose rate at a positive margin is infinite
+        # one Gaussian commodity takes the closed form; zero variance is an
+        # affine CGF, whose rate at a positive margin is infinite
         cgf = gaussian_cgf(GaussianModel.univariate(sigma**2))
         for delta in (0.9, 0.5, 0.05, 1e-3, 1e-6, 1e-12):
             c = math.sqrt(-2.0 * math.log(delta))
@@ -339,6 +350,17 @@ class TestRateNumeric:
                 infinite += 1
                 assert (signs * c) @ u > 0.0 and u @ cov @ u <= 0.0
         assert infinite > 30
+
+    def test_one_coordinate_face_is_its_own_eigendecomposition(self):
+        # the active set skips eigh on a 1x1 face: (q_jj, [[1.0]]) must be
+        # what eigh returns, bit for bit
+        rng = np.random.default_rng(17)
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, -3.5, 1e300]
+        values += list(rng.normal(size=20)) + list(rng.uniform(-1e-300, 1e-300, 5))
+        for x in values:
+            lam, vec = np.linalg.eigh(np.array([[x]]))
+            assert lam.tobytes() == np.array([[x]])[0].tobytes()
+            assert vec.tobytes() == rates._ONE.tobytes() and vec.shape == rates._ONE.shape
 
     def test_cycling_search_stops_at_the_step_bound(self, monkeypatch):
         # A negative rounding allowance lets the second coordinate join though
@@ -705,9 +727,11 @@ class TestChernoffBound:
             assert chernoff_bound(cgf, eps, 5, pattern=FUNGIBLE) == 1.0
 
     def test_fungible_zero_pooled_variance_stops_early(self):
-        # slope 0 at every point: the CGF is affine, so the bracket must not
-        # double its way out to the float range (about 1024 evaluations)
-        cgf, calls = recording(gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, -1.0)))
+        # slope 0 at every point: the CGF is affine, so the root's bracket
+        # must not double its way out to the float range (about 1024
+        # evaluations); the Gaussian arithmetic without its model takes the root
+        base = gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, -1.0))
+        cgf, calls = recording(CgfEvaluator(dim=2, domain=None, _value_and_grad=base.value_and_gradient))
         assert chernoff_bound(cgf, 1.0, 5, pattern=FUNGIBLE) == 0.0
         assert len(calls) <= 24
 
@@ -760,6 +784,74 @@ class TestChernoffBound:
                 query = TailQuery.from_margins(model, lead * eps[0], lead * eps[1], lead)
                 exact = bivariate_joint_tail(query).probability
                 assert exact <= bound + 1e-12
+
+
+class TestGaussianLines:
+    """A Gaussian CGF along a line is maximized in closed form and read once, through the evaluator."""
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_commodity_rate(self, sigma, sign):
+        for c in (0.05, 0.3, 1.0, 2.448, 3.717, 7.434, 60.0):
+            cgf, points = recording(gaussian_cgf(GaussianModel.univariate(sigma**2)))
+            result = rate_numeric(cgf, [sign * c], signs=[sign])
+            assert points == [(sign * c / sigma**2,)] and result.iterations == 1
+            assert result.converged and list(result.u_star) == [sign * c / sigma**2]
+            assert_within_eps(result.rate, Fraction(c) ** 2 / (2 * Fraction(sigma**2)))
+
+    @pytest.mark.parametrize("delta", [0.3, 1e-2, 1e-4, 1e-8, 1e-20, 1e-300])
+    @pytest.mark.parametrize("lead", [1, 5, 10])
+    def test_one_commodity_inversion(self, delta, lead):
+        # the stock is L sqrt(2 var r) at the rate r the package computes
+        var = 2.5
+        cgf, points = recording(gaussian_cgf(GaussianModel.univariate(var)))
+        ss = invert_rate(cgf, delta, lead)
+        target = -math.log(delta) / lead
+        assert points == [(math.sqrt(2.0 * target / var),)]
+        assert_within_eps(ss**2, lead**2 * 2 * Fraction(var) * Fraction(target), 4.0)
+
+    @pytest.mark.parametrize("rho", [-0.6, 0.0, 0.5, 0.9])
+    def test_pooled_and_first_commodity_rates(self, rho):
+        model = GaussianModel.bivariate(1.0, 1.5, rho)
+        pooled = sum(Fraction(x) for x in model.covariance.ravel())
+        for eps in (0.1, 1.2, 3.5):
+            cgf, points = recording(gaussian_cgf(model))
+            t, rate, evals, converged = rates._scalar_rate(cgf, [1.0, 1.0], eps)
+            assert points == [(t, t)] and evals == 1 and converged
+            assert_within_eps(rate, Fraction(eps) ** 2 / (2 * pooled))
+            points.clear()
+            t, rate, evals, converged = rates._scalar_rate(cgf, [1.0, 0.0], eps)
+            assert points == [(t, 0.0)] and evals == 1 and converged
+            assert_within_eps(rate, Fraction(eps) ** 2 / 2)
+
+    @pytest.mark.parametrize("rho", [-0.6, 0.5])
+    def test_bounds_read_each_line_once(self, rho):
+        # the fungible bound reads one point; the union bound one on its
+        # first term's line and one where the active set ends
+        model = GaussianModel.bivariate(1.0, 1.5, rho)
+        cgf, points = recording(gaussian_cgf(model))
+        chernoff_bound(cgf, 1.2, 5, pattern=FUNGIBLE)
+        ((t, t_again),) = points
+        assert t == t_again == pytest.approx(1.2 / float(model.covariance.sum()), rel=2.0 * _EPS)
+        points.clear()
+        chernoff_bound(cgf, [0.8, 1.1], 5, pattern=UNION)
+        assert len(points) == 2 and points[0] == (0.8, 0.0)
+
+    def test_zero_curvature_is_an_infinite_rate_read_nowhere(self):
+        cgf, points = recording(gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, -1.0)))
+        assert rates._scalar_rate(cgf, [1.0, 1.0], 0.5) == (1.0, math.inf, 0, True)
+        cgf, points = recording(gaussian_cgf(GaussianModel.univariate(0.0)))
+        assert invert_rate(cgf, 0.05, 5) == math.ulp(0.0)
+        assert not points
+
+    def test_maximizer_past_the_float_range_is_left_to_the_root(self):
+        # eps / variance overflows: the root's doubling bracket stops once
+        # exp(-rate) is 0, as for any CGF whose slope never meets the margin
+        result = rate_numeric(gaussian_cgf(GaussianModel.univariate(1e-310)), [1.0])
+        assert not result.converged
+        assert math.isfinite(result.rate) and math.exp(-result.rate) == 0.0
+        ss = invert_rate(gaussian_cgf(GaussianModel.univariate(5e-324)), 1e-300, 1)
+        assert 0.0 < ss < 1e-150
 
 
 ONE_COMMODITY = {
@@ -826,7 +918,7 @@ class TestScalarRoot:
             (weibull_cgf(WeibullModel(2.0, 1.0)), 40),
             (weibull_cgf(WeibullModel(3.0, 1.0)), 44),
             (weibull_cgf(WeibullModel(1.0, 1.0)), 51),
-            (gaussian_cgf(GaussianModel.univariate(1.0)), 38),
+            (plain_quadratic_cgf(1.0), 38),
             (empirical_cgf(EmpiricalDemand(np.random.default_rng(11).gamma(2.0, 1.0, (4000, 10)))), 43),
         ],
         ids=["weibull1.5", "weibull2", "weibull3", "exponential", "gaussian", "empirical"],
@@ -844,7 +936,9 @@ class TestScalarRoot:
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_gaussian_rates_inside_the_interval(self, intervals, sigma, sign):
-        cgf = gaussian_cgf(GaussianModel.univariate(sigma**2))
+        # a Gaussian model is solved in closed form; its arithmetic without
+        # the model keeps testing the root
+        cgf = plain_quadratic_cgf(sigma**2)
         for c in (0.05, 0.3, 1.0, 2.448, 3.717, 7.434):
             result = rate_numeric(cgf, [sign * c], signs=[sign])
             assert_inside(intervals[-1], c * c / (2.0 * sigma**2), 2.0 * _EPS)
@@ -854,7 +948,7 @@ class TestScalarRoot:
     @pytest.mark.parametrize("lead", [1, 5, 10])
     def test_gaussian_stocks_inside_the_interval(self, intervals, delta, lead):
         var = 2.5
-        ss = invert_rate(gaussian_cgf(GaussianModel.univariate(var)), delta, lead)
+        ss = invert_rate(plain_quadratic_cgf(var), delta, lead)
         margin = math.sqrt(2.0 * var * math.log(1.0 / delta) / lead)
         answer, upper = intervals[-1]
         # the root maximizes the negated margin: the interval is [-upper, -answer]
