@@ -838,11 +838,11 @@ class TestGaussianLines:
         assert len(points) == 2 and points[0] == (0.8, 0.0)
 
     def test_zero_curvature_is_an_infinite_rate_read_nowhere(self):
-        cgf, points = recording(gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, -1.0)))
-        assert rates._scalar_rate(cgf, [1.0, 1.0], 0.5) == (1.0, math.inf, 0, True)
-        cgf, points = recording(gaussian_cgf(GaussianModel.univariate(0.0)))
-        assert invert_rate(cgf, 0.05, 5) == math.ulp(0.0)
-        assert not points
+        pair, pair_points = recording(gaussian_cgf(GaussianModel.bivariate(1.0, 1.0, -1.0)))
+        assert rates._scalar_rate(pair, [1.0, 1.0], 0.5) == (1.0, math.inf, 0, True)
+        one, one_points = recording(gaussian_cgf(GaussianModel.univariate(0.0)))
+        assert invert_rate(one, 0.05, 5) == math.ulp(0.0)
+        assert not pair_points and not one_points
 
     def test_maximizer_past_the_float_range_is_left_to_the_root(self):
         # eps / variance overflows: the root's doubling bracket stops once
